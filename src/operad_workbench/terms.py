@@ -10,6 +10,7 @@ depends on it.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -266,10 +267,6 @@ def format_equation(eq: Equation) -> str:
     return f"@{eq.arity}: {format_term(eq.lhs)} = {format_term(eq.rhs)}"
 
 
-def term_sort_key(t: Term) -> tuple[int, str]:
-    return (term_size(t), format_term(t))
-
-
 class _TermParser:
     def __init__(self, text: str, signature: Signature | None):
         self.text = text
@@ -435,50 +432,80 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
     exactly once, STRONGLY_REGULAR additionally in increasing order.
     Sorted by (size, text) for determinism.
     """
-    by_size: dict[int, list[Term]] = {}
-
-    def of_size(s: int) -> list[Term]:
-        if s in by_size:
-            return by_size[s]
-        found: list[Term] = []
-        if s == 1:
-            found.extend(Var(i) for i in range(1, arity + 1))
-            found.extend(App(op, ()) for op, k in signature.ops if k == 0)
-        else:
-            for op, k in signature.ops:
-                if k == 0 or k > s - 1:
-                    continue
-                for split in _compositions(s - 1, k):
-                    _product_terms(found, op, split, of_size)
-        by_size[s] = found
-        return found
-
-    out: list[Term] = []
-    for s in range(1, max_size + 1):
-        out.extend(of_size(s))
+    out = _Universe(signature, arity, max_size).terms
     if kind == LINEAR:
         target = tuple(range(1, arity + 1))
         out = [t for t in out if tuple(sorted(var_seq(t))) == target]
     elif kind == STRONGLY_REGULAR:
         target = tuple(range(1, arity + 1))
         out = [t for t in out if var_seq(t) == target]
-    return sorted(out, key=term_sort_key)
+    return out
 
 
-def _product_terms(found: list[Term], op: str, split: tuple[int, ...], of_size):
-    pools = [of_size(part) for part in split]
-    if any(not pool for pool in pools):
-        return
-    indices = [0] * len(pools)
-    while True:
-        found.append(App(op, tuple(pool[i] for pool, i in zip(pools, indices))))
-        for slot in reversed(range(len(pools))):
-            indices[slot] += 1
-            if indices[slot] < len(pools[slot]):
-                break
-            indices[slot] = 0
-        else:
-            return
+class _Universe:
+    """The terms of one arity up to a size bound, numbered by their
+    (size, text) order and hash-consed: a term's id is its position,
+    nodes[i] is (op, child ids) for an App and (index, ()) for a Var,
+    and node_index inverts nodes."""
+
+    def __init__(self, signature: Signature, arity: int, max_size: int):
+        self.terms: list[Term] = []
+        self.nodes: list[tuple] = []
+        self.sizes: list[int] = []
+        texts: list[str] = []
+        # ids of each size s form the range bounds[s - 1]..bounds[s]
+        bounds = [0]
+        for s in range(1, max_size + 1):
+            found: list[tuple[str, tuple, Term]] = []
+            if s == 1:
+                found.extend((f"x{i}", (i, ()), Var(i)) for i in range(1, arity + 1))
+                found.extend((op, (op, ()), App(op, ()))
+                             for op, k in signature.ops if k == 0)
+            else:
+                for op, k in signature.ops:
+                    if k == 0 or k > s - 1:
+                        continue
+                    for split in _compositions(s - 1, k):
+                        pools = [range(bounds[part - 1], bounds[part]) for part in split]
+                        for kids in itertools.product(*pools):
+                            found.append((
+                                f"{op}({','.join(texts[c] for c in kids)})",
+                                (op, kids),
+                                App(op, tuple(self.terms[c] for c in kids))))
+            found.sort(key=lambda entry: entry[0])
+            for text, node, term in found:
+                texts.append(text)
+                self.nodes.append(node)
+                self.terms.append(term)
+            self.sizes.extend([s] * len(found))
+            bounds.append(len(self.terms))
+        self.node_index = {node: i for i, node in enumerate(self.nodes)}
+
+    def id_of(self, t: Term) -> int | None:
+        """The id of t, or None when t lies outside the universe."""
+        if isinstance(t, Var):
+            return self.node_index.get((t.index, ()))
+        kids = []
+        for a in t.args:
+            kid = self.id_of(a)
+            if kid is None:
+                return None
+            kids.append(kid)
+        return self.node_index.get((t.op, tuple(kids)))
+
+    def instance_id(self, pattern: Term, binding: Mapping[int, int]) -> int | None:
+        """The id of pattern with x_v bound to the term of id binding[v],
+        or None when that instance lies outside the universe (every
+        subterm of a universe term lies inside it)."""
+        if isinstance(pattern, Var):
+            return binding[pattern.index]
+        kids = []
+        for a in pattern.args:
+            kid = self.instance_id(a, binding)
+            if kid is None:
+                return None
+            kids.append(kid)
+        return self.node_index.get((pattern.op, tuple(kids)))
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -509,24 +536,26 @@ _AXIOM = "axiom"
 _CONG = "cong"
 
 
-class _ArityClosure:
-    """Union-find with a merge graph over one bounded term universe."""
+class _ArityClosure(_Universe):
+    """Union-find with a merge graph over one bounded term universe, on
+    term ids: parent[i] is i's union-find parent and edges[i] lists
+    (neighbour id, reason) for every union that touched i."""
 
-    def __init__(self, universe: list[Term]):
-        self.universe = universe
-        self.index = set(universe)
-        self.parent: dict[Term, Term] = {t: t for t in universe}
-        self.edges: dict[Term, list[tuple[Term, tuple]]] = {t: [] for t in universe}
+    def __init__(self, signature: Signature, arity: int, max_size: int):
+        super().__init__(signature, arity, max_size)
+        self.parent = list(range(len(self.terms)))
+        self.edges: list[list[tuple[int, tuple]]] = [[] for _ in self.terms]
 
-    def find(self, t: Term) -> Term:
-        root = t
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[t] != root:
-            self.parent[t], t = root, self.parent[t]
+    def find(self, i: int) -> int:
+        parent = self.parent
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
         return root
 
-    def union(self, a: Term, b: Term, reason: tuple) -> bool:
+    def union(self, a: int, b: int, reason: tuple) -> bool:
         self.edges[a].append((b, reason))
         self.edges[b].append((a, reason))
         ra, rb = self.find(a), self.find(b)
@@ -535,8 +564,11 @@ class _ArityClosure:
         self.parent[ra] = rb
         return True
 
-    def same(self, a: Term, b: Term) -> bool:
-        return self.find(a) == self.find(b)
+    def ids(self, *terms: Term) -> list[int]:
+        ids = [self.id_of(t) for t in terms]
+        if None in ids:
+            raise TermError("term outside the saturated universe")
+        return ids
 
 
 class SaturationResult:
@@ -553,41 +585,39 @@ class SaturationResult:
         return sorted(self._closures)
 
     def universe(self, arity: int) -> list[Term]:
-        return list(self._closures[arity].universe)
+        return list(self._closures[arity].terms)
 
     def in_universe(self, arity: int, t: Term) -> bool:
-        return arity in self._closures and t in self._closures[arity].index
+        return arity in self._closures and self._closures[arity].id_of(t) is not None
 
     def same(self, arity: int, t1: Term, t2: Term) -> bool:
         closure = self._closures[arity]
-        if t1 not in closure.index or t2 not in closure.index:
-            raise TermError("term outside the saturated universe")
-        return closure.same(t1, t2)
+        i1, i2 = closure.ids(t1, t2)
+        return closure.find(i1) == closure.find(i2)
 
     def anchor(self, arity: int, t: Term) -> Term:
         """A class representative usable as a grouping key; stable within
         this result object, arbitrary beyond that."""
         closure = self._closures[arity]
-        if t not in closure.index:
-            raise TermError("term outside the saturated universe")
-        return closure.find(t)
+        (i,) = closure.ids(t)
+        return closure.terms[closure.find(i)]
 
     def classes(self, arity: int) -> list[list[Term]]:
+        # ids follow the (size, text) order, so each class comes out
+        # sorted and the classes come out sorted by their first member
         closure = self._closures[arity]
-        grouped: dict[Term, list[Term]] = {}
-        for t in closure.universe:
-            grouped.setdefault(closure.find(t), []).append(t)
-        out = [sorted(batch, key=term_sort_key) for batch in grouped.values()]
-        return sorted(out, key=lambda batch: term_sort_key(batch[0]))
+        grouped: dict[int, list[Term]] = {}
+        for i, t in enumerate(closure.terms):
+            grouped.setdefault(closure.find(i), []).append(t)
+        return list(grouped.values())
 
     def explain(self, arity: int, t1: Term, t2: Term) -> list[RewriteStep] | None:
         """A chain of elementary rewrites from t1 to t2, or None if unmerged."""
         closure = self._closures[arity]
-        if t1 not in closure.index or t2 not in closure.index:
-            raise TermError("term outside the saturated universe")
-        if not closure.same(t1, t2):
+        i1, i2 = closure.ids(t1, t2)
+        if closure.find(i1) != closure.find(i2):
             return None
-        return self._elementary_path(closure, t1, t2)
+        return self._elementary_path(closure, i1, i2)
 
     def explain_many(self, arity: int, t1: Term, t2: Term, limit: int = 4,
                      slack: int = 4) -> list[list[RewriteStep]]:
@@ -596,21 +626,20 @@ class SaturationResult:
         paths in the merge graph no longer than the shortest plus slack;
         an empty list means the terms are not merged."""
         closure = self._closures[arity]
-        if t1 not in closure.index or t2 not in closure.index:
-            raise TermError("term outside the saturated universe")
-        if not closure.same(t1, t2):
+        i1, i2 = closure.ids(t1, t2)
+        if closure.find(i1) != closure.find(i2):
             return []
-        if t1 == t2:
+        if i1 == i2:
             return [[]]
-        cap = len(self._bfs(closure, t1, t2)) + slack
-        found: list[list[tuple[Term, Term, tuple]]] = []
-        path: list[tuple[Term, Term, tuple]] = []
-        on_path = {t1}
+        cap = len(self._bfs(closure, i1, i2)) + slack
+        found: list[list[tuple[int, int, tuple]]] = []
+        path: list[tuple[int, int, tuple]] = []
+        on_path = {i1}
 
-        def walk(u: Term):
+        def walk(u: int):
             if len(found) >= 4 * limit + 16:
                 return
-            if u == t2:
+            if u == i2:
                 found.append(list(path))
                 return
             if len(path) >= cap:
@@ -626,10 +655,11 @@ class SaturationResult:
                 path.pop()
                 on_path.discard(v)
 
-        walk(t1)
+        walk(i1)
+        terms = closure.terms
         found.sort(key=lambda links: (
             len(links),
-            [format_term(a) + "/" + format_term(b) for a, b, _ in links]))
+            [format_term(terms[a]) + "/" + format_term(terms[b]) for a, b, _ in links]))
         out = []
         for links in found[:limit]:
             steps: list[RewriteStep] = []
@@ -638,22 +668,22 @@ class SaturationResult:
             out.append(steps)
         return out
 
-    def _elementary_path(self, closure: _ArityClosure, t1: Term, t2: Term
+    def _elementary_path(self, closure: _ArityClosure, i1: int, i2: int
                          ) -> list[RewriteStep]:
-        links = self._bfs(closure, t1, t2)
+        links = self._bfs(closure, i1, i2)
         steps: list[RewriteStep] = []
         for (a, b, reason) in links:
             steps.extend(self._expand(closure, a, b, reason))
         return steps
 
     @staticmethod
-    def _bfs(closure: _ArityClosure, t1: Term, t2: Term
-             ) -> list[tuple[Term, Term, tuple]]:
-        if t1 == t2:
+    def _bfs(closure: _ArityClosure, i1: int, i2: int
+             ) -> list[tuple[int, int, tuple]]:
+        if i1 == i2:
             return []
-        seen = {t1}
-        frontier = [t1]
-        back: dict[Term, tuple[Term, tuple]] = {}
+        seen = {i1}
+        frontier = [i1]
+        back: dict[int, tuple[int, tuple]] = {}
         while frontier:
             nxt = []
             for u in frontier:
@@ -662,10 +692,10 @@ class SaturationResult:
                         continue
                     seen.add(v)
                     back[v] = (u, reason)
-                    if v == t2:
+                    if v == i2:
                         links = []
-                        cur = t2
-                        while cur != t1:
+                        cur = i2
+                        while cur != i1:
                             prev, why = back[cur]
                             links.append((prev, cur, why))
                             cur = prev
@@ -675,16 +705,17 @@ class SaturationResult:
             frontier = nxt
         raise TermError("merge graph disconnected inside a class")
 
-    def _expand(self, closure: _ArityClosure, a: Term, b: Term, reason: tuple
+    def _expand(self, closure: _ArityClosure, a: int, b: int, reason: tuple
                 ) -> list[RewriteStep]:
+        terms = closure.terms
         if reason[0] == _AXIOM:
             _, eq_index, binding, lhs_inst, _rhs_inst = reason
-            forward = a == lhs_inst
-            return [RewriteStep(a, b, eq_index, forward, (), binding)]
-        assert reason[0] == _CONG and isinstance(a, App) and isinstance(b, App)
+            bound = tuple((v, terms[k]) for v, k in binding)
+            return [RewriteStep(terms[a], terms[b], eq_index, a == lhs_inst, (), bound)]
+        assert reason[0] == _CONG
         steps: list[RewriteStep] = []
-        current = a
-        for i, (child_a, child_b) in enumerate(zip(a.args, b.args)):
+        current = terms[a]
+        for i, (child_a, child_b) in enumerate(zip(closure.nodes[a][1], closure.nodes[b][1])):
             if child_a == child_b:
                 continue
             for step in self._elementary_path(closure, child_a, child_b):
@@ -694,7 +725,7 @@ class SaturationResult:
                 steps.append(RewriteStep(current, nxt, step.eq_index, step.forward,
                                          (i,) + step.position, step.binding))
                 current = nxt
-        assert current == b
+        assert current == terms[b]
         return steps
 
 
@@ -713,10 +744,9 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
     budget = max_steps
     exhausted = False
     for arity in range(max_arity + 1):
-        universe = enumerate_terms(signature, arity, max_term_size)
-        closure = _ArityClosure(universe)
+        closure = _ArityClosure(signature, arity, max_term_size)
         closures[arity] = closure
-        budget = _seed_instances(closure, equations, universe, max_term_size, budget)
+        budget = _seed_instances(closure, equations, max_term_size, budget)
         if budget <= 0:
             exhausted = True
             break
@@ -728,7 +758,8 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
 
 
 def _seed_instances(closure: _ArityClosure, equations: tuple[Equation, ...],
-                    universe: list[Term], max_term_size: int, budget: int) -> int:
+                    max_term_size: int, budget: int) -> int:
+    sizes = closure.sizes
     for eq_index, eq in enumerate(equations):
         occurring = sorted(support(eq.lhs) | support(eq.rhs))
         base_l = term_size(eq.lhs)
@@ -736,24 +767,24 @@ def _seed_instances(closure: _ArityClosure, equations: tuple[Equation, ...],
         occ_l = {v: _occurrences(eq.lhs, v) for v in occurring}
         occ_r = {v: _occurrences(eq.rhs, v) for v in occurring}
 
-        def assign(i: int, size_l: int, size_r: int, binding: dict[int, Term],
+        def assign(i: int, size_l: int, size_r: int, binding: dict[int, int],
                    budget: int) -> int:
             if budget <= 0:
                 return budget
             if i == len(occurring):
-                lhs_inst = substitute(eq.lhs, binding) if occurring else eq.lhs
-                rhs_inst = substitute(eq.rhs, binding) if occurring else eq.rhs
-                if lhs_inst in closure.index and rhs_inst in closure.index:
+                lhs_inst = closure.instance_id(eq.lhs, binding)
+                rhs_inst = closure.instance_id(eq.rhs, binding)
+                if lhs_inst is not None and rhs_inst is not None:
                     frozen = tuple(sorted(binding.items()))
                     closure.union(lhs_inst, rhs_inst,
                                   (_AXIOM, eq_index, frozen, lhs_inst, rhs_inst))
                 return budget - 1
             v = occurring[i]
-            for t in universe:
-                extra = term_size(t) - 1
+            for t, size in enumerate(sizes):
+                extra = size - 1
                 new_l = size_l + occ_l[v] * extra
                 new_r = size_r + occ_r[v] * extra
-                # universe is size-sorted, so the first overflow persists
+                # ids are size-sorted, so the first overflow persists
                 if new_l > max_term_size or new_r > max_term_size:
                     break
                 binding[v] = t
@@ -776,17 +807,18 @@ def _occurrences(t: Term, v: int) -> int:
 
 
 def _congruence_fixpoint(closure: _ArityClosure, budget: int) -> int:
-    # hash terms by operation and child classes; a shared signature
+    # hash nodes by operation and child classes; a shared signature
     # means the children are pairwise merged, so the terms merge too
-    compound = [t for t in closure.universe if isinstance(t, App) and t.args]
+    compound = [(i, op, kids) for i, (op, kids) in enumerate(closure.nodes) if kids]
+    find = closure.find
     changed = True
     while changed and budget > 0:
         changed = False
-        buckets: dict[tuple, App] = {}
-        for t in compound:
-            key = (t.op, tuple(closure.find(a) for a in t.args))
+        buckets: dict[tuple, int] = {}
+        for t, op, kids in compound:
+            key = (op, tuple([find(k) for k in kids]))
             anchor = buckets.setdefault(key, t)
-            if anchor is t:
+            if anchor == t:
                 continue
             # union even when already merged: the redundant edge keeps
             # alternative rewrite paths available to explain_many
