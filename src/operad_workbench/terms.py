@@ -539,12 +539,14 @@ _CONG = "cong"
 class _ArityClosure(_Universe):
     """Union-find with a merge graph over one bounded term universe, on
     term ids: parent[i] is i's union-find parent and edges[i] lists
-    (neighbour id, reason) for every union that touched i."""
+    (neighbour id, reason, stamp) for every union that touched i, where
+    the stamp counts the unions before it."""
 
     def __init__(self, signature: Signature, arity: int, max_size: int):
         super().__init__(signature, arity, max_size)
         self.parent = list(range(len(self.terms)))
-        self.edges: list[list[tuple[int, tuple]]] = [[] for _ in self.terms]
+        self.edges: list[list[tuple[int, tuple, int]]] = [[] for _ in self.terms]
+        self.unions = 0
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -556,8 +558,10 @@ class _ArityClosure(_Universe):
         return root
 
     def union(self, a: int, b: int, reason: tuple) -> bool:
-        self.edges[a].append((b, reason))
-        self.edges[b].append((a, reason))
+        stamp = self.unions
+        self.unions += 1
+        self.edges[a].append((b, reason, stamp))
+        self.edges[b].append((a, reason, stamp))
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
@@ -632,8 +636,8 @@ class SaturationResult:
         if i1 == i2:
             return [[]]
         cap = len(self._bfs(closure, i1, i2)) + slack
-        found: list[list[tuple[int, int, tuple]]] = []
-        path: list[tuple[int, int, tuple]] = []
+        found: list[list[tuple[int, int, tuple, int]]] = []
+        path: list[tuple[int, int, tuple, int]] = []
         on_path = {i1}
 
         def walk(u: int):
@@ -645,12 +649,15 @@ class SaturationResult:
             if len(path) >= cap:
                 return
             # repeated unions leave parallel duplicate edges; visit each
-            # distinct (target, reason) once
-            for v, reason in dict.fromkeys(closure.edges[u]):
+            # distinct (target, reason) once, at its oldest stamp
+            distinct: dict[tuple[int, tuple], int] = {}
+            for v, reason, stamp in closure.edges[u]:
+                distinct.setdefault((v, reason), stamp)
+            for (v, reason), stamp in distinct.items():
                 if v in on_path:
                     continue
                 on_path.add(v)
-                path.append((u, v, reason))
+                path.append((u, v, reason, stamp))
                 walk(v)
                 path.pop()
                 on_path.discard(v)
@@ -659,45 +666,48 @@ class SaturationResult:
         terms = closure.terms
         found.sort(key=lambda links: (
             len(links),
-            [format_term(terms[a]) + "/" + format_term(terms[b]) for a, b, _ in links]))
-        out = []
-        for links in found[:limit]:
-            steps: list[RewriteStep] = []
-            for a, b, reason in links:
-                steps.extend(self._expand(closure, a, b, reason))
-            out.append(steps)
+            [format_term(terms[a]) + "/" + format_term(terms[b]) for a, b, _, _ in links]))
+        # distinct link paths can expand to the same steps; keep the first
+        out: list[list[RewriteStep]] = []
+        seen: set[tuple[RewriteStep, ...]] = set()
+        for links in found:
+            if len(out) >= limit:
+                break
+            steps = [step for link in links for step in self._expand(closure, *link)]
+            if tuple(steps) not in seen:
+                seen.add(tuple(steps))
+                out.append(steps)
         return out
 
-    def _elementary_path(self, closure: _ArityClosure, i1: int, i2: int
-                         ) -> list[RewriteStep]:
-        links = self._bfs(closure, i1, i2)
-        steps: list[RewriteStep] = []
-        for (a, b, reason) in links:
-            steps.extend(self._expand(closure, a, b, reason))
-        return steps
+    def _elementary_path(self, closure: _ArityClosure, i1: int, i2: int,
+                         before: int | None = None) -> list[RewriteStep]:
+        return [step for link in self._bfs(closure, i1, i2, before)
+                for step in self._expand(closure, *link)]
 
     @staticmethod
-    def _bfs(closure: _ArityClosure, i1: int, i2: int
-             ) -> list[tuple[int, int, tuple]]:
+    def _bfs(closure: _ArityClosure, i1: int, i2: int, before: int | None = None
+             ) -> list[tuple[int, int, tuple, int]]:
+        """A shortest path of merge edges from i1 to i2, using only edges
+        stamped before `before` when it is given."""
         if i1 == i2:
             return []
         seen = {i1}
         frontier = [i1]
-        back: dict[int, tuple[int, tuple]] = {}
+        back: dict[int, tuple[int, tuple, int]] = {}
         while frontier:
             nxt = []
             for u in frontier:
-                for v, reason in closure.edges[u]:
-                    if v in seen:
+                for v, reason, stamp in closure.edges[u]:
+                    if v in seen or (before is not None and stamp >= before):
                         continue
                     seen.add(v)
-                    back[v] = (u, reason)
+                    back[v] = (u, reason, stamp)
                     if v == i2:
                         links = []
                         cur = i2
                         while cur != i1:
-                            prev, why = back[cur]
-                            links.append((prev, cur, why))
+                            prev, why, when = back[cur]
+                            links.append((prev, cur, why, when))
                             cur = prev
                         links.reverse()
                         return links
@@ -705,20 +715,23 @@ class SaturationResult:
             frontier = nxt
         raise TermError("merge graph disconnected inside a class")
 
-    def _expand(self, closure: _ArityClosure, a: int, b: int, reason: tuple
-                ) -> list[RewriteStep]:
+    def _expand(self, closure: _ArityClosure, a: int, b: int, reason: tuple,
+                stamp: int) -> list[RewriteStep]:
         terms = closure.terms
         if reason[0] == _AXIOM:
             _, eq_index, binding, lhs_inst, _rhs_inst = reason
             bound = tuple((v, terms[k]) for v, k in binding)
             return [RewriteStep(terms[a], terms[b], eq_index, a == lhs_inst, (), bound)]
+        # a congruence edge joined a and b once their children were merged
+        # by older edges; explaining the children through those alone
+        # makes every recursion step go to strictly older edges
         assert reason[0] == _CONG
         steps: list[RewriteStep] = []
         current = terms[a]
         for i, (child_a, child_b) in enumerate(zip(closure.nodes[a][1], closure.nodes[b][1])):
             if child_a == child_b:
                 continue
-            for step in self._elementary_path(closure, child_a, child_b):
+            for step in self._elementary_path(closure, child_a, child_b, stamp):
                 args = list(current.args)
                 args[i] = step.target
                 nxt = App(current.op, tuple(args))

@@ -3,9 +3,11 @@
 import json
 
 import pytest
-from conftest import EXAMPLES
+from conftest import EXAMPLES, load_theory
 
 from operad_workbench.cli import main
+from operad_workbench.terms import (App, Var, parse_term, replace_at,
+                                    subterm_at)
 
 MONOID = str(EXAMPLES / "monoid.th")
 COMM = str(EXAMPLES / "comm_monoid.th")
@@ -95,6 +97,50 @@ def test_decide_json_trace_replays_positions(capsys):
     assert code == 0 and payload["answer"] == "yes"
     assert all(set(step) == {"source", "target", "equation", "forward",
                              "position"} for step in payload["trace"])
+
+
+def match(pattern, term, binding) -> bool:
+    """Extend binding so that pattern instantiates to term."""
+    if isinstance(pattern, Var):
+        return binding.setdefault(pattern.index, term) == term
+    return (isinstance(term, App) and term.op == pattern.op
+            and len(term.args) == len(pattern.args)
+            and all(match(p, t, binding)
+                    for p, t in zip(pattern.args, term.args)))
+
+
+def replay_json_trace(pres, trace, start, goal):
+    """Re-execute a --json trace: each step rewrites one instance of its
+    equation at its position and the chain runs from start to goal."""
+    current = parse_term(start, pres.signature)
+    for step in trace:
+        source = parse_term(step["source"], pres.signature)
+        target = parse_term(step["target"], pres.signature)
+        assert source == current
+        eq = pres.equations[step["equation"]]
+        src_side, dst_side = ((eq.lhs, eq.rhs) if step["forward"]
+                              else (eq.rhs, eq.lhs))
+        pos = (() if step["position"] == "root"
+               else tuple(int(i) for i in step["position"].split(".")))
+        binding = {}
+        assert match(src_side, subterm_at(source, pos), binding)
+        assert match(dst_side, subterm_at(target, pos), binding)
+        assert replace_at(source, pos, subterm_at(target, pos)) == target
+        current = target
+    assert current == parse_term(goal, pres.signature)
+
+
+def test_decide_explains_long_merges(capsys):
+    # the explanation of this merge once re-entered its own congruence
+    # edges and died with a RecursionError
+    a, b = "m(e,m(m(x1,e),m(x2,e)))", "m(e,m(m(x1,m(x2,e)),e))"
+    code, out, _ = run(capsys, "decide", MONOID, a, b, "--max-size", "9")
+    assert code == 0 and out.startswith("yes:")
+    code, out, _ = run(capsys, "decide", MONOID, a, b, "--max-size", "9",
+                       "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["answer"] == "yes"
+    replay_json_trace(load_theory("monoid.th"), payload["trace"], a, b)
 
 
 def test_classes_text(capsys):

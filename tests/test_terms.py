@@ -2,6 +2,7 @@
 closure, checked against the brute-force rewriting oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -145,9 +146,10 @@ def test_closure_merges_unit_padding(monoid):
     assert not sat.exhausted
 
 
-def test_closure_matches_naive_oracle(monoid, comm_monoid):
+def test_closure_matches_naive_oracle(monoid, comm_monoid, pointed):
     for pres, arity, size in ((monoid, 1, 5), (monoid, 2, 5),
-                              (comm_monoid, 2, 5)):
+                              (comm_monoid, 2, 5), (pointed, 2, 7),
+                              (pointed, 3, 9)):
         sat = closure_saturate(pres.signature, pres.equations,
                                max_arity=arity, max_term_size=size)
         universe = enumerate_terms(pres.signature, arity, size)
@@ -171,6 +173,39 @@ def test_explain_many_yields_distinct_replayable_chains(monoid):
     serialized = {tuple((s.source, s.target, s.eq_index, s.forward,
                          s.position) for s in chain) for chain in chains}
     assert len(serialized) == len(chains)
+
+
+def test_anchor_is_constant_on_every_class(monoid, comm_monoid):
+    for pres in (monoid, comm_monoid):
+        sat = closure_saturate(pres.signature, pres.equations,
+                               max_arity=2, max_term_size=7)
+        for arity in sat.arities():
+            classes = sat.classes(arity)
+            assert sum(map(len, classes)) == len(sat.universe(arity))
+            anchors = set()
+            for batch in classes:
+                anchor = sat.anchor(arity, batch[0])
+                assert anchor in batch
+                assert all(sat.anchor(arity, u) == anchor for u in batch)
+                anchors.add(anchor)
+            assert len(anchors) == len(classes)
+
+
+def test_explain_replays_on_sampled_classes(monoid):
+    # long merges at cap 9 once sent the explanation round a cycle of
+    # congruence edges; every pair inside each sampled class must replay
+    sat = monoid_saturation(monoid, arity=2, size=9)
+    rng = random.Random(3)
+    classes = [batch for batch in sat.classes(2) if len(batch) > 1]
+    sample = rng.sample(classes, 6)
+    sample.append(next(batch for batch in classes
+                       if t("m(e,m(m(x1,e),m(x2,e)))") in batch))
+    for batch in sample:
+        members = rng.sample(batch, min(len(batch), 10))
+        for a, b in itertools.product(members, repeat=2):
+            replay_chain(monoid.equations, sat.explain(2, a, b), a, b)
+    a, b = t("m(e,m(m(x1,e),m(x2,e)))"), t("m(e,m(m(x1,m(x2,e)),e))")
+    replay_chain(monoid.equations, sat.explain(2, a, b), a, b)
 
 
 def test_closure_reports_budget_exhaustion(monoid):
