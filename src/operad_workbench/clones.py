@@ -172,11 +172,15 @@ class EndClone(Clone):
     def ccompose(self, p: FiniteOp, qs: Sequence[FiniteOp],
                  context: int | None = None) -> FiniteOp:
         m = self._context_of(p, qs, context)
-        table = []
-        for args in itertools.product(range(1, self.carrier + 1), repeat=m):
-            mids = [q(args) for q in qs]
-            table.append(p(mids))
-        return FiniteOp(self.carrier, m, tuple(table))
+        if any(q.carrier != self.carrier for q in (p, *qs)):
+            raise CloneError("carrier mismatch")
+        # every q reads the same argument tuple, so entry j of the result
+        # is p.table at the mixed-radix index of the q.table[j] values
+        offsets = [0] * self.carrier ** m
+        for i, q in enumerate(qs):
+            stride = self.carrier ** (len(qs) - 1 - i)
+            offsets = [o + (v - 1) * stride for o, v in zip(offsets, q.table)]
+        return FiniteOp(self.carrier, m, tuple(p.table[o] for o in offsets))
 
     def arity_of(self, p: FiniteOp) -> int:
         return p.arity

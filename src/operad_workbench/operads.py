@@ -586,19 +586,17 @@ class EndOperad(Operad):
 
     def compose(self, p, qs):
         self._check_compose(p, qs)
-        if any(q.carrier != self.carrier for q in qs):
+        if any(q.carrier != self.carrier for q in (p, *qs)):
             raise OperadError("carrier mismatch")
-        sizes = [q.arity for q in qs]
-        total = sum(sizes)
-        table = []
-        for args in itertools.product(range(1, self.carrier + 1), repeat=total):
-            mids = []
-            offset = 0
-            for q, k in zip(qs, sizes):
-                mids.append(q(args[offset:offset + k]))
-                offset += k
-            table.append(p(mids))
-        return FiniteOp(self.carrier, total, tuple(table))
+        # the composite's argument tuple is the inner argument blocks side
+        # by side, so its table walks the product of the inner tables and
+        # reads p.table at the mixed-radix index of the inner values
+        offsets = [0]
+        for i, q in enumerate(qs):
+            stride = self.carrier ** (len(qs) - 1 - i)
+            offsets = [o + (v - 1) * stride for o in offsets for v in q.table]
+        return FiniteOp(self.carrier, sum(q.arity for q in qs),
+                        tuple(p.table[o] for o in offsets))
 
     def act_fn(self, f, p):
         self._check_act(f, p)

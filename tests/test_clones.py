@@ -2,6 +2,7 @@
 shared-context substitution, and both roundtrip directions."""
 
 import itertools
+import random
 
 import pytest
 from conftest import end_pools, vector_pools, vectors
@@ -68,6 +69,29 @@ def test_end_clone_substitutes_pointwise():
     want = op_from_callable(2, 2, lambda a, b: min(b, a))
     assert got == want
     assert clone.proj(2, 2) == swap
+
+
+def test_end_clone_ccompose_matches_pointwise_substitution():
+    # the stride-indexed table against evaluation argument by argument,
+    # including a nullary outer op with no inner ops at each context m
+    rng = random.Random(9)
+
+    def random_op(carrier, arity):
+        return FiniteOp(carrier, arity, tuple(
+            rng.randint(1, carrier) for _ in range(carrier ** arity)))
+
+    for carrier in (1, 2, 3):
+        clone = EndClone(carrier)
+        for n, m in ((0, 0), (0, 1), (0, 3), (1, 0), (2, 0), (1, 2),
+                     (3, 2), (2, 3)):
+            p = random_op(carrier, n)
+            qs = [random_op(carrier, m) for _ in range(n)]
+            got = clone.ccompose(p, qs, context=m)
+            want = op_from_callable(
+                carrier, m, lambda *args: p([q(args) for q in qs]))
+            assert got == want, (carrier, n, m)
+    with pytest.raises(CloneError):
+        EndClone(2).ccompose(FiniteOp(2, 1, (1, 2)), [FiniteOp(3, 1, (1, 2, 3))])
 
 
 def test_clone_axiom_suites():

@@ -157,6 +157,43 @@ def test_end_operad_matches_oracle():
         assert end_tables_equal(got, want)
 
 
+def random_end_op(rng, carrier, arity) -> FiniteOp:
+    return FiniteOp(carrier, arity,
+                    tuple(rng.randint(1, carrier) for _ in range(carrier ** arity)))
+
+
+def test_end_operad_compose_edges_match_oracle():
+    # the stride-indexed table at its edges: an outer op of arity 0,
+    # nullary inner ops, carrier 1, mixed inner arities in end-2 and end-3
+    rng = random.Random(5)
+    cases = [(2, 0, ()), (3, 0, ()), (2, 2, (0, 0)), (3, 2, (0, 2)),
+             (1, 2, (0, 3)), (1, 0, ()), (1, 3, (2, 0, 1)),
+             (2, 3, (2, 0, 1)), (3, 3, (1, 2, 0)), (3, 2, (3, 1)),
+             (2, 4, (0, 3, 0, 1))]
+    for carrier, arity, inner in cases:
+        operad = EndOperad(carrier)
+        for _ in range(3):
+            p = random_end_op(rng, carrier, arity)
+            qs = [random_end_op(rng, carrier, k) for k in inner]
+            got = operad.compose(p, qs)
+            assert got.arity == sum(inner)
+            want = end_compose(carrier, as_end_table(p),
+                               [as_end_table(q) for q in qs])
+            assert end_tables_equal(got, want), (carrier, arity, inner)
+
+
+def test_end_operad_compose_rejects_mismatches():
+    operad = EndOperad(2)
+    p = FiniteOp(2, 2, (1, 2, 2, 1))
+    q = FiniteOp(2, 1, (2, 1))
+    with pytest.raises(OperadError):
+        operad.compose(p, [q])
+    with pytest.raises(OperadError):
+        operad.compose(p, [q, FiniteOp(3, 1, (1, 2, 3))])
+    with pytest.raises(OperadError):
+        operad.compose(FiniteOp(3, 2, (1,) * 9), [q, q])
+
+
 def test_free_operad_composes_by_grafting():
     free = FreeOperad(SIG, "plain")
     x = parse_tree("m(|,m(|,|))", SIG)
