@@ -480,25 +480,19 @@ class _Universe:
             self.sizes.extend([s] * len(found))
             bounds.append(len(self.terms))
         self.node_index = {node: i for i, node in enumerate(self.nodes)}
+        self.var_ids = {i: self.node_index[(i, ())]
+                        for i in range(1, arity + 1) if max_size >= 1}
 
     def id_of(self, t: Term) -> int | None:
         """The id of t, or None when t lies outside the universe."""
-        if isinstance(t, Var):
-            return self.node_index.get((t.index, ()))
-        kids = []
-        for a in t.args:
-            kid = self.id_of(a)
-            if kid is None:
-                return None
-            kids.append(kid)
-        return self.node_index.get((t.op, tuple(kids)))
+        return self.instance_id(t, self.var_ids)
 
     def instance_id(self, pattern: Term, binding: Mapping[int, int]) -> int | None:
         """The id of pattern with x_v bound to the term of id binding[v],
         or None when that instance lies outside the universe (every
         subterm of a universe term lies inside it)."""
         if isinstance(pattern, Var):
-            return binding[pattern.index]
+            return binding.get(pattern.index)
         kids = []
         for a in pattern.args:
             kid = self.instance_id(a, binding)
@@ -621,7 +615,7 @@ class SaturationResult:
         i1, i2 = closure.ids(t1, t2)
         if closure.find(i1) != closure.find(i2):
             return None
-        return self._elementary_path(closure, i1, i2)
+        return self._elementary_path(closure, i1, i2, closure.unions)
 
     def explain_many(self, arity: int, t1: Term, t2: Term, limit: int = 4,
                      slack: int = 4) -> list[list[RewriteStep]]:
@@ -635,7 +629,7 @@ class SaturationResult:
             return []
         if i1 == i2:
             return [[]]
-        cap = len(self._bfs(closure, i1, i2)) + slack
+        cap = len(self._bfs(closure, i1, i2, closure.unions)) + slack
         found: list[list[tuple[int, int, tuple, int]]] = []
         path: list[tuple[int, int, tuple, int]] = []
         on_path = {i1}
@@ -680,15 +674,15 @@ class SaturationResult:
         return out
 
     def _elementary_path(self, closure: _ArityClosure, i1: int, i2: int,
-                         before: int | None = None) -> list[RewriteStep]:
+                         before: int) -> list[RewriteStep]:
         return [step for link in self._bfs(closure, i1, i2, before)
                 for step in self._expand(closure, *link)]
 
     @staticmethod
-    def _bfs(closure: _ArityClosure, i1: int, i2: int, before: int | None = None
+    def _bfs(closure: _ArityClosure, i1: int, i2: int, before: int
              ) -> list[tuple[int, int, tuple, int]]:
-        """A shortest path of merge edges from i1 to i2, using only edges
-        stamped before `before` when it is given."""
+        """A shortest path from i1 to i2 over the merge edges stamped
+        before `before`."""
         if i1 == i2:
             return []
         seen = {i1}
@@ -698,7 +692,7 @@ class SaturationResult:
             nxt = []
             for u in frontier:
                 for v, reason, stamp in closure.edges[u]:
-                    if v in seen or (before is not None and stamp >= before):
+                    if v in seen or stamp >= before:
                         continue
                     seen.add(v)
                     back[v] = (u, reason, stamp)

@@ -107,7 +107,7 @@ def test_equation_arity_guard():
 def test_enumerate_terms_matches_brute_oracle():
     ops = {"m": 2, "e": 0}
     for arity in range(0, 3):
-        for size in range(1, 6):
+        for size in range(0, 6):
             got = {to_oracle(u) for u in enumerate_terms(SIG, arity, size)}
             want = set(enumerate_terms_brute(ops, arity, size))
             assert got == want, (arity, size)
