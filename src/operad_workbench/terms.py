@@ -430,9 +430,32 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
 
     kind narrows the result: LINEAR keeps terms using each of x1..x_arity
     exactly once, STRONGLY_REGULAR additionally in increasing order.
-    Sorted by (size, text) for determinism.
+    Sorted by (size, text) for determinism. With kind GENERAL, every
+    compound term is built from the list's own smaller terms, as shared
+    objects.
     """
-    out = _Universe(signature, arity, max_size).terms
+    out: list[Term] = []
+    texts: list[str] = []
+    # the terms of size s are out[bounds[s - 1]:bounds[s]]
+    bounds = [0]
+    for s in range(1, max_size + 1):
+        found: list[tuple[str, Term]] = []
+        if s == 1:
+            found.extend((f"x{i}", Var(i)) for i in range(1, arity + 1))
+            found.extend((op, App(op, ())) for op, k in signature.ops if k == 0)
+        else:
+            for op, k in signature.ops:
+                if k == 0 or k > s - 1:
+                    continue
+                for split in _compositions(s - 1, k):
+                    pools = [range(bounds[part - 1], bounds[part]) for part in split]
+                    for kids in itertools.product(*pools):
+                        found.append((f"{op}({','.join(texts[c] for c in kids)})",
+                                      App(op, tuple(out[c] for c in kids))))
+        found.sort(key=lambda entry: entry[0])
+        texts.extend(text for text, _ in found)
+        out.extend(term for _, term in found)
+        bounds.append(len(out))
     if kind == LINEAR:
         target = tuple(range(1, arity + 1))
         out = [t for t in out if tuple(sorted(var_seq(t))) == target]
@@ -440,66 +463,6 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
         target = tuple(range(1, arity + 1))
         out = [t for t in out if var_seq(t) == target]
     return out
-
-
-class _Universe:
-    """The terms of one arity up to a size bound, numbered by their
-    (size, text) order and hash-consed: a term's id is its position,
-    nodes[i] is (op, child ids) for an App and (index, ()) for a Var,
-    and node_index inverts nodes."""
-
-    def __init__(self, signature: Signature, arity: int, max_size: int):
-        self.terms: list[Term] = []
-        self.nodes: list[tuple] = []
-        self.sizes: list[int] = []
-        texts: list[str] = []
-        # ids of each size s form the range bounds[s - 1]..bounds[s]
-        bounds = [0]
-        for s in range(1, max_size + 1):
-            found: list[tuple[str, tuple, Term]] = []
-            if s == 1:
-                found.extend((f"x{i}", (i, ()), Var(i)) for i in range(1, arity + 1))
-                found.extend((op, (op, ()), App(op, ()))
-                             for op, k in signature.ops if k == 0)
-            else:
-                for op, k in signature.ops:
-                    if k == 0 or k > s - 1:
-                        continue
-                    for split in _compositions(s - 1, k):
-                        pools = [range(bounds[part - 1], bounds[part]) for part in split]
-                        for kids in itertools.product(*pools):
-                            found.append((
-                                f"{op}({','.join(texts[c] for c in kids)})",
-                                (op, kids),
-                                App(op, tuple(self.terms[c] for c in kids))))
-            found.sort(key=lambda entry: entry[0])
-            for text, node, term in found:
-                texts.append(text)
-                self.nodes.append(node)
-                self.terms.append(term)
-            self.sizes.extend([s] * len(found))
-            bounds.append(len(self.terms))
-        self.node_index = {node: i for i, node in enumerate(self.nodes)}
-        self.var_ids = {i: self.node_index[(i, ())]
-                        for i in range(1, arity + 1) if max_size >= 1}
-
-    def id_of(self, t: Term) -> int | None:
-        """The id of t, or None when t lies outside the universe."""
-        return self.instance_id(t, self.var_ids)
-
-    def instance_id(self, pattern: Term, binding: Mapping[int, int]) -> int | None:
-        """The id of pattern with x_v bound to the term of id binding[v],
-        or None when that instance lies outside the universe (every
-        subterm of a universe term lies inside it)."""
-        if isinstance(pattern, Var):
-            return binding.get(pattern.index)
-        kids = []
-        for a in pattern.args:
-            kid = self.instance_id(a, binding)
-            if kid is None:
-                return None
-            kids.append(kid)
-        return self.node_index.get((pattern.op, tuple(kids)))
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -530,17 +493,54 @@ _AXIOM = "axiom"
 _CONG = "cong"
 
 
-class _ArityClosure(_Universe):
-    """Union-find with a merge graph over one bounded term universe, on
-    term ids: parent[i] is i's union-find parent and edges[i] lists
-    (neighbour id, reason, stamp) for every union that touched i, where
-    the stamp counts the unions before it."""
+class _ArityClosure:
+    """Union-find with a merge graph over one bounded term universe,
+    hash-consed on term ids. A term's id is its position in the
+    universe; nodes[i] is (op, child ids) for an App and (index, ()) for
+    a Var, node_index inverts nodes, and sizes[i] is the term's size.
+    parent[i] is i's union-find parent and edges[i] lists (neighbour id,
+    reason, stamp) for every union that touched i, where the stamp counts
+    the unions before it."""
 
-    def __init__(self, signature: Signature, arity: int, max_size: int):
-        super().__init__(signature, arity, max_size)
-        self.parent = list(range(len(self.terms)))
-        self.edges: list[list[tuple[int, tuple, int]]] = [[] for _ in self.terms]
+    def __init__(self, universe: list[Term]):
+        self.terms = universe
+        # enumerate_terms builds each term from the universe's own
+        # smaller terms, so object identity finds a child's id
+        position = {id(t): i for i, t in enumerate(universe)}
+        self.nodes: list[tuple] = []
+        self.sizes: list[int] = []
+        self.var_ids: dict[int, int] = {}
+        for i, t in enumerate(universe):
+            if isinstance(t, Var):
+                self.var_ids[t.index] = i
+                self.nodes.append((t.index, ()))
+                self.sizes.append(1)
+            else:
+                kids = tuple(position[id(a)] for a in t.args)
+                self.nodes.append((t.op, kids))
+                self.sizes.append(1 + sum(self.sizes[k] for k in kids))
+        self.node_index = {node: i for i, node in enumerate(self.nodes)}
+        self.parent = list(range(len(universe)))
+        self.edges: list[list[tuple[int, tuple, int]]] = [[] for _ in universe]
         self.unions = 0
+
+    def id_of(self, t: Term) -> int | None:
+        """The id of t, or None when t lies outside the universe."""
+        return self.instance_id(t, self.var_ids)
+
+    def instance_id(self, pattern: Term, binding: Mapping[int, int]) -> int | None:
+        """The id of pattern with x_v bound to the term of id binding[v],
+        or None when that instance lies outside the universe (every
+        subterm of a universe term lies inside it)."""
+        if isinstance(pattern, Var):
+            return binding.get(pattern.index)
+        kids = []
+        for a in pattern.args:
+            kid = self.instance_id(a, binding)
+            if kid is None:
+                return None
+            kids.append(kid)
+        return self.node_index.get((pattern.op, tuple(kids)))
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -751,7 +751,7 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
     budget = max_steps
     exhausted = False
     for arity in range(max_arity + 1):
-        closure = _ArityClosure(signature, arity, max_term_size)
+        closure = _ArityClosure(enumerate_terms(signature, arity, max_term_size))
         closures[arity] = closure
         budget = _seed_instances(closure, equations, max_term_size, budget)
         if budget <= 0:
