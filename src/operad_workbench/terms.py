@@ -562,6 +562,9 @@ class _ArityClosure:
         self.parent[ra] = rb
         return True
 
+    def same(self, a: int, b: int) -> bool:
+        return self.find(a) == self.find(b)
+
     def ids(self, *terms: Term) -> list[int]:
         ids = [self.id_of(t) for t in terms]
         if None in ids:
@@ -590,8 +593,7 @@ class SaturationResult:
 
     def same(self, arity: int, t1: Term, t2: Term) -> bool:
         closure = self._closures[arity]
-        i1, i2 = closure.ids(t1, t2)
-        return closure.find(i1) == closure.find(i2)
+        return closure.same(*closure.ids(t1, t2))
 
     def anchor(self, arity: int, t: Term) -> Term:
         """A class representative usable as a grouping key; stable within
@@ -613,7 +615,7 @@ class SaturationResult:
         """A chain of elementary rewrites from t1 to t2, or None if unmerged."""
         closure = self._closures[arity]
         i1, i2 = closure.ids(t1, t2)
-        if closure.find(i1) != closure.find(i2):
+        if not closure.same(i1, i2):
             return None
         return self._elementary_path(closure, i1, i2, closure.unions)
 
@@ -625,7 +627,7 @@ class SaturationResult:
         an empty list means the terms are not merged."""
         closure = self._closures[arity]
         i1, i2 = closure.ids(t1, t2)
-        if closure.find(i1) != closure.find(i2):
+        if not closure.same(i1, i2):
             return []
         if i1 == i2:
             return [[]]
