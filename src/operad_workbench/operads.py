@@ -18,9 +18,7 @@ of labelled trees over a signature.
 from __future__ import annotations
 
 import itertools
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,25 +39,6 @@ from .trees import (FPTree, LEAF, Leaf, Node, PermutedTree,
 
 class OperadError(ValueError):
     pass
-
-
-def worker_count() -> int:
-    """Thread pool size, from OPERAD_WORKBENCH_THREADS (default 1)."""
-    raw = os.environ.get("OPERAD_WORKBENCH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def map_maybe_parallel(fn: Callable, items: Sequence) -> list:
-    """Map fn over items, threaded when configured, order preserving."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class Operad:

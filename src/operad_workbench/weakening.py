@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .operads import Interpretation, map_maybe_parallel
+from .operads import Interpretation
 from .terms import (Presentation, RewriteStep, SaturationResult, Term,
                     closure_saturate, format_term)
 from .trees import (FPTree, PermutedTree, Tree, enumerate_permuted_trees,
@@ -184,7 +184,7 @@ class WeakeningContext:
         mode groups by saturation merges (unknown pairs stay apart)."""
         objects = self.enumerate_objects(arity, max_size)
         if self.evaluable:
-            values = map_maybe_parallel(self.eval_object, objects)
+            values = [self.eval_object(obj) for obj in objects]
             buckets: dict = {}
             for obj, value in zip(objects, values):
                 buckets.setdefault(value, []).append(obj)
