@@ -23,6 +23,7 @@ arrow image from the restriction data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Sequence
 
 from .terms import App, Term, Var, format_term
@@ -34,6 +35,11 @@ from .weakcat import (Arrow, FiniteCategory, Functor, WeakPCategoryData,
 
 class StrictifyError(ValueError):
     pass
+
+
+# the comparison and universal-property checks probe at most this many
+# object tuples per operation or equation, in lexicographic order
+_OBJECT_TUPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,7 @@ class StrictPCategory:
         self.element_bound = element_bound
         self.operad = W.interpretation.operad
         self._reprs: dict = {}
+        self._repr_terms: dict = {}
         self.elements: dict[int, list] = {}
         for arity in range(arity_bound + 1):
             self._scan_representatives(arity)
@@ -96,8 +103,14 @@ class StrictPCategory:
         self._index: dict[tuple, StObject] = {}
         for arity in range(arity_bound + 1):
             for p in self.elements[arity]:
-                for operands in _id_tuples(W.base.objects, arity):
+                for operands in product(W.base.objects, repeat=arity):
                     self._add_object(p, operands)
+        # the strict action and its cells are functions of element and
+        # object keys, so each distinct input is computed once (see _memo)
+        self._act_memo: dict[tuple, object] = {}
+        self._arr_memo: dict[tuple, object] = {}
+        self._delta_memo: dict[tuple, object] = {}
+        self._cell_memo: dict[tuple, object] = {}
         self._fc: FiniteCategory | None = None
         self._fc_obj_ids: dict[tuple, str] = {}
         self._fc_arrow_ids: dict[tuple, str] = {}
@@ -112,7 +125,7 @@ class StrictPCategory:
                 self._reprs[value] = candidate
 
     def _add_object(self, element, operands: tuple[str, ...]):
-        h_value = self.W.h_obj(self.repr_tree(element), operands)
+        h_value = self.W.h_obj(self.repr_term(element), operands)
         obj = StObject(element, operands, h_value)
         self.objects.append(obj)
         self._index[obj.key()] = obj
@@ -125,6 +138,15 @@ class StrictPCategory:
                 f"representative tree within size {self.W.max_term_size} "
                 f"and arity {self.arity_bound}")
         return entry[2]
+
+    def repr_term(self, element) -> Term:
+        """The representative tree of the element as a term, converted
+        once per element."""
+        term = self._repr_terms.get(element)
+        if term is None:
+            term = self.W._as_term(self.repr_tree(element))
+            self._repr_terms[element] = term
+        return term
 
     def obj(self, element, operands: Sequence[str]) -> StObject:
         found = self._index.get((element, tuple(operands)))
@@ -151,7 +173,26 @@ class StrictPCategory:
     def hom(self, x: StObject, y: StObject) -> list[StArrow]:
         return [StArrow(x, y, b) for b in self.W.base.hom(x.h_value, y.h_value)]
 
+    def _memo(self, table: dict, key: tuple, compute):
+        """compute() once per key. A StrictifyError is remembered too and
+        raised afresh, with the same message, on every later call."""
+        found = table.get(key)
+        if found is None:
+            try:
+                found = compute()
+            except StrictifyError as exc:
+                # drop the traceback, which would keep the frames alive
+                found = exc.with_traceback(None)
+            table[key] = found
+        if isinstance(found, StrictifyError):
+            raise StrictifyError(*found.args)
+        return found
+
     def act_obj(self, q, xs: Sequence[StObject]) -> StObject:
+        return self._memo(self._act_memo, (q, tuple(x.key() for x in xs)),
+                          lambda: self._act_obj(q, xs))
+
+    def _act_obj(self, q, xs: Sequence[StObject]) -> StObject:
         if self.operad.arity_of(q) != len(xs):
             raise StrictifyError("operand count does not match the element arity")
         composite = self.operad.compose(q, [x.element for x in xs])
@@ -161,21 +202,37 @@ class StrictPCategory:
     def delta_in(self, q, xs: Sequence[StObject]) -> str:
         """The compiled cell from the representative of the composite to
         the graft of the representatives, at the flattened operands."""
-        composite = self.operad.compose(q, [x.element for x in xs])
-        grafted = _graft_reprs(self.repr_tree(q),
-                               [self.repr_tree(x.element) for x in xs])
-        operands = tuple(o for x in xs for o in x.operands)
-        d = self.W.derive_delta(self.repr_tree(composite), grafted, operands)
+        return self._memo(self._delta_memo, (q, tuple(x.key() for x in xs)),
+                          lambda: self._delta_in(q, xs))
+
+    def _delta_in(self, q, xs: Sequence[StObject]) -> str:
+        d = self.graft_cell(self.repr_tree(q), q, xs)
         if d is None:
             raise StrictifyError(
                 "no rewrite path between the composite representative and "
                 "the grafted representatives within the saturation budgets")
         return d
 
+    def graft_cell(self, outer, q, xs: Sequence[StObject]) -> str | None:
+        """The compiled cell from the representative of q's composite
+        with the elements of xs to the graft of the outer tree with their
+        representatives, at the flattened operands; None when no rewrite
+        path fits the budgets."""
+        composite = self.operad.compose(q, [x.element for x in xs])
+        # an out-of-bounds composite fails here, before any grafting
+        start = self.repr_term(composite)
+        grafted = _graft_reprs(outer, [self.repr_tree(x.element) for x in xs])
+        operands = tuple(o for x in xs for o in x.operands)
+        return self.W.derive_delta(start, grafted, operands)
+
     def act_arr(self, q, fs: Sequence[StArrow]) -> StArrow:
+        key = (q, tuple((f.src.key(), f.dst.key(), f.base) for f in fs))
+        return self._memo(self._arr_memo, key, lambda: self._act_arr(q, fs))
+
+    def _act_arr(self, q, fs: Sequence[StArrow]) -> StArrow:
         src = self.act_obj(q, [f.src for f in fs])
         dst = self.act_obj(q, [f.dst for f in fs])
-        mid = self.W.h_arr(self.repr_tree(q), [f.base for f in fs])
+        mid = self.W.h_arr(self.repr_term(q), [f.base for f in fs])
         d_src = self.delta_in(q, [f.src for f in fs])
         d_dst = self.delta_in(q, [f.dst for f in fs])
         inv = self.W.base.inverse(d_dst)
@@ -256,13 +313,6 @@ class StrictPCategory:
         return self._fc_arrow_ids[(f.src.key(), f.dst.key(), f.base)]
 
 
-def _id_tuples(pool: Sequence[str], k: int) -> list[tuple[str, ...]]:
-    out: list[tuple[str, ...]] = [()]
-    for _ in range(k):
-        out = [t + (x,) for t in out for x in pool]
-    return out
-
-
 def strictify(W: WeakPCategoryData, arity_bound: int = 3,
               element_bound: int = 20) -> StrictPCategory:
     return StrictPCategory(W, arity_bound, element_bound)
@@ -284,16 +334,6 @@ def _element_tuples(S: StrictPCategory, k: int,
     return [chosen for chosen, _ in out]
 
 
-def _arrow_tuples(pool: Sequence[StArrow], slots: int, cap: int,
-                  limit: int = 512) -> list[tuple[StArrow, ...]]:
-    out: list[tuple[StArrow, ...]] = [()]
-    for _ in range(slots):
-        out = [t + (f,) for t in out for f in pool[:cap]]
-        if len(out) > limit:
-            out = out[:limit]
-    return out
-
-
 def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
                      instance_cap: int = 4000) -> WeakcatReport:
     """The strict action laws on enumerated instances: the identity
@@ -302,6 +342,7 @@ def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
     report = WeakcatReport()
     unit = S.operad.identity()
     arrows = S.sample_arrows(arrow_cap * 4)
+    pool = arrows[:arrow_cap]
     for f in arrows:
         report.note("unit law")
         if S.act_arr(unit, (f,)) != f:
@@ -316,7 +357,7 @@ def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
                 composite = S.operad.compose(q, list(taus))
                 if composite not in S._reprs:
                     continue
-                for fs in _arrow_tuples(arrows, sum(arities), arrow_cap):
+                for fs in islice(product(pool, repeat=sum(arities)), 512):
                     if instances >= instance_cap:
                         break
                     instances += 1
@@ -363,12 +404,14 @@ def _comparison_cell(S: StrictPCategory, op: str,
                      xs: Sequence[StObject]) -> str:
     """The comparison's coherence map at a generator: from the value of
     the strict action to the base action on the values."""
-    op_elem = S.W.interpretation.assignment[op]
-    composite = S.operad.compose(op_elem, [x.element for x in xs])
-    grafted = _graft_reprs(_op_tree(op, len(xs)),
-                           [S.repr_tree(x.element) for x in xs])
-    operands = tuple(o for x in xs for o in x.operands)
-    d = S.W.derive_delta(S.repr_tree(composite), grafted, operands)
+    return S._memo(S._cell_memo, (op, tuple(x.key() for x in xs)),
+                   lambda: _compute_comparison_cell(S, op, xs))
+
+
+def _compute_comparison_cell(S: StrictPCategory, op: str,
+                             xs: Sequence[StObject]) -> str:
+    d = S.graft_cell(_op_tree(op, len(xs)),
+                     S.W.interpretation.assignment[op], xs)
     if d is None:
         raise StrictifyError(
             f"no rewrite path for the comparison cell at {op!r}")
@@ -418,10 +461,11 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
             report.fail(f"comparison cell at the identity element over "
                         f"{a!r} is not the identity")
     checked = 0
-    arrows = S.sample_arrows(arrow_cap * 4)
+    pool = S.sample_arrows(arrow_cap * 4)[:arrow_cap]
     for op, arity in W.presentation.signature.ops:
         op_elem = W.interpretation.assignment[op]
-        for xs in _object_tuples(S, arity):
+        for xs in islice(product(S.objects, repeat=arity),
+                         _OBJECT_TUPLES):
             if checked >= instance_cap:
                 break
             try:
@@ -438,7 +482,7 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
                 report.fail(f"comparison cell at {op!r} has wrong endpoints")
             if not base.is_iso(cell):
                 report.fail(f"comparison cell at {op!r} is not invertible")
-        for fs in _arrow_tuples(arrows, arity, arrow_cap, limit=64):
+        for fs in islice(product(pool, repeat=arity), 64):
             try:
                 image = S.act_arr(op_elem, fs)
                 cell_src = _comparison_cell(S, op, [f.src for f in fs])
@@ -453,7 +497,8 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
                 report.fail(f"comparison cell at {op!r} is not natural "
                             f"at {[f.base for f in fs]}")
     for index, eq in enumerate(W.presentation.equations):
-        for xs in _object_tuples(S, eq.arity):
+        for xs in islice(product(S.objects, repeat=eq.arity),
+                         _OBJECT_TUPLES):
             values = tuple(x.h_value for x in xs)
             try:
                 left = _comparison_psi(S, eq.rhs, xs)
@@ -470,16 +515,6 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
                     f"comparison pasting fails for {format_term(eq.lhs)} = "
                     f"{format_term(eq.rhs)} at {values}")
     return report
-
-
-def _object_tuples(S: StrictPCategory, k: int,
-                   limit: int = 4096) -> list[tuple[StObject, ...]]:
-    out: list[tuple[StObject, ...]] = [()]
-    for _ in range(k):
-        out = [t + (x,) for t in out for x in S.objects]
-        if len(out) > limit:
-            out = out[:limit]
-    return out
 
 
 def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
@@ -502,13 +537,19 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
     st_fc, obj_ids, _ = S.as_finite_category()
     unit = S.operad.identity()
 
+    gammas: dict[tuple, str] = {}
+
     def gamma(x: StObject) -> str:
-        return G.psi_component(S.repr_tree(x.element), x.operands)
+        found = gammas.get(x.key())
+        if found is None:
+            found = G.psi_component(S.repr_term(x.element), x.operands)
+            gammas[x.key()] = found
+        return found
 
     obj_table = {}
     for x in S.objects:
         obj_table[obj_ids[x.key()]] = B.h_obj(
-            S.repr_tree(x.element), [G.functor.obj([a]) for a in x.operands])
+            S.repr_term(x.element), [G.functor.obj([a]) for a in x.operands])
     arr_table = {}
     for f in S.all_arrows():
         g_src = gamma(f.src)
@@ -527,10 +568,11 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
         report.fail(f"induced map is not a functor: {exc}")
         return report
 
-    arrows = S.sample_arrows(arrow_cap * 4)
+    pool = S.sample_arrows(arrow_cap * 4)[:arrow_cap]
     for op, arity in W.presentation.signature.ops:
         op_elem = W.interpretation.assignment[op]
-        for xs in _object_tuples(S, arity):
+        for xs in islice(product(S.objects, repeat=arity),
+                         _OBJECT_TUPLES):
             try:
                 image = S.act_obj(op_elem, xs)
             except StrictifyError:
@@ -541,7 +583,7 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
             report.note("strict action on objects")
             if lhs != rhs:
                 report.fail(f"induced map is not strict on objects at {op!r}")
-        for fs in _arrow_tuples(arrows, arity, arrow_cap, limit=64):
+        for fs in islice(product(pool, repeat=arity), 64):
             try:
                 image = S.act_arr(op_elem, fs)
             except StrictifyError:
@@ -563,7 +605,7 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
         if H.arr([S.arrow_id(st)]) != G.functor.arr([b]):
             report.fail(f"restriction misses the arrow image at {b!r}")
     for op, arity in W.presentation.signature.ops:
-        for operands in _id_tuples(W.base.objects, arity):
+        for operands in product(W.base.objects, repeat=arity):
             cell = _embedding_cell(S, op, operands)
             want = G.psi_component(_op_term(op, arity), operands)
             report.note("restriction coherence")
@@ -586,7 +628,7 @@ def _embedding_cell(S: StrictPCategory, op: str,
     src = S.obj(S.operad.identity(), (value,))
     dst = S.act_obj(op_elem, [S.obj(S.operad.identity(), (a,))
                               for a in operands])
-    base = W.derive_delta(_op_tree(op, arity), S.repr_tree(dst.element),
+    base = W.derive_delta(_op_term(op, arity), S.repr_term(dst.element),
                           operands)
     if base is None:
         raise StrictifyError(f"no embedding coherence cell for {op!r}")
@@ -621,7 +663,7 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
         st = StArrow(S.obj(unit, (arrow.src,)), S.obj(unit, (arrow.dst,)), b)
         pin(S.arrow_id(st), G.functor.arr([b]))
     for op, arity in W.presentation.signature.ops:
-        for operands in _id_tuples(W.base.objects, arity):
+        for operands in product(W.base.objects, repeat=arity):
             cell = _embedding_cell(S, op, operands)
             pin(S.arrow_id(cell),
                 G.psi_component(_op_term(op, arity), operands))

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import islice, product
+from typing import Mapping, Sequence
 
 from .operads import Interpretation, Operad, builtin_operad
 from .terms import (App, Equation, Presentation, RewriteStep, Term, Var,
@@ -217,42 +218,36 @@ class Functor:
                                f"{self.arity} arrows, got {len(arrs)}")
         return self.arr_map[key_of(arrs)]
 
-    def _tuples(self, pool: Sequence[str]) -> Iterable[tuple[str, ...]]:
-        if self.arity == 0:
-            yield ()
-            return
-        stack = [()]
-        for _ in range(self.arity):
-            stack = [t + (x,) for t in stack for x in pool]
-        yield from stack
-
     def _validate(self):
         label = self.name or "functor"
-        for objs in self._tuples(self.dom.objects):
-            target = self.obj_map.get(key_of(objs))
-            if target is None or target not in self.cod.objects:
+        dom, cod, k = self.dom, self.cod, self.arity
+        obj_map, arr_map = self.obj_map, self.arr_map
+        cod_objects = set(cod.objects)
+        for objs in product(dom.objects, repeat=k):
+            target = obj_map.get(key_of(objs))
+            if target is None or target not in cod_objects:
                 raise WeakcatError(f"{label}: object map incomplete at {objs}")
-        arrow_ids = list(self.dom.arrows)
-        for arrs in self._tuples(arrow_ids):
-            image = self.arr_map.get(key_of(arrs))
-            if image is None or image not in self.cod.arrows:
+        for arrs in product(dom.arrows, repeat=k):
+            image = arr_map.get(key_of(arrs))
+            if image is None or image not in cod.arrows:
                 raise WeakcatError(f"{label}: arrow map incomplete at {arrs}")
-            srcs = [self.dom.arrows[a].src for a in arrs]
-            dsts = [self.dom.arrows[a].dst for a in arrs]
-            img = self.cod.arrows[image]
-            if img.src != self.obj(srcs) or img.dst != self.obj(dsts):
+            img = cod.arrows[image]
+            src = obj_map[key_of([dom.arrows[a].src for a in arrs])]
+            dst = obj_map[key_of([dom.arrows[a].dst for a in arrs])]
+            if img.src != src or img.dst != dst:
                 raise WeakcatError(f"{label}: image of {arrs} has wrong endpoints")
-        for objs in self._tuples(self.dom.objects):
-            idents = [self.dom.identity(o) for o in objs]
-            if self.arr(idents) != self.cod.identity(self.obj(objs)):
+        for objs in product(dom.objects, repeat=k):
+            idents = key_of([dom.identities[o] for o in objs])
+            if arr_map[idents] != cod.identities[obj_map[key_of(objs)]]:
                 raise WeakcatError(f"{label}: identities not preserved at {objs}")
-        composable = [(g, f.id) for f in self.dom.arrows.values()
-                      for g in self.dom._from.get(f.dst, ())]
-        for pairs in self._tuples(composable):
-            gs = [p[0] for p in pairs]
-            fs = [p[1] for p in pairs]
-            composites = [self.dom.compose(g, f) for g, f in pairs]
-            if self.arr(composites) != self.cod.compose(self.arr(gs), self.arr(fs)):
+        # each composable pair (g, f) with its composite g.f
+        composable = [(g, f.id, dom.compose(g, f.id))
+                      for f in dom.arrows.values()
+                      for g in dom._from.get(f.dst, ())]
+        for triples in product(composable, repeat=k):
+            g, f, gf = map(key_of, zip(*triples)) if k else ("", "", "")
+            if arr_map[gf] != cod.compose(arr_map[g], arr_map[f]):
+                pairs = tuple((g, f) for g, f, _ in triples)
                 raise WeakcatError(f"{label}: composition not preserved at {pairs}")
 
     @classmethod
@@ -353,7 +348,7 @@ class WeakPCategoryData:
     def _validate_delta(self, index: int, eq: Equation,
                         fam: Mapping[tuple[str, ...], str]):
         name = cell_key(eq)
-        for operands in _object_tuples(self.base, eq.arity):
+        for operands in product(self.base.objects, repeat=eq.arity):
             arrow_id = fam.get(operands)
             if arrow_id is None:
                 raise WeakcatError(f"delta {name!r} missing component at {operands}")
@@ -368,7 +363,7 @@ class WeakPCategoryData:
                     f"{want_src!r} -> {want_dst!r}, got {a.src!r} -> {a.dst!r}")
             if not self.base.is_iso(arrow_id):
                 raise WeakcatError(f"delta {name!r} at {operands} is not invertible")
-        for fs in _arrow_tuples(self.base, eq.arity):
+        for fs in product(self.base.arrows, repeat=eq.arity):
             srcs = tuple(self.base.arrows[f].src for f in fs)
             dsts = tuple(self.base.arrows[f].dst for f in fs)
             left = self.base.compose(fam[dsts], self.h_arr(eq.lhs, fs))
@@ -484,20 +479,6 @@ class WeakPCategoryData:
         return inverse
 
 
-def _object_tuples(base: FiniteCategory, k: int) -> list[tuple[str, ...]]:
-    out = [()]
-    for _ in range(k):
-        out = [t + (o,) for t in out for o in base.objects]
-    return out
-
-
-def _arrow_tuples(base: FiniteCategory, k: int) -> list[tuple[str, ...]]:
-    out = [()]
-    for _ in range(k):
-        out = [t + (a,) for t in out for a in base.arrows]
-    return out
-
-
 def derive_h(W: WeakPCategoryData, t: Term | WeakObject,
              operands: Sequence[str]) -> str:
     return W.h_obj(t, operands)
@@ -519,7 +500,8 @@ def coherence_check(W: WeakPCategoryData, max_arity: int = 3,
     W.context.saturation(max_arity)
     for arity in range(0, max_arity + 1):
         sat = W.context.saturation(arity)
-        operand_pool = _object_tuples(W.base, arity)[:operand_cap]
+        operand_pool = list(islice(product(W.base.objects, repeat=arity),
+                                   operand_cap))
         pairs = 0
         for cls in W.context.enumerate_classes(arity, max_size):
             anchor = cls.members[0]
@@ -591,7 +573,7 @@ def check_weak_functor(Fd: WeakPFunctorData, samples_cap: int = 200) -> WeakcatR
             report.fail(f"missing psi family for {op!r}")
             continue
         gen1, gen2 = W1.generators[op], W2.generators[op]
-        for operands in _object_tuples(W1.base, arity):
+        for operands in product(W1.base.objects, repeat=arity):
             component = fam.get(operands)
             if component is None:
                 report.fail(f"psi[{op!r}] missing at {operands}")
@@ -605,7 +587,7 @@ def check_weak_functor(Fd: WeakPFunctorData, samples_cap: int = 200) -> WeakcatR
             if not W2.base.is_iso(component):
                 report.fail(f"psi[{op!r}] at {operands} is not invertible")
             report.note("psi endpoints")
-        for fs in _arrow_tuples(W1.base, arity):
+        for fs in product(W1.base.arrows, repeat=arity):
             srcs = tuple(W1.base.arrows[f].src for f in fs)
             dsts = tuple(W1.base.arrows[f].dst for f in fs)
             report.note("psi naturality")
@@ -625,7 +607,7 @@ def check_weak_functor(Fd: WeakPFunctorData, samples_cap: int = 200) -> WeakcatR
             report.fail(f"psi at the unit tree is not an identity on {obj!r}")
     checked = 0
     for index, eq in enumerate(W1.presentation.equations):
-        for operands in _object_tuples(W1.base, eq.arity):
+        for operands in product(W1.base.objects, repeat=eq.arity):
             if checked >= samples_cap:
                 break
             checked += 1
@@ -681,45 +663,96 @@ def save_weakcat(W: WeakPCategoryData) -> str:
     return json.dumps(data, ensure_ascii=False, indent=2) + "\n"
 
 
+def _id_list(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise WeakcatError(f"{what} must be a list of string ids")
+    return value
+
+
+def _id_map(value, what: str) -> dict[str, str]:
+    if not isinstance(value, dict) or not all(
+            isinstance(v, str) for v in value.values()):
+        raise WeakcatError(f"{what} must be an object of string ids")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise WeakcatError(f"{what} must be a JSON object")
+    return value
+
+
+def _arrow(entry) -> Arrow:
+    if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(k), str) for k in ("id", "src", "dst")):
+        raise WeakcatError(
+            f"entry {entry!r} of field 'arrows' needs string id, src "
+            f"and dst fields")
+    return Arrow(entry["id"], entry["src"], entry["dst"])
+
+
 def load_weakcat(text: str) -> WeakPCategoryData:
+    """Read the JSON form written by save_weakcat. Malformed input of any
+    shape raises WeakcatError (or the parse error of the theory or target
+    element it names)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WeakcatError(f"bad JSON: {exc}") from exc
+    _object(data, "the weak instance")
     for field_name in ("theory", "objects", "arrows", "identities",
                        "compose", "generators", "deltas"):
         if field_name not in data:
             raise WeakcatError(f"missing field {field_name!r}")
+    if not isinstance(data["theory"], str):
+        raise WeakcatError("field 'theory' must be a string")
     presentation = parse_presentation(data["theory"])
-    arrows = [Arrow(a["id"], a["src"], a["dst"]) for a in data["arrows"]]
+    if not isinstance(data["arrows"], list):
+        raise WeakcatError("field 'arrows' must be a list of arrow entries")
+    arrows = [_arrow(a) for a in data["arrows"]]
     compose = {}
-    for key, value in data["compose"].items():
+    for key, value in _id_map(data["compose"], "field 'compose'").items():
         if "∘" not in key:
             raise WeakcatError(f"compose key {key!r} lacks the ∘ separator")
         g, _, f = key.partition("∘")
         compose[(g, f)] = value
-    base = FiniteCategory(data["objects"], arrows, data["identities"], compose)
+    base = FiniteCategory(_id_list(data["objects"], "field 'objects'"),
+                          arrows,
+                          _id_map(data["identities"], "field 'identities'"),
+                          compose)
     generators = {}
-    for op, tables in data["generators"].items():
+    for op, tables in _object(data["generators"],
+                              "field 'generators'").items():
         arity = presentation.signature.arity(op)
-        generators[op] = Functor(base, base, arity,
-                                 tables["obj_map"], tables["arr_map"], name=op)
+        _object(tables, f"generator {op!r}")
+        generators[op] = Functor(
+            base, base, arity,
+            _id_map(tables.get("obj_map"), f"generator {op!r} obj_map"),
+            _id_map(tables.get("arr_map"), f"generator {op!r} arr_map"),
+            name=op)
     by_key = {cell_key(eq): index
               for index, eq in enumerate(presentation.equations)}
     deltas: dict[int, dict[tuple[str, ...], str]] = {}
-    for key, fam in data["deltas"].items():
+    for key, fam in _object(data["deltas"], "field 'deltas'").items():
         index = by_key.get(key)
         if index is None:
             raise WeakcatError(f"delta cell {key!r} matches no equation; "
                                f"expected one of {sorted(by_key)}")
-        deltas[index] = {unkey(op_key): arrow for op_key, arrow in fam.items()}
+        deltas[index] = {unkey(op_key): arrow for op_key, arrow
+                         in _id_map(fam, f"delta cell {key!r}").items()}
     target = None
     assignment = None
     if "target" in data:
+        if not isinstance(data["target"], str):
+            raise WeakcatError("field 'target' must be a string")
         target = builtin_operad(data["target"], presentation)
+        interp = _id_map(data.get("interp"), "field 'interp'")
         assignment = {op: target.parse_element(text_)
-                      for op, text_ in data["interp"].items()}
-    bounds = data.get("bounds", {})
+                      for op, text_ in interp.items()}
+    bounds = _object(data.get("bounds", {}), "field 'bounds'")
+    for name in bounds:
+        if type(bounds[name]) is not int:
+            raise WeakcatError(f"bound {name!r} must be an integer")
     return WeakPCategoryData(
         base, presentation, generators, deltas, target, assignment,
         max_term_size=bounds.get("max_term_size", 6),
@@ -768,7 +801,7 @@ def indiscrete_monoid_instance(presentation: Presentation,
     deltas: dict[int, dict[tuple[str, ...], str]] = {}
     for index, eq in enumerate(presentation.equations):
         fam = {}
-        for operands in _object_tuples(base, eq.arity):
+        for operands in product(base.objects, repeat=eq.arity):
             fam[operands] = (f"{ev(eq.lhs, operands)}>"
                              f"{ev(eq.rhs, operands)}")
         deltas[index] = fam

@@ -1,8 +1,10 @@
 """Strictification: object enumeration, the strict action, the
 comparison back to the input, and the induced-map universal property."""
 
+import itertools
+
 import pytest
-from conftest import (collapse_functor, doubling_functor,
+from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       identity_weak_functor, skewed_group_instance,
                       terminal_weakcat)
 
@@ -10,10 +12,12 @@ from operad_workbench.terms import parse_term
 from operad_workbench.trees import tree_arity
 from operad_workbench.weakcat import (FiniteCategory, Functor,
                                       WeakPCategoryData,
-                                      check_weak_functor, coherence_check)
+                                      check_weak_functor, coherence_check,
+                                      load_weakcat)
 from operad_workbench.strictify import (StrictifyError, StrictPCategory,
-                                        check_equivalence, check_strictness,
-                                        strictify, universal_property_check)
+                                        _element_tuples, check_equivalence,
+                                        check_strictness, strictify,
+                                        universal_property_check)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +108,93 @@ def test_strictness_on_z4(z4_instance):
     S = strictify(z4_instance)
     report = check_strictness(S, arrow_cap=4, instance_cap=1000)
     assert report.ok, report.lines()
+
+
+def _outcome(S, method, *args):
+    try:
+        return getattr(S, method)(*args)
+    except StrictifyError as exc:
+        return ("refused", str(exc))
+
+
+@pytest.mark.parametrize("instance", ["z3", "z4", "skewed"])
+def test_memoized_action_matches_cold_computation(instance, z3_instance,
+                                                  z4_instance, monoid):
+    """Every act_obj, act_arr and delta_in answered by a category whose
+    memo tables check_strictness has filled equals the answer of a fresh
+    category, refusals included. The skewed instance has several arrows
+    per hom set, so an arrow is not determined by its endpoints."""
+    W = {"z3": z3_instance, "z4": z4_instance}.get(instance) \
+        or skewed_group_instance(monoid)
+    warm = strictify(W)
+    check_strictness(warm)
+    arrows = warm.sample_arrows(24)
+    unit = warm.operad.identity()
+    queries = [("act_arr", unit, (f,)) for f in arrows]
+    queries += [(method, unit, (f.src,)) for f in arrows
+                for method in ("act_obj", "delta_in")]
+    for k in range(warm.arity_bound + 1):
+        for q in warm.elements[k]:
+            for taus in _element_tuples(warm, k, warm.arity_bound):
+                arities = [warm.operad.arity_of(t) for t in taus]
+                composite = warm.operad.compose(q, list(taus))
+                for shift in range(2):
+                    fs = tuple(arrows[(shift + j) % 6]
+                               for j in range(sum(arities)))
+                    chunks = []
+                    at = 0
+                    for m in arities:
+                        chunks.append(fs[at:at + m])
+                        at += m
+                    stages = [_outcome(warm, "act_arr", t, chunk)
+                              for t, chunk in zip(taus, chunks)]
+                    queries.append(("act_arr", composite, fs))
+                    for method in ("act_obj", "delta_in"):
+                        queries.append((method, composite,
+                                        tuple(f.src for f in fs)))
+                    queries += [("act_arr", t, chunk)
+                                for t, chunk in zip(taus, chunks)]
+                    if all(not isinstance(x, tuple) for x in stages):
+                        queries.append(("act_arr", q, tuple(stages)))
+                        queries.append(("delta_in", q,
+                                        tuple(x.dst for x in stages)))
+    assert len(queries) > 200
+    for method, q, args in queries:
+        cold = StrictPCategory(W)
+        assert _outcome(warm, method, q, args) \
+            == _outcome(cold, method, q, args), (method, q, args)
+
+
+STRICTNESS_COUNTS = {"unit law": 72, "associativity": 930,
+                     "associativity instances out of bounds": 2710}
+
+
+def test_strictness_counts_are_pinned(z3_instance, z4_instance):
+    bundled = load_weakcat((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                           .read_text(encoding="utf-8"))
+    for W in (z3_instance, z4_instance, bundled):
+        report = check_strictness(strictify(W))
+        assert report.checked == STRICTNESS_COUNTS
+        assert report.ok, report.lines()
+
+
+def test_skewed_instance_failure_lines(monoid):
+    S = strictify(skewed_group_instance(monoid))
+    report = check_strictness(S, arrow_cap=3, instance_cap=400)
+    assert report.checked == {
+        "unit law": 20, "associativity": 373,
+        "associativity instances out of bounds": 27}
+    assert report.failures == [
+        "acting by the composite of 2 differs from acting in stages "
+        "at ['1', '1', '1']"]
+    report = check_strictness(S)
+    assert report.checked == {
+        "unit law": 20, "associativity": 982,
+        "associativity instances out of bounds": 2658}
+    assert report.failures == [
+        f"acting by the composite of 2 differs from acting in stages "
+        f"at {list(fs)}"
+        for fs in itertools.product("10", repeat=3) if fs != ("0",) * 3]
 
 
 def test_strictify_requires_interpretation(pointed):

@@ -1,6 +1,8 @@
 """Finite categories with weak algebra structure: validation, the
 derived action, compiled 2-cells, coherence, and serialization."""
 
+import itertools
+
 import pytest
 from conftest import identity_weak_functor, skewed_group_instance
 
@@ -69,6 +71,56 @@ def test_functor_validation():
     bad_arr[key_of(("a>b",))] = "b>a"
     with pytest.raises(WeakcatError):
         Functor(cat, cat, 1, {key_of((o,)): o for o in cat.objects}, bad_arr)
+
+
+def _projection_maps(cat, k):
+    """Tables of the functor cat^k -> cat picking the first component
+    (the constant functor at the first object when k = 0)."""
+    first = cat.objects[0]
+    obj_map = {key_of(objs): objs[0] if objs else first
+               for objs in itertools.product(cat.objects, repeat=k)}
+    arr_map = {key_of(arrs): arrs[0] if arrs else cat.identity(first)
+               for arrs in itertools.product(cat.arrows, repeat=k)}
+    return obj_map, arr_map
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_functor_validation_errors_at_each_arity(k):
+    square = FiniteCategory.indiscrete(("a", "b"))
+    group = FiniteCategory.from_monoid(
+        ("0", "1", "2"), "0", lambda g, f: str((int(g) + int(f)) % 3))
+
+    def refused(cat, obj_map, arr_map) -> str:
+        with pytest.raises(WeakcatError) as info:
+            Functor(cat, cat, k, obj_map, arr_map, name="F")
+        return str(info.value)
+
+    obj_map, arr_map = _projection_maps(square, k)
+    assert Functor(square, square, k, obj_map, arr_map).arity == k
+    objs, arrs = ("a",) * k, ("a>a",) * k
+    assert refused(square, {o: v for o, v in obj_map.items()
+                            if o != key_of(objs)}, arr_map) \
+        == f"F: object map incomplete at {objs}"
+    assert refused(square, obj_map, {a: v for a, v in arr_map.items()
+                                     if a != key_of(arrs)}) \
+        == f"F: arrow map incomplete at {arrs}"
+    assert refused(square, obj_map, {**arr_map, key_of(arrs): "a>b"}) \
+        == f"F: image of {arrs} has wrong endpoints"
+
+    obj_map, arr_map = _projection_maps(group, k)
+    assert Functor(group, group, k, obj_map, arr_map).arity == k
+    idents = ("0",) * k
+    assert refused(group, obj_map, {**arr_map, key_of(idents): "1"}) \
+        == f"F: identities not preserved at {('o',) * k}"
+    if k == 0:
+        # the only arrow tuple is the empty one, whose image must already
+        # be the identity, so composition cannot fail on its own
+        return
+    skewed = {**arr_map, key_of(("1",) + idents[1:]): "2"}
+    message = refused(group, obj_map, skewed)
+    assert message.startswith("F: composition not preserved at ")
+    if k == 1:
+        assert message.endswith("at (('1', '1'),)")
 
 
 def test_z3_instance_shape(z3_instance):
