@@ -54,6 +54,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _arity(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"arity {value} is negative")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="operad-workbench",
                      description=__doc__.splitlines()[0])
@@ -94,7 +101,7 @@ def build_parser() -> _Parser:
                        help="the object partition at an arity")
     p.add_argument("file", type=Path)
     p.add_argument("--target", default=None)
-    p.add_argument("--arity", type=int, required=True)
+    p.add_argument("--arity", type=_arity, required=True)
     p.add_argument("--max-size", type=_positive, default=6)
     p.add_argument("--steps", type=_positive, default=500_000)
 

@@ -159,6 +159,12 @@ def test_classes_json(capsys):
     assert payload["classes"][0]["members"] == ["c"]
 
 
+def test_classes_rejects_negative_arity(capsys):
+    code, out, err = run(capsys, "classes", MONOID, "--arity", "-2")
+    assert code == 3 and out == ""
+    assert err.startswith("usage error:") and "negative" in err
+
+
 def test_strictify_bundled_example(capsys):
     code, out, _ = run(capsys, "strictify", WEAKCAT, "--json")
     payload = json.loads(out)
@@ -201,3 +207,19 @@ def test_unknown_target(capsys):
     code, _, err = run(capsys, "eval", MONOID, "--target", "nope", "x1")
     assert code == 3
     assert "nope" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("objects", 3), ("arrows", {"id": "a"}), ("arrows", [{"id": 1}]),
+    ("identities", []), ("compose", {"a∘b": 7}), ("generators", "m"),
+    ("deltas", [1]), ("theory", None)])
+def test_strictify_malformed_instance_exits_3(capsys, tmp_path, field,
+                                              value):
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    data[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "strictify", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and repr(field) in err
