@@ -206,14 +206,14 @@ class StrictPCategory:
                           lambda: self._delta_in(q, xs))
 
     def _delta_in(self, q, xs: Sequence[StObject]) -> str:
-        d = self.graft_cell(self.repr_tree(q), q, xs)
+        d = self._graft_cell(self.repr_tree(q), q, xs)
         if d is None:
             raise StrictifyError(
                 "no rewrite path between the composite representative and "
                 "the grafted representatives within the saturation budgets")
         return d
 
-    def graft_cell(self, outer, q, xs: Sequence[StObject]) -> str | None:
+    def _graft_cell(self, outer, q, xs: Sequence[StObject]) -> str | None:
         """The compiled cell from the representative of q's composite
         with the elements of xs to the graft of the outer tree with their
         representatives, at the flattened operands; None when no rewrite
@@ -410,7 +410,7 @@ def _comparison_cell(S: StrictPCategory, op: str,
 
 def _compute_comparison_cell(S: StrictPCategory, op: str,
                              xs: Sequence[StObject]) -> str:
-    d = S.graft_cell(_op_tree(op, len(xs)),
+    d = S._graft_cell(_op_tree(op, len(xs)),
                      S.W.interpretation.assignment[op], xs)
     if d is None:
         raise StrictifyError(
