@@ -30,7 +30,8 @@ from .terms import App, Term, Var, format_term
 from .trees import (Leaf, Node, PermutedTree, compose_permuted, format_tree,
                     format_permuted_tree, graft, tree_arity, tree_size)
 from .weakcat import (Arrow, FiniteCategory, Functor, WeakPCategoryData,
-                      WeakPFunctorData, WeakcatError, WeakcatReport)
+                      WeakPFunctorData, WeakcatError, WeakcatReport,
+                      check_weak_functor)
 
 
 class StrictifyError(ValueError):
@@ -270,38 +271,53 @@ class StrictPCategory:
         """A plain category view with generated ids; returns the maps
         from object keys and (src, dst, base) triples to those ids."""
         if self._fc is None:
-            obj_ids = {x.key(): f"s{i}" for i, x in enumerate(self.objects)}
-            arrows = []
-            arrow_ids = {}
-            for f in self.all_arrows():
-                aid = (f"{obj_ids[f.src.key()]}."
-                       f"{obj_ids[f.dst.key()]}.{f.base}")
-                arrow_ids[(f.src.key(), f.dst.key(), f.base)] = aid
-                arrows.append(Arrow(aid, obj_ids[f.src.key()],
-                                    obj_ids[f.dst.key()]))
-            identities = {}
-            for x in self.objects:
-                ident = self.identity(x)
-                identities[obj_ids[x.key()]] = arrow_ids[
-                    (x.key(), x.key(), ident.base)]
-            triple = {aid: key for key, aid in arrow_ids.items()}
-            by_src: dict[str, list[Arrow]] = {}
-            for a in arrows:
-                by_src.setdefault(a.src, []).append(a)
+            base = self.W.base
+            sids = [f"s{i}" for i in range(len(self.objects))]
+            # ids[i][j] maps each base arrow between the action values of
+            # objects i and j to the id of the strict arrow it tags
+            ids = [[{b: f"{sx}.{sy}.{b}"
+                     for b in base.hom(x.h_value, y.h_value)}
+                    for y, sy in zip(self.objects, sids)]
+                   for x, sx in zip(self.objects, sids)]
+            arrows = [Arrow(aid, sids[i], sids[j])
+                      for i, row in enumerate(ids)
+                      for j, cell in enumerate(row) for aid in cell.values()]
+            # g.f depends on f only through its base arrow fb, so each
+            # object lists, per base arrow fb into its value, the arrows
+            # g out of it (in arrow order) with the base composite gb.fb
+            base_compose = base._compose
+            into: dict[str, list[str]] = {}
+            for b, a in base.arrows.items():
+                into.setdefault(a.dst, []).append(b)
+            after = []
+            for y, row in zip(self.objects, ids):
+                out = [(gid, k, gb) for k, cell in enumerate(row)
+                       for gb, gid in cell.items()]
+                after.append({fb: [(gid, k, base_compose[(gb, fb)])
+                                   for gid, k, gb in out]
+                              for fb in into.get(y.h_value, ())})
             compose = {}
-            for f in arrows:
-                fx, fy, fb = triple[f.id]
-                for g in by_src.get(f.dst, ()):
-                    gx, gy, gb = triple[g.id]
-                    compose[(g.id, f.id)] = arrow_ids[
-                        (fx, gy, self.W.base.compose(gb, fb))]
+            composable = []
+            for row in ids:
+                for cell, by_base in zip(row, after):
+                    for fb, fid in cell.items():
+                        for gid, k, c in by_base[fb]:
+                            gf = row[k][c]
+                            compose[(gid, fid)] = gf
+                            composable.append((gid, fid, gf))
+            identities = {sids[i]: ids[i][i][base.identity(x.h_value)]
+                          for i, x in enumerate(self.objects)}
             # composition is inherited from the validated base, so the
             # exhaustive table check is skipped
-            self._fc = FiniteCategory(
-                [obj_ids[x.key()] for x in self.objects], arrows,
-                identities, compose, check=False)
-            self._fc_obj_ids = obj_ids
-            self._fc_arrow_ids = arrow_ids
+            self._fc = FiniteCategory._trusted(
+                sids, arrows, identities, compose, composable)
+            self._fc_obj_ids = {x.key(): sx
+                                for x, sx in zip(self.objects, sids)}
+            self._fc_arrow_ids = {
+                (x.key(), y.key(), b): aid
+                for x, row in zip(self.objects, ids)
+                for y, cell in zip(self.objects, row)
+                for b, aid in cell.items()}
         return self._fc, self._fc_obj_ids, self._fc_arrow_ids
 
     def object_id(self, x: StObject) -> str:
@@ -525,48 +541,26 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
     weak map G into a strict target, checks that H is a strict functor
     restricting to G, and certifies uniqueness: every arrow image of a
     strict map restricting to G is forced by closure from the
-    restriction data."""
+    restriction data. A G that check_weak_functor fails is refused, as
+    is a target that is not strict."""
     report = WeakcatReport()
     if not B.is_strict():
         raise StrictifyError("the target of the induced map must be strict")
     if G.source is not W or G.target is not B:
         raise StrictifyError(
             "the weak map must run from the input to the strict target")
+    weak = check_weak_functor(G)
+    if not weak.ok:
+        raise StrictifyError(
+            f"the map into the strict target is not a weak map: "
+            f"{weak.failures[0]}")
     S = strictify(W, arity_bound, element_bound)
     _require_plain(S, "the universal property check")
-    st_fc, obj_ids, _ = S.as_finite_category()
-    unit = S.operad.identity()
-
-    gammas: dict[tuple, str] = {}
-
-    def gamma(x: StObject) -> str:
-        found = gammas.get(x.key())
-        if found is None:
-            found = G.psi_component(S.repr_term(x.element), x.operands)
-            gammas[x.key()] = found
-        return found
-
-    obj_table = {}
-    for x in S.objects:
-        obj_table[obj_ids[x.key()]] = B.h_obj(
-            S.repr_term(x.element), [G.functor.obj([a]) for a in x.operands])
-    arr_table = {}
-    for f in S.all_arrows():
-        g_src = gamma(f.src)
-        g_dst = gamma(f.dst)
-        inv = B.base.inverse(g_src)
-        if inv is None:
-            report.fail(f"coherence image at ({f.src.element}, "
-                        f"{f.src.operands}) is not invertible")
-            return report
-        arr_table[S.arrow_id(f)] = B.base.compose(
-            g_dst, B.base.compose(G.functor.arr([f.base]), inv))
-    try:
-        H = Functor(st_fc, B.base, 1, obj_table, arr_table, name="induced")
-        report.note("functoriality")
-    except WeakcatError as exc:
-        report.fail(f"induced map is not a functor: {exc}")
+    H = _induced_map(S, B, G, report)
+    if H is None:
         return report
+    _, obj_ids, _ = S.as_finite_category()
+    unit = S.operad.identity()
 
     pool = S.sample_arrows(arrow_cap * 4)[:arrow_cap]
     for op, arity in W.presentation.signature.ops:
@@ -617,6 +611,47 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
     return report
 
 
+def _induced_map(S: StrictPCategory, B: WeakPCategoryData,
+                 G: WeakPFunctorData, report: WeakcatReport) -> Functor | None:
+    """The functor H out of the strict category induced by G: each
+    object goes to the target action at G's operand images, each arrow
+    to its G image conjugated by the coherence images gamma of its
+    endpoints. None, with the failure on the report, when a gamma is
+    not invertible or H is not a functor."""
+    st_fc, obj_ids, _ = S.as_finite_category()
+    gammas: dict[tuple, str] = {}
+
+    def gamma(x: StObject) -> str:
+        found = gammas.get(x.key())
+        if found is None:
+            found = G.psi_component(S.repr_term(x.element), x.operands)
+            gammas[x.key()] = found
+        return found
+
+    obj_table = {}
+    for x in S.objects:
+        obj_table[obj_ids[x.key()]] = B.h_obj(
+            S.repr_term(x.element), [G.functor.obj([a]) for a in x.operands])
+    arr_table = {}
+    for f in S.all_arrows():
+        g_src = gamma(f.src)
+        g_dst = gamma(f.dst)
+        inv = B.base.inverse(g_src)
+        if inv is None:
+            report.fail(f"coherence image at ({f.src.element}, "
+                        f"{f.src.operands}) is not invertible")
+            return None
+        arr_table[S.arrow_id(f)] = B.base.compose(
+            g_dst, B.base.compose(G.functor.arr([f.base]), inv))
+    try:
+        H = Functor(st_fc, B.base, 1, obj_table, arr_table, name="induced")
+    except WeakcatError as exc:
+        report.fail(f"induced map is not a functor: {exc}")
+        return None
+    report.note("functoriality")
+    return H
+
+
 def _embedding_cell(S: StrictPCategory, op: str,
                     operands: tuple[str, ...]) -> StArrow:
     """The unit embedding's coherence map at a generator: from the
@@ -637,14 +672,15 @@ def _embedding_cell(S: StrictPCategory, op: str,
 
 def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
                 B: WeakPCategoryData, G: WeakPFunctorData, H: Functor,
-                report: WeakcatReport):
+                report: WeakcatReport) -> tuple[dict[str, str], list[str]]:
     """Forced-value propagation. Any strict map restricting to G agrees
     with the pins: identities and the restriction data are forced
     directly; the embedding of each object into its identity pair is
     forced by recursion over representative trees (strictness forces
     action images, the restriction forces the coherence cells); the
     rest closes under inverse and composition. All arrows pinned and
-    consistent with H means H is the only candidate."""
+    consistent with H means H is the only candidate. Returns the pins
+    and the conflicts found."""
     st_fc, obj_ids, _ = S.as_finite_category()
     unit = S.operad.identity()
     pinned: dict[str, str] = {}
@@ -700,12 +736,38 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
         if cell_inv is None or val_inv is None:
             report.fail(f"embedding cell at ({x.element}, {x.operands}) "
                         f"is not invertible")
-            return
+            return pinned, conflicts
         iota_st[x.key()] = S.compose(cell_inv, step_st)
         iota_val[x.key()] = B.base.compose(val_inv, step_val)
         pin(S.arrow_id(iota_st[x.key()]), iota_val[x.key()])
 
-    triple = {aid: key for key, aid in S._fc_arrow_ids.items()}
+    _close_pins(S, W, B, pinned, conflicts)
+    report.note("uniqueness pins", len(pinned))
+    for msg in conflicts[:3]:
+        report.fail(msg)
+    unpinned = [a for a in st_fc.arrows if a not in pinned]
+    if unpinned:
+        report.fail(f"uniqueness not certified: {len(unpinned)} arrow "
+                    f"images not forced (first: {unpinned[0]!r})")
+        return pinned, conflicts
+    mismatched = [a for a, v in pinned.items() if H.arr([a]) != v]
+    report.note("uniqueness agreement", len(pinned) - len(mismatched))
+    for a in mismatched[:3]:
+        report.fail(f"forced value disagrees with the induced map at {a!r}")
+    return pinned, conflicts
+
+
+def _close_pins(S: StrictPCategory, W: WeakPCategoryData,
+                B: WeakPCategoryData, pinned: dict[str, str],
+                conflicts: list[str]):
+    """Close the pins under inverses and composition, in rounds until a
+    round pins nothing new or a conflict appears. Each round pins the
+    inverses first, then walks the composable pairs in table order."""
+    st_fc = S.as_finite_category()[0]
+    arrow_ids = S._fc_arrow_ids
+    triple = {aid: key for key, aid in arrow_ids.items()}
+    get = pinned.get
+    table = B.base._compose
     changed = True
     while changed and not conflicts:
         changed = False
@@ -715,34 +777,24 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
             inv_val = B.base.inverse(pinned[aid])
             if inv_base is None or inv_val is None:
                 continue
-            inv_id = S._fc_arrow_ids[(y_key, x_key, inv_base)]
+            inv_id = arrow_ids[(y_key, x_key, inv_base)]
             if inv_id not in pinned:
-                pin(inv_id, inv_val)
+                pinned[inv_id] = inv_val
                 changed = True
-        for f in st_fc.arrows.values():
-            if f.id not in pinned:
+        for g, f, gf in st_fc.composable:
+            f_val = get(f)
+            if f_val is None:
                 continue
-            for g in st_fc._from.get(f.dst, ()):
-                if g not in pinned:
-                    continue
-                comp = st_fc.compose(g, f.id)
-                value = B.base.compose(pinned[g], pinned[f.id])
-                if comp not in pinned:
-                    pin(comp, value)
-                    changed = True
-                elif pinned[comp] != value:
-                    conflicts.append(
-                        f"forced composition mismatch at {comp!r}")
-
-    report.note("uniqueness pins", len(pinned))
-    for msg in conflicts[:3]:
-        report.fail(msg)
-    unpinned = [a for a in st_fc.arrows if a not in pinned]
-    if unpinned:
-        report.fail(f"uniqueness not certified: {len(unpinned)} arrow "
-                    f"images not forced (first: {unpinned[0]!r})")
-        return
-    mismatched = [a for a, v in pinned.items() if H.arr([a]) != v]
-    report.note("uniqueness agreement", len(pinned) - len(mismatched))
-    for a in mismatched[:3]:
-        report.fail(f"forced value disagrees with the induced map at {a!r}")
+            g_val = get(g)
+            if g_val is None:
+                continue
+            value = table.get((g_val, f_val))
+            if value is None:
+                # raises: forced values that do not compose
+                value = B.base.compose(g_val, f_val)
+            old = get(gf)
+            if old is None:
+                pinned[gf] = value
+                changed = True
+            elif old != value:
+                conflicts.append(f"forced composition mismatch at {gf!r}")

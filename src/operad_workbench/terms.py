@@ -466,6 +466,7 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """The ordered ways to write total as parts positive summands."""
     if parts == 0:
         return [()] if total == 0 else []
     if parts == 1:

@@ -22,7 +22,7 @@ from typing import Sequence
 from .finmaps import (FinFunction, FinMapError, comb_compose, compose,
                       format_fn, format_perm, identity, parse_fn, perm,
                       perm_identity, select)
-from .terms import App, Signature, Term, Var, label_fn
+from .terms import App, Signature, Term, Var, _compositions, label_fn
 
 
 class TreeError(ValueError):
@@ -413,18 +413,6 @@ def enumerate_fp_trees(signature: Signature, arity: int, max_size: int,
             f = FinFunction(leaves, arity, table)
             out.extend(FPTree(f, t) for t in trees)
     return sorted(out, key=lambda ft: (tree_size(ft.tree), format_fp_tree(ft)))
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def _weak_compositions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -63,11 +63,12 @@ class FiniteCategory:
         for obj in self.objects:
             _check_id("object", obj)
         self.arrows: dict[str, Arrow] = {}
+        known = set(self.objects)
         for a in arrows:
             _check_id("arrow", a.id)
             if a.id in self.arrows:
                 raise WeakcatError(f"duplicate arrow id {a.id!r}")
-            if a.src not in self.objects or a.dst not in self.objects:
+            if a.src not in known or a.dst not in known:
                 raise WeakcatError(f"arrow {a.id!r} has unknown endpoints")
             self.arrows[a.id] = a
         self.identities = dict(identities)
@@ -79,10 +80,35 @@ class FiniteCategory:
         self._from: dict[str, list[str]] = {}
         for a in self.arrows.values():
             self._from.setdefault(a.src, []).append(a.id)
+        self._composable: list[tuple[str, str, str | None]] | None = None
         # check=False trusts tables built from an already validated
         # category; user supplied data must keep the full check
         if check:
             self._validate()
+
+    @classmethod
+    def _trusted(cls, objects: Sequence[str], arrows: Sequence[Arrow],
+                 identities: Mapping[str, str],
+                 compose_table: Mapping[tuple[str, str], str],
+                 composable: list[tuple[str, str, str]]) -> FiniteCategory:
+        """An unchecked category whose composable triples were listed
+        alongside its table, in the order of the composable property."""
+        cat = cls(objects, arrows, identities, compose_table, check=False)
+        cat._composable = composable
+        return cat
+
+    @property
+    def composable(self) -> list[tuple[str, str, str | None]]:
+        """Every composable pair (g, f) with its composite g.f, built
+        once: f in arrow order, then g in the order of the arrows out of
+        f's target. The composite is None where the table lacks it, which
+        validation refuses."""
+        if self._composable is None:
+            table = self._compose
+            self._composable = [(g, f, table.get((g, f)))
+                                for f, a in self.arrows.items()
+                                for g in self._from.get(a.dst, ())]
+        return self._composable
 
     def _validate(self):
         for obj in self.objects:
@@ -100,21 +126,20 @@ class FiniteCategory:
                 raise WeakcatError(f"({g!r},{f!r}) is not composable")
             if hh.src != ff.src or hh.dst != gf.dst:
                 raise WeakcatError(f"composite of ({g!r},{f!r}) has wrong endpoints")
-        for f in self.arrows.values():
-            for g in self._from.get(f.dst, ()):
-                if (g, f.id) not in self._compose:
-                    raise WeakcatError(f"missing composite for ({g!r},{f.id!r})")
+        for g, f, gf in self.composable:
+            if gf is None:
+                raise WeakcatError(f"missing composite for ({g!r},{f!r})")
         for f in self.arrows.values():
             if self.compose(self.identities[f.dst], f.id) != f.id \
                     or self.compose(f.id, self.identities[f.src]) != f.id:
                 raise WeakcatError(f"identity laws fail at {f.id!r}")
-        for f in self.arrows.values():
-            for g in self._from.get(f.dst, ()):
-                gf = self.compose(g, f.id)
-                for h in self._from.get(self.arrows[g].dst, ()):
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f.id):
-                        raise WeakcatError(
-                            f"associativity fails at ({h!r},{g!r},{f.id!r})")
+        # every pair below is composable, so the table has its composite
+        table = self._compose
+        for g, f, gf in self.composable:
+            for h in self._from.get(self.arrows[g].dst, ()):
+                if table[(h, gf)] != table[(table[(h, g)], f)]:
+                    raise WeakcatError(
+                        f"associativity fails at ({h!r},{g!r},{f!r})")
 
     def identity(self, obj: str) -> str:
         return self.identities[obj]
@@ -240,11 +265,16 @@ class Functor:
             idents = key_of([dom.identities[o] for o in objs])
             if arr_map[idents] != cod.identities[obj_map[key_of(objs)]]:
                 raise WeakcatError(f"{label}: identities not preserved at {objs}")
-        # each composable pair (g, f) with its composite g.f
-        composable = [(g, f.id, dom.compose(g, f.id))
-                      for f in dom.arrows.values()
-                      for g in dom._from.get(f.dst, ())]
-        for triples in product(composable, repeat=k):
+        if k == 1:
+            # a one-arrow key is the arrow id itself; the images of a
+            # composable pair compose, their endpoints being checked
+            table = cod._compose
+            for g, f, gf in dom.composable:
+                if arr_map[gf] != table[(arr_map[g], arr_map[f])]:
+                    raise WeakcatError(f"{label}: composition not "
+                                       f"preserved at {((g, f),)}")
+            return
+        for triples in product(dom.composable, repeat=k):
             g, f, gf = map(key_of, zip(*triples)) if k else ("", "", "")
             if arr_map[gf] != cod.compose(arr_map[g], arr_map[f]):
                 pairs = tuple((g, f) for g, f, _ in triples)

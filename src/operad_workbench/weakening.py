@@ -103,9 +103,8 @@ class WeakeningContext:
                 raise WeakeningError(
                     "permuted trees are objects of the symmetric flavor only")
             return t.arity
-        if self.flavor == "symmetric":
-            # a bare tree stands for itself under the identity permutation
-            return tree_arity(t)
+        # under the symmetric flavor a bare tree stands for itself with
+        # the identity permutation
         return tree_arity(t)
 
     def object_term(self, t: WeakObject) -> Term:

@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, text output, and JSON payloads."""
 
+import contextlib
+import io
 import json
 
 import pytest
 from conftest import EXAMPLES, load_theory
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operad_workbench.cli import main
 from operad_workbench.terms import (App, Var, parse_term, replace_at,
                                     subterm_at)
+from operad_workbench.weakcat import WeakcatError, load_weakcat
 
 MONOID = str(EXAMPLES / "monoid.th")
 COMM = str(EXAMPLES / "comm_monoid.th")
@@ -223,3 +228,61 @@ def test_strictify_malformed_instance_exits_3(capsys, tmp_path, field,
     code, out, err = run(capsys, "strictify", str(path))
     assert code == 3 and out == ""
     assert err.startswith("error:") and repr(field) in err
+
+
+BUNDLED = (EXAMPLES / "indiscrete_monoid_weakcat.json").read_text(
+    encoding="utf-8")
+JUNK = st.one_of(st.none(), st.integers(-2, 2), st.text(max_size=4),
+                 st.lists(st.text(max_size=2), max_size=2))
+
+
+def _other_than(value, pool):
+    return st.one_of(st.sampled_from(pool), JUNK).filter(
+        lambda v: v != value)
+
+
+@st.composite
+def broken_instances(draw):
+    """The bundled instance with one entry of compose, identities or
+    arrows dropped, re-keyed or replaced. Its base category is
+    indiscrete, so every such change leaves the category invalid."""
+    data = json.loads(BUNDLED)
+    ids = [a["id"] for a in data["arrows"]]
+    field = draw(st.sampled_from(["compose", "identities", "arrows"]))
+    if field == "arrows":
+        entries = data["arrows"]
+        i = draw(st.integers(0, len(entries) - 1))
+        how = draw(st.sampled_from(["drop", "replace", "edit"]))
+        if how == "drop":
+            del entries[i]
+        elif how == "replace":
+            entries[i] = draw(JUNK)
+        else:
+            part = draw(st.sampled_from(["id", "src", "dst"]))
+            pool = ids if part == "id" else data["objects"]
+            entries[i][part] = draw(_other_than(entries[i][part], pool))
+    else:
+        table = data[field]
+        key = draw(st.sampled_from(sorted(table)))
+        how = draw(st.sampled_from(["drop", "rekey", "revalue"]))
+        value = table.pop(key)
+        if how == "rekey":
+            table[draw(st.text(max_size=6).filter(lambda k: k != key))] \
+                = value
+        elif how == "revalue":
+            table[key] = draw(_other_than(value, ids))
+    return json.dumps(data, ensure_ascii=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=broken_instances())
+def test_broken_base_category_exits_3(tmp_path_factory, text):
+    with pytest.raises(WeakcatError):
+        load_weakcat(text)
+    path = tmp_path_factory.mktemp("broken") / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["strictify", str(path)])
+    assert code == 3 and out.getvalue() == ""
+    assert err.getvalue().startswith("error:")

@@ -1,23 +1,28 @@
 """Strictification: object enumeration, the strict action, the
 comparison back to the input, and the induced-map universal property."""
 
+import importlib
 import itertools
 
 import pytest
 from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       identity_weak_functor, skewed_group_instance,
-                      terminal_weakcat)
+                      terminal_weakcat, zmod)
 
 from operad_workbench.terms import parse_term
 from operad_workbench.trees import tree_arity
 from operad_workbench.weakcat import (FiniteCategory, Functor,
-                                      WeakPCategoryData,
-                                      check_weak_functor, coherence_check,
-                                      load_weakcat)
+                                      WeakPCategoryData, WeakPFunctorData,
+                                      WeakcatReport, check_weak_functor,
+                                      coherence_check, key_of, load_weakcat)
 from operad_workbench.strictify import (StrictifyError, StrictPCategory,
-                                        _element_tuples, check_equivalence,
+                                        _element_tuples, _induced_map,
+                                        _uniqueness, check_equivalence,
                                         check_strictness, strictify,
                                         universal_property_check)
+
+# the package re-exports the strictify function under the module's name
+strictify_module = importlib.import_module("operad_workbench.strictify")
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +254,128 @@ def test_universal_property_rejects_weak_target(z3_instance, monoid):
     G = identity_weak_functor(W)
     with pytest.raises(StrictifyError):
         universal_property_check(W, W, G)
+
+
+def not_weak_map(W, monoid):
+    """A base functor from the Z/3 indiscrete instance onto the strict
+    one-object group Z/3, sending every arrow to the unit, with a psi
+    family that fails the pasting squares of the unit laws."""
+    elements, unit, mult = zmod(3)
+    base = FiniteCategory.from_monoid(elements, unit, mult)
+    generators = {
+        "m": Functor(base, base, 2, {key_of(("o", "o")): "o"},
+                     {key_of((f, g)): mult(f, g)
+                      for f in elements for g in elements}, name="m"),
+        "e": Functor(base, base, 0, {"": "o"}, {"": unit}, name="e")}
+    B = WeakPCategoryData(base, monoid, generators,
+                          {index: {("o",) * eq.arity: unit}
+                           for index, eq in enumerate(monoid.equations)})
+    functor = Functor(W.base, base, 1, {a: "o" for a in W.base.objects},
+                      {f: unit for f in W.base.arrows})
+    psi = {"m": {(a, b): "1" for a in elements for b in elements},
+           "e": {(): unit}}
+    return B, WeakPFunctorData(W, B, functor, psi)
+
+
+def test_universal_property_refuses_a_map_that_is_not_weak(z3_instance,
+                                                          monoid):
+    B, G = not_weak_map(z3_instance, monoid)
+    assert B.is_strict()
+    weak = check_weak_functor(G)
+    assert len(weak.failures) == 6
+    assert weak.failures[0] \
+        == "pasting square fails for 'm(e,|)=|@1' at ('0',)"
+    with pytest.raises(StrictifyError) as info:
+        universal_property_check(z3_instance, B, G)
+    assert str(info.value) == (
+        "the map into the strict target is not a weak map: "
+        "pasting square fails for 'm(e,|)=|@1' at ('0',)")
+
+
+UNIVERSAL_COUNTS = {
+    "functoriality": 1, "strict action on objects": 143,
+    "strict action on arrows": 17, "restriction on objects": 3,
+    "restriction on arrows": 9, "restriction coherence": 10,
+    "uniqueness pins": 1600, "uniqueness agreement": 1600}
+
+
+def _maps(W, monoid):
+    B = terminal_weakcat(monoid)
+    return {"identity": identity_weak_functor(W),
+            "collapse": collapse_functor(W, B),
+            "doubling": doubling_functor(W),
+            "not weak": not_weak_map(W, monoid)[1]}
+
+
+@pytest.mark.parametrize("label", ["identity", "collapse", "doubling"])
+def test_universal_property_counts_are_pinned(label, z3_instance, monoid):
+    G = _maps(z3_instance, monoid)[label]
+    report = universal_property_check(z3_instance, G.target, G)
+    assert report.checked == UNIVERSAL_COUNTS
+    assert report.failures == []
+
+
+def _reference_close_pins(S, W, B, pinned, conflicts):
+    """The closure as _uniqueness ran it before finite categories listed
+    their composable pairs; the loop is kept verbatim as an oracle."""
+    st_fc = S.as_finite_category()[0]
+
+    def pin(arrow_id: str, value: str):
+        old = pinned.get(arrow_id)
+        if old is None:
+            pinned[arrow_id] = value
+        elif old != value:
+            conflicts.append(f"conflicting forced values at {arrow_id!r}")
+
+    triple = {aid: key for key, aid in S._fc_arrow_ids.items()}
+    changed = True
+    while changed and not conflicts:
+        changed = False
+        for aid in list(pinned):
+            x_key, y_key, base = triple[aid]
+            inv_base = W.base.inverse(base)
+            inv_val = B.base.inverse(pinned[aid])
+            if inv_base is None or inv_val is None:
+                continue
+            inv_id = S._fc_arrow_ids[(y_key, x_key, inv_base)]
+            if inv_id not in pinned:
+                pin(inv_id, inv_val)
+                changed = True
+        for f in st_fc.arrows.values():
+            if f.id not in pinned:
+                continue
+            for g in st_fc._from.get(f.dst, ()):
+                if g not in pinned:
+                    continue
+                comp = st_fc.compose(g, f.id)
+                value = B.base.compose(pinned[g], pinned[f.id])
+                if comp not in pinned:
+                    pin(comp, value)
+                    changed = True
+                elif pinned[comp] != value:
+                    conflicts.append(
+                        f"forced composition mismatch at {comp!r}")
+
+
+@pytest.mark.parametrize("label",
+                         ["identity", "collapse", "doubling", "not weak"])
+def test_uniqueness_closure_matches_reference(label, z3_instance, monoid,
+                                              monkeypatch):
+    W = z3_instance
+    G = _maps(W, monoid)[label]
+    S = strictify(W)
+    H = _induced_map(S, G.target, G, WeakcatReport())
+    assert H is not None
+    report = WeakcatReport()
+    pinned, conflicts = _uniqueness(S, W, G.target, G, H, report)
+    with monkeypatch.context() as patch:
+        patch.setattr(strictify_module, "_close_pins",
+                      _reference_close_pins)
+        want = WeakcatReport()
+        want_pinned, want_conflicts = _uniqueness(S, W, G.target, G, H,
+                                                  want)
+    assert pinned == want_pinned and list(pinned) == list(want_pinned)
+    assert conflicts == want_conflicts
+    assert (report.checked, report.failures) \
+        == (want.checked, want.failures)
+    assert len(pinned) == 1600 and not conflicts and report.ok

@@ -4,8 +4,10 @@ derived action, compiled 2-cells, coherence, and serialization."""
 import itertools
 
 import pytest
-from conftest import identity_weak_functor, skewed_group_instance
+from conftest import (EXAMPLES, identity_weak_functor, skewed_group_instance,
+                      zmod)
 
+from operad_workbench.strictify import strictify
 from operad_workbench.terms import parse_term
 from operad_workbench.trees import parse_tree
 from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
@@ -121,6 +123,78 @@ def test_functor_validation_errors_at_each_arity(k):
     assert message.startswith("F: composition not preserved at ")
     if k == 1:
         assert message.endswith("at (('1', '1'),)")
+
+
+def _nested_composable(cat, composite):
+    """The pair walk each consumer made for itself before categories
+    listed their composable pairs: f in arrow order, then g over the
+    arrows out of f's target."""
+    return [(g, f.id, composite(g, f.id))
+            for f in cat.arrows.values()
+            for g in cat._from.get(f.dst, ())]
+
+
+def _strict_view_composite(S):
+    """Composites of the strict view as its table used to be filled:
+    looked up by (src, dst, base) with the base composite."""
+    _, _, arrow_ids = S.as_finite_category()
+    triple = {aid: key for key, aid in arrow_ids.items()}
+
+    def composite(g, f):
+        fx, _, fb = triple[f]
+        _, gy, gb = triple[g]
+        return arrow_ids[(fx, gy, S.W.base.compose(gb, fb))]
+    return composite
+
+
+@pytest.mark.parametrize("name", [
+    "indiscrete", "from_monoid", "terminal", "skewed",
+    "strict z3", "strict z4", "strict bundled"])
+def test_composable_table_matches_nested_enumeration(name, monoid):
+    if name.startswith("strict"):
+        W = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
+             "z4": lambda: indiscrete_monoid_instance(monoid, *zmod(4)),
+             "bundled": lambda: load_weakcat(
+                 (EXAMPLES / "indiscrete_monoid_weakcat.json")
+                 .read_text(encoding="utf-8"))}[name.split()[1]]()
+        S = strictify(W)
+        cat = S.as_finite_category()[0]
+        composite = _strict_view_composite(S)
+    else:
+        cat = {"indiscrete": lambda: FiniteCategory.indiscrete(
+                   ("a", "b", "c")),
+               "from_monoid": lambda: FiniteCategory.from_monoid(*zmod(4)),
+               "terminal": FiniteCategory.terminal,
+               "skewed": lambda: skewed_group_instance(monoid).base}[name]()
+        composite = cat.compose
+    want = _nested_composable(cat, composite)
+    assert cat.composable == want
+    assert cat._compose == {(g, f): gf for g, f, gf in want}
+
+
+def test_finite_category_missing_composite_message():
+    cat = FiniteCategory.indiscrete(("a", "b"))
+    table = dict(cat._compose)
+    del table[("b>a", "a>b")], table[("a>b", "a>a")]
+    with pytest.raises(WeakcatError) as info:
+        FiniteCategory(cat.objects, list(cat.arrows.values()),
+                       cat.identities, table)
+    # the first pair in arrow order of f lacks its composite
+    assert str(info.value) == "missing composite for ('a>b','a>a')"
+
+
+def test_functor_reports_the_first_broken_pair_at_arity_1():
+    """Several composable pairs break; the message names the first in
+    table order (f in arrow order, then g), not the first by g."""
+    group = FiniteCategory.from_monoid(*zmod(4))
+    arr_map = {"0": "0", "1": "1", "2": "2", "3": "1"}
+    broken = [(g, f) for g, f, gf in _nested_composable(group, group.compose)
+              if arr_map[gf] != group.compose(arr_map[g], arr_map[f])]
+    assert len(broken) > 1 and broken[0] == ("2", "1")
+    assert min(broken) == ("1", "2")
+    with pytest.raises(WeakcatError) as info:
+        Functor(group, group, 1, {"o": "o"}, arr_map, name="F")
+    assert str(info.value) == "F: composition not preserved at (('2', '1'),)"
 
 
 def test_z3_instance_shape(z3_instance):
