@@ -20,25 +20,25 @@ from .trees import (FPTree, Leaf, Node, PermutedTree, Tree, TreeError,
                     format_tree, graft, parse_fp_tree, parse_permuted_tree,
                     parse_tree, to_term, to_term_alpha, to_tree, tree_arity,
                     tree_size)
-from .operads import (CommMonoidFPOperad, EndOperad, FiniteOp, FreeOperad,
-                      InitialOperad, IntPolyFPOperad, Interpretation,
-                      Operad, OperadError, Poly, SymmetryOperad,
-                      TerminalPlainOperad, TerminalSymmetricOperad,
-                      builtin_operad, default_assignment, eval_tree,
-                      op_from_callable, operad_axiom_check, parse_poly,
+from .operads import (CheckReport, CommMonoidFPOperad, EndOperad, FiniteOp,
+                      FreeOperad, InitialOperad, IntPolyFPOperad,
+                      Interpretation, Operad, OperadError, Poly,
+                      SymmetryOperad, TerminalPlainOperad,
+                      TerminalSymmetricOperad, builtin_operad,
+                      default_assignment, eval_tree, op_from_callable,
+                      operad_axiom_check, parse_poly,
                       validate_interpretation)
 from .clones import (Clone, CloneError, CloneFromFP, EndClone, FPFromClone,
-                     RoundtripReport, clone_axiom_check,
-                     clone_roundtrip_check, roundtrip_check)
+                     clone_axiom_check, clone_roundtrip_check,
+                     roundtrip_check)
 from .weakening import (FP_REJECTION, AgreementReport, Decision, WeakClass,
                         WeakeningContext, WeakeningError,
-                        WeakeningFlavorError, biased_unbiased_agreement,
-                        enumerate_classes, two_cell)
+                        WeakeningFlavorError, biased_unbiased_agreement)
 from .weakcat import (Arrow, FiniteCategory, Functor, WeakPCategoryData,
-                      WeakPFunctorData, WeakcatError, WeakcatReport,
-                      cell_key, check_weak_functor, coherence_check,
-                      derive_delta, derive_h, indiscrete_monoid_instance,
-                      key_of, load_weakcat, save_weakcat, unkey)
+                      WeakPFunctorData, WeakcatError, cell_key,
+                      check_weak_functor, coherence_check,
+                      indiscrete_monoid_instance, key_of, load_weakcat,
+                      save_weakcat, unkey)
 from .strictify import (StArrow, StObject, StrictPCategory, StrictifyError,
                         check_equivalence, check_strictness, strictify,
                         universal_property_check)

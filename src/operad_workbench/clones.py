@@ -15,11 +15,11 @@ explicit context arity for that case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .finmaps import FinFunction, fn as make_fn
-from .operads import (FiniteOp, Operad, OperadError, op_from_callable)
+from .operads import (CheckReport, EndOperad, FiniteOp, Operad, OperadError,
+                      op_from_callable)
 
 
 class CloneError(ValueError):
@@ -186,56 +186,29 @@ class EndClone(Clone):
         return p.arity
 
     def enumerate_elements(self, arity: int, bound: int) -> list[FiniteOp]:
-        out = []
-        for table in itertools.product(range(1, self.carrier + 1),
-                                       repeat=self.carrier ** arity):
-            if len(out) >= bound:
-                break
-            out.append(FiniteOp(self.carrier, arity, table))
-        return out
-
-
-@dataclass
-class RoundtripReport:
-    checked: dict[str, int] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def note(self, law: str, ok: bool, describe: str):
-        self.checked[law] = self.checked.get(law, 0) + 1
-        if not ok:
-            self.failures.append(f"{law}: {describe}")
-
-    def lines(self) -> list[str]:
-        out = [f"{law}: {count} instances"
-               for law, count in sorted(self.checked.items())]
-        out.extend(f"FAIL {msg}" for msg in self.failures)
-        return out
+        return EndOperad(self.carrier).enumerate_elements(arity, bound)
 
 
 def clone_axiom_check(clone: Clone, pools: dict[int, list],
-                      max_arity: int = 3) -> RoundtripReport:
+                      max_arity: int = 3) -> CheckReport:
     """Projection and substitution laws on the given element pools:
     projections select, substituting projections in order is a no-op,
     and substitution is associative."""
-    report = RoundtripReport()
+    report = CheckReport()
     for n in range(1, max_arity + 1):
         for m in range(1, max_arity + 1):
             for i in range(1, n + 1):
                 for qs in _tuples(pools.get(m, []), n, cap=64):
                     got = clone.ccompose(clone.proj(i, n), list(qs))
-                    report.note("projection-selects",
-                                clone.elements_equal(got, qs[i - 1]),
-                                f"proj({i},{n}) over arity {m}")
+                    report.check("projection-selects",
+                                 clone.elements_equal(got, qs[i - 1]),
+                                 lambda: f"proj({i},{n}) over arity {m}")
     for n in range(1, max_arity + 1):
         for p in pools.get(n, []):
             spread = [clone.proj(i, n) for i in range(1, n + 1)]
-            report.note("identity-substitution",
-                        clone.elements_equal(clone.ccompose(p, spread), p),
-                        f"arity {n}")
+            report.check("identity-substitution",
+                         clone.elements_equal(clone.ccompose(p, spread), p),
+                         lambda: f"arity {n}")
     for n in range(1, min(max_arity, 2) + 1):
         for m in range(1, min(max_arity, 2) + 1):
             for k in range(1, min(max_arity, 2) + 1):
@@ -246,9 +219,9 @@ def clone_axiom_check(clone: Clone, pools: dict[int, list],
                                                  list(rs))
                             two = clone.ccompose(
                                 p, [clone.ccompose(q, list(rs)) for q in qs])
-                            report.note("substitution-associative",
-                                        clone.elements_equal(one, two),
-                                        f"arities {n},{m},{k}")
+                            report.check("substitution-associative",
+                                         clone.elements_equal(one, two),
+                                         lambda: f"arities {n},{m},{k}")
     return report
 
 
@@ -262,18 +235,18 @@ def _tuples(pool: list, n: int, cap: int) -> list[tuple]:
 
 def roundtrip_check(operad: Operad, pools: dict[int, list],
                     max_arity: int = 3,
-                    fn_arity_bound: int = 3) -> RoundtripReport:
+                    fn_arity_bound: int = 3) -> CheckReport:
     """Translate an fp operad to its clone and back, then compare the two
     operad structures elementwise on the given pools: identity, every
     composition instance over the pools with composite arity within the
     bound, and every finite-function action within the arity bound."""
     clone = CloneFromFP(operad)
     back = FPFromClone(clone)
-    report = RoundtripReport()
+    report = CheckReport()
 
-    report.note("identity",
-                operad.elements_equal(back.identity(), operad.identity()),
-                "identity element")
+    report.check("identity",
+                 operad.elements_equal(back.identity(), operad.identity()),
+                 lambda: "identity element")
 
     for n in range(max_arity + 1):
         for p in pools.get(n, []):
@@ -286,10 +259,10 @@ def roundtrip_check(operad: Operad, pools: dict[int, list],
                 for qs in itertools.product(*pool_lists):
                     direct = operad.compose(p, list(qs))
                     routed = back.compose(p, list(qs))
-                    report.note(
+                    report.check(
                         "compose",
                         operad.elements_equal(direct, routed),
-                        f"{operad.format_element(p)} with "
+                        lambda: f"{operad.format_element(p)} with "
                         + ", ".join(operad.format_element(q) for q in qs))
 
     for n in range(max_arity + 1):
@@ -299,32 +272,32 @@ def roundtrip_check(operad: Operad, pools: dict[int, list],
                 for p in pools.get(n, []):
                     direct = operad.act_fn(f, p)
                     routed = back.act_fn(f, p)
-                    report.note(
+                    report.check(
                         "action",
                         operad.elements_equal(direct, routed),
-                        f"{operad.format_element(p)} by {f}")
+                        lambda: f"{operad.format_element(p)} by {f}")
 
     return report
 
 
 def clone_roundtrip_check(clone: Clone, pools: dict[int, list],
-                          max_arity: int = 3) -> RoundtripReport:
+                          max_arity: int = 3) -> CheckReport:
     """Translate a clone to its fp operad and back, then compare
     projections and substitution instances elementwise."""
     back = CloneFromFP(FPFromClone(clone))
-    report = RoundtripReport()
+    report = CheckReport()
     for n in range(1, max_arity + 1):
         for i in range(1, n + 1):
-            report.note("projection",
-                        clone.elements_equal(back.proj(i, n), clone.proj(i, n)),
-                        f"proj({i},{n})")
+            report.check("projection",
+                         clone.elements_equal(back.proj(i, n), clone.proj(i, n)),
+                         lambda: f"proj({i},{n})")
     for n in range(1, max_arity + 1):
         for m in range(1, max_arity + 1):
             for p in pools.get(n, []):
                 for qs in _tuples(pools.get(m, []), n, cap=27):
                     direct = clone.ccompose(p, list(qs))
                     routed = back.ccompose(p, list(qs))
-                    report.note("substitution",
-                                clone.elements_equal(direct, routed),
-                                f"arities {n} over {m}")
+                    report.check("substitution",
+                                 clone.elements_equal(direct, routed),
+                                 lambda: f"arities {n} over {m}")
     return report

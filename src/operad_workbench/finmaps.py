@@ -202,7 +202,12 @@ def parse_fn(text: str) -> FinFunction:
     if not m:
         raise FinMapError(f"cannot parse finite function {text!r}")
     body, cod_text = m.group(1), m.group(2)
-    entries = [int(x) for x in body.split(",") if x.strip()] if body.strip() else []
+    fields = [x.strip() for x in body.split(",")] if body.strip() else []
+    for x in fields:
+        if not x.isdigit():
+            raise FinMapError(f"bad finite function {text!r}: entry {x!r} "
+                              f"is not an integer")
+    entries = [int(x) for x in fields]
     cod = int(cod_text) if cod_text is not None else None
     try:
         return fn(entries, cod)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .finmaps import (FinFunction, block_compose, block_permutation,
@@ -605,7 +605,10 @@ class EndOperad(Operad):
         if not (body.startswith("[") and body.endswith("]")):
             raise OperadError(f"expected a table like [1,2], got {text!r}")
         inner = body[1:-1].strip()
-        values = tuple(int(x) for x in inner.split(",")) if inner else ()
+        try:
+            values = tuple(int(x) for x in inner.split(",")) if inner else ()
+        except ValueError:
+            raise OperadError(f"bad table entry in {text!r}") from None
         return FiniteOp(self.carrier, arity, values)
 
     def format_element(self, p):
@@ -810,16 +813,33 @@ def validate_interpretation(interp: Interpretation,
 
 
 @dataclass
-class AxiomReport:
-    checked: dict[str, int]
-    failures: list[str]
+class CheckReport:
+    """Instances checked per law and the failures found, shared by every
+    exhaustive check of the workbench."""
+
+    checked: dict[str, int] = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    def note(self, label: str, count: int = 1):
+        self.checked[label] = self.checked.get(label, 0) + count
+
+    def fail(self, message: str):
+        self.failures.append(message)
+
+    def check(self, law: str, ok: bool, describe: Callable[[], str]):
+        """Count one instance of the law; a failing one is recorded as
+        `law: description`, and only then is the description rendered."""
+        self.note(law)
+        if not ok:
+            self.fail(f"{law}: {describe()}")
+
     def lines(self) -> list[str]:
-        out = [f"{law}: {count} instances" for law, count in sorted(self.checked.items())]
+        out = [f"ok {label}: {count} instances"
+               for label, count in sorted(self.checked.items())]
         out.extend(f"FAIL {msg}" for msg in self.failures)
         return out
 
@@ -885,9 +905,17 @@ def combing_ok(operad: Operad, f: FinFunction, p, gs: Sequence[FinFunction],
     return operad.elements_equal(left, right)
 
 
+def _heads(pools: Mapping[int, list], ks: Sequence[int]) -> list | None:
+    """The first pooled element of each arity in ks, or None when one of
+    those pools is empty."""
+    if not all(pools.get(k) for k in ks):
+        return None
+    return [pools[k][0] for k in ks]
+
+
 def operad_axiom_check(operad: Operad, max_arity: int = 2,
-                       element_bound: int = 4, size_cap: int = 3,
-                       instance_cap: int = 4000) -> AxiomReport:
+                       element_bound: int = 4,
+                       instance_cap: int = 4000) -> CheckReport:
     """Systematically probe the operad laws on small enumerated elements.
 
     Walks units, associativity, action functoriality, both equivariance
@@ -896,32 +924,28 @@ def operad_axiom_check(operad: Operad, max_arity: int = 2,
     """
     pools = {n: operad.enumerate_elements(n, element_bound)
              for n in range(max_arity + 1)}
-    checked: dict[str, int] = {}
-    failures: list[str] = []
-
-    def note(law: str, ok: bool, describe: Callable[[], str]):
-        checked[law] = checked.get(law, 0) + 1
-        if not ok:
-            failures.append(f"{law}: {describe()}")
+    report = CheckReport()
+    checked = report.checked
 
     for n, pool in pools.items():
         for p in pool:
             if checked.get("unit", 0) >= instance_cap:
                 break
-            note("unit", unit_instance_ok(operad, p),
-                 lambda p=p: operad.format_element(p))
+            report.check("unit", unit_instance_ok(operad, p),
+                         lambda: operad.format_element(p))
 
     for n in range(max_arity + 1):
         for p in pools[n]:
             for ks in itertools.product(range(max_arity + 1), repeat=n):
                 if checked.get("associativity", 0) >= instance_cap:
                     break
-                qs = [pools[k][0] if pools[k] else None for k in ks]
-                if any(q is None for q in qs):
+                qs = _heads(pools, ks)
+                if qs is None:
                     continue
                 rss = [[operad.identity()] * k for k in ks]
-                note("associativity", assoc_instance_ok(operad, p, qs, rss),
-                     lambda p=p: operad.format_element(p))
+                report.check("associativity",
+                             assoc_instance_ok(operad, p, qs, rss),
+                             lambda: operad.format_element(p))
 
     if FLAVOR_RANK[operad.flavor] >= FLAVOR_RANK["symmetric"]:
         for n in range(1, max_arity + 1):
@@ -931,44 +955,36 @@ def operad_axiom_check(operad: Operad, max_arity: int = 2,
                     for t2 in tables:
                         if checked.get("action", 0) >= instance_cap:
                             break
-                        note("action",
-                             act_functorial_ok(operad, perm(t1), perm(t2), p),
-                             lambda p=p: operad.format_element(p))
+                        report.check(
+                            "action",
+                            act_functorial_ok(operad, perm(t1), perm(t2), p),
+                            lambda: operad.format_element(p))
                 for t in tables:
                     for ks in itertools.product(range(max_arity + 1), repeat=n):
                         if checked.get("equivariance-outer", 0) >= instance_cap:
                             break
-                        rs = [pools[k][0] if pools[k] else None for k in ks]
-                        if any(r is None for r in rs):
+                        rs = _heads(pools, ks)
+                        if rs is None:
                             continue
-                        note("equivariance-outer",
-                             equivariance_outer_ok(operad, perm(t), p, rs),
-                             lambda p=p, t=t: f"{operad.format_element(p)} by {t}")
+                        report.check(
+                            "equivariance-outer",
+                            equivariance_outer_ok(operad, perm(t), p, rs),
+                            lambda: f"{operad.format_element(p)} by {t}")
 
-    if operad.flavor == "fp":
         for n in range(1, max_arity + 1):
             for p in pools[n]:
                 for ks in itertools.product(range(1, max_arity + 1), repeat=n):
-                    rs = [pools[k][0] if pools[k] else None for k in ks]
-                    if any(r is None for r in rs):
+                    rs = _heads(pools, ks)
+                    if rs is None:
                         continue
-                    gs = [make_fn(tuple(1 for _ in range(k)), 1) for k in ks]
+                    if operad.flavor == "fp":
+                        gs = [make_fn((1,) * k, 1) for k in ks]
+                    else:
+                        gs = [perm(tuple(range(k, 0, -1))) for k in ks]
                     if checked.get("equivariance-inner", 0) < instance_cap:
-                        note("equivariance-inner",
-                             equivariance_inner_ok(operad, p, gs, rs),
-                             lambda p=p: operad.format_element(p))
-    elif FLAVOR_RANK[operad.flavor] >= FLAVOR_RANK["symmetric"]:
-        for n in range(1, max_arity + 1):
-            for p in pools[n]:
-                for ks in itertools.product(range(1, max_arity + 1), repeat=n):
-                    rs = [pools[k][0] if pools[k] else None for k in ks]
-                    if any(r is None for r in rs):
-                        continue
-                    gs = [perm(tuple(range(k, 0, -1))) for k in ks]
-                    if checked.get("equivariance-inner", 0) < instance_cap:
-                        note("equivariance-inner",
-                             equivariance_inner_ok(operad, p, gs, rs),
-                             lambda p=p: operad.format_element(p))
+                        report.check("equivariance-inner",
+                                     equivariance_inner_ok(operad, p, gs, rs),
+                                     lambda: operad.format_element(p))
 
     if operad.flavor == "fp":
         fns = [make_fn(table, c)
@@ -981,18 +997,16 @@ def operad_axiom_check(operad: Operad, max_arity: int = 2,
                 for gs_tables in itertools.product(inner_shapes, repeat=f.cod):
                     if checked.get("combined-substitution", 0) >= instance_cap:
                         break
-                    gs = [make_fn(t, 1) for t in gs_tables]
-                    qs = []
-                    for t in gs_tables:
-                        pool = pools.get(len(t), [])
-                        qs.append(pool[0] if pool else None)
-                    if any(q is None for q in qs):
+                    qs = _heads(pools, [len(t) for t in gs_tables])
+                    if qs is None:
                         continue
-                    note("combined-substitution",
-                         combing_ok(operad, f, p, gs, qs),
-                         lambda p=p, f=f: f"{operad.format_element(p)} by {format_fn(f)}")
+                    gs = [make_fn(t, 1) for t in gs_tables]
+                    report.check(
+                        "combined-substitution",
+                        combing_ok(operad, f, p, gs, qs),
+                        lambda: f"{operad.format_element(p)} by {format_fn(f)}")
 
-    return AxiomReport(checked, failures)
+    return report
 
 
 BUILTIN_OPERADS: dict[str, Callable[[], Operad]] = {

@@ -29,9 +29,9 @@ from typing import Sequence
 from .terms import App, Term, Var, format_term
 from .trees import (Leaf, Node, PermutedTree, compose_permuted, format_tree,
                     format_permuted_tree, graft, tree_arity, tree_size)
+from .operads import CheckReport
 from .weakcat import (Arrow, FiniteCategory, Functor, WeakPCategoryData,
-                      WeakPFunctorData, WeakcatError, WeakcatReport,
-                      check_weak_functor)
+                      WeakPFunctorData, WeakcatError, check_weak_functor)
 
 
 class StrictifyError(ValueError):
@@ -320,10 +320,6 @@ class StrictPCategory:
                 for b, aid in cell.items()}
         return self._fc, self._fc_obj_ids, self._fc_arrow_ids
 
-    def object_id(self, x: StObject) -> str:
-        self.as_finite_category()
-        return self._fc_obj_ids[x.key()]
-
     def arrow_id(self, f: StArrow) -> str:
         self.as_finite_category()
         return self._fc_arrow_ids[(f.src.key(), f.dst.key(), f.base)]
@@ -351,11 +347,11 @@ def _element_tuples(S: StrictPCategory, k: int,
 
 
 def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
-                     instance_cap: int = 4000) -> WeakcatReport:
+                     instance_cap: int = 4000) -> CheckReport:
     """The strict action laws on enumerated instances: the identity
     element acts as the identity, and acting by a composite element
     equals acting in stages, on objects and on arrow tuples."""
-    report = WeakcatReport()
+    report = CheckReport()
     unit = S.operad.identity()
     arrows = S.sample_arrows(arrow_cap * 4)
     pool = arrows[:arrow_cap]
@@ -449,7 +445,7 @@ def _comparison_psi(S: StrictPCategory, term: Term,
 
 def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
                       arrow_cap: int = 4,
-                      instance_cap: int = 2000) -> WeakcatReport:
+                      instance_cap: int = 2000) -> CheckReport:
     """The comparison to the base: hom-sets transported bijectively,
     every base object hit exactly by the identity-element pair, and the
     construction's deltas satisfying the weak map laws (endpoints,
@@ -458,7 +454,7 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
         raise StrictifyError("the comparison check needs the input the "
                              "strict category was built from")
     _require_plain(S, "the comparison check")
-    report = WeakcatReport()
+    report = CheckReport()
     base = W.base
     for x in S.objects:
         for y in S.objects:
@@ -536,14 +532,14 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
 def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
                              G: WeakPFunctorData, arity_bound: int = 3,
                              element_bound: int = 20,
-                             arrow_cap: int = 6) -> WeakcatReport:
+                             arrow_cap: int = 6) -> CheckReport:
     """Builds the strict map H out of the strict category induced by a
     weak map G into a strict target, checks that H is a strict functor
     restricting to G, and certifies uniqueness: every arrow image of a
     strict map restricting to G is forced by closure from the
     restriction data. A G that check_weak_functor fails is refused, as
     is a target that is not strict."""
-    report = WeakcatReport()
+    report = CheckReport()
     if not B.is_strict():
         raise StrictifyError("the target of the induced map must be strict")
     if G.source is not W or G.target is not B:
@@ -612,7 +608,7 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
 
 
 def _induced_map(S: StrictPCategory, B: WeakPCategoryData,
-                 G: WeakPFunctorData, report: WeakcatReport) -> Functor | None:
+                 G: WeakPFunctorData, report: CheckReport) -> Functor | None:
     """The functor H out of the strict category induced by G: each
     object goes to the target action at G's operand images, each arrow
     to its G image conjugated by the coherence images gamma of its
@@ -672,7 +668,7 @@ def _embedding_cell(S: StrictPCategory, op: str,
 
 def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
                 B: WeakPCategoryData, G: WeakPFunctorData, H: Functor,
-                report: WeakcatReport) -> tuple[dict[str, str], list[str]]:
+                report: CheckReport) -> tuple[dict[str, str], list[str]]:
     """Forced-value propagation. Any strict map restricting to G agrees
     with the pins: identities and the restriction data are forced
     directly; the embedding of each object into its identity pair is

@@ -267,14 +267,20 @@ def format_equation(eq: Equation) -> str:
     return f"@{eq.arity}: {format_term(eq.lhs)} = {format_term(eq.rhs)}"
 
 
-class _TermParser:
+class _Scanner:
+    """Cursor over one line of input shared by the term and tree parsers;
+    errors name the column and come out as the subclass's error_class."""
+
+    error_class: type[ValueError] = TermError
+
     def __init__(self, text: str, signature: Signature | None):
         self.text = text
         self.pos = 0
         self.signature = signature
 
-    def error(self, message: str) -> TermError:
-        return TermError(f"{message} at column {self.pos + 1} in {self.text!r}")
+    def error(self, message: str) -> ValueError:
+        return self.error_class(
+            f"{message} at column {self.pos + 1} in {self.text!r}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -288,6 +294,14 @@ class _TermParser:
         if self.peek() != ch:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
+
+    def finish(self):
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("trailing input")
+
+
+class _TermParser(_Scanner):
 
     def name(self) -> str:
         self.skip_ws()
@@ -322,11 +336,6 @@ class _TermParser:
                 raise self.error(
                     f"operation {name!r} expects {declared} arguments, got {len(args)}")
         return t
-
-    def finish(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
 
 
 def parse_term(text: str, signature: Signature | None = None) -> Term:

@@ -22,7 +22,8 @@ from typing import Sequence
 from .finmaps import (FinFunction, FinMapError, comb_compose, compose,
                       format_fn, format_perm, identity, parse_fn, perm,
                       perm_identity, select)
-from .terms import App, Signature, Term, Var, _compositions, label_fn
+from .terms import (App, Signature, Term, Var, _NAME_RE, _Scanner,
+                    _compositions, label_fn)
 
 
 class TreeError(ValueError):
@@ -261,28 +262,15 @@ def format_fp_tree(ft: FPTree) -> str:
 _PREFIX_RE = re.compile(r"^\s*(\[[^\]]*\])\s*(.*)$", re.DOTALL)
 
 
-class _TreeParser:
-    def __init__(self, text: str, signature: Signature | None):
-        self.text = text
-        self.pos = 0
-        self.signature = signature
-
-    def error(self, message: str) -> TreeError:
-        return TreeError(f"{message} at column {self.pos + 1} in {self.text!r}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+class _TreeParser(_Scanner):
+    error_class = TreeError
 
     def tree(self) -> Tree:
         self.skip_ws()
         if self.peek() == "|":
             self.pos += 1
             return LEAF
-        m = re.compile(r"[A-Za-z_][A-Za-z0-9_]*").match(self.text, self.pos)
+        m = _NAME_RE.match(self.text, self.pos)
         if not m:
             raise self.error("expected '|' or an operation name")
         name = m.group(0)
@@ -297,9 +285,7 @@ class _TreeParser:
                 self.pos += 1
                 parsed.append(self.tree())
                 self.skip_ws()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
+            self.expect(")")
             children = tuple(parsed)
         node = Node(name, children)
         if self.signature is not None:
@@ -311,11 +297,6 @@ class _TreeParser:
                     f"operation {name!r} expects {declared} children, "
                     f"got {len(children)}")
         return node
-
-    def finish(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
 
 
 def parse_tree(text: str, signature: Signature | None = None) -> Tree:
@@ -377,8 +358,12 @@ def enumerate_trees(signature: Signature, arity: int, max_size: int) -> list[Tre
             for op, k in signature.ops:
                 if k == 0:
                     continue
+                # the ways to share the leaves among the k children, zeros
+                # allowed: compositions of leaves + k, each part less one
+                splits = [tuple(c - 1 for c in shifted)
+                          for shifted in _compositions(leaves + k, k)]
                 for sizes in _compositions(size - 1, k):
-                    for split in _weak_compositions(leaves, k):
+                    for split in splits:
                         pools = [of(s, l) for s, l in zip(sizes, split)]
                         if any(not pool for pool in pools):
                             continue
@@ -414,14 +399,3 @@ def enumerate_fp_trees(signature: Signature, arity: int, max_size: int,
             out.extend(FPTree(f, t) for t in trees)
     return sorted(out, key=lambda ft: (tree_size(ft.tree), format_fp_tree(ft)))
 
-
-def _weak_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(0, total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out

@@ -17,11 +17,11 @@ The data also round trips through a JSON form; see save_weakcat.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
 from typing import Mapping, Sequence
 
-from .operads import Interpretation, Operad, builtin_operad
+from .operads import CheckReport, Interpretation, Operad, builtin_operad
 from .terms import (App, Equation, Presentation, RewriteStep, Term, Var,
                     format_term, parse_presentation, format_presentation,
                     support)
@@ -287,28 +287,6 @@ class Functor:
                    {a: a for a in base.arrows}, name="id")
 
 
-@dataclass
-class WeakcatReport:
-    checked: dict[str, int] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def note(self, label: str, count: int = 1):
-        self.checked[label] = self.checked.get(label, 0) + count
-
-    def fail(self, message: str):
-        self.failures.append(message)
-
-    def lines(self) -> list[str]:
-        out = [f"ok {label}: {count} instances"
-               for label, count in sorted(self.checked.items())]
-        out.extend(f"FAIL {msg}" for msg in self.failures)
-        return out
-
-
 def cell_key(eq: Equation) -> str:
     return (f"{_side_text(eq.lhs, eq.arity)}="
             f"{_side_text(eq.rhs, eq.arity)}@{eq.arity}")
@@ -509,23 +487,13 @@ class WeakPCategoryData:
         return inverse
 
 
-def derive_h(W: WeakPCategoryData, t: Term | WeakObject,
-             operands: Sequence[str]) -> str:
-    return W.h_obj(t, operands)
-
-
-def derive_delta(W: WeakPCategoryData, t1: Term | WeakObject,
-                 t2: Term | WeakObject, operands: Sequence[str]) -> str | None:
-    return W.derive_delta(t1, t2, operands)
-
-
 def coherence_check(W: WeakPCategoryData, max_arity: int = 3,
                     max_size: int | None = None, path_limit: int = 3,
-                    operand_cap: int = 27, pair_cap: int = 40) -> WeakcatReport:
+                    operand_cap: int = 27, pair_cap: int = 40) -> CheckReport:
     """Path independence of compiled 2-cells: wherever the merge graph
     offers several distinct rewrite paths between two trees, all of them
     must compile to the same base arrow at every probed operand tuple."""
-    report = WeakcatReport()
+    report = CheckReport()
     max_size = W.max_term_size if max_size is None else max_size
     W.context.saturation(max_arity)
     for arity in range(0, max_arity + 1):
@@ -590,11 +558,11 @@ class WeakPFunctorData:
         return self.target.base.compose(second, first)
 
 
-def check_weak_functor(Fd: WeakPFunctorData, samples_cap: int = 200) -> WeakcatReport:
+def check_weak_functor(Fd: WeakPFunctorData, samples_cap: int = 200) -> CheckReport:
     """The coherence family must be invertible, natural, reduce to the
     identity on the unit tree, and intertwine every compiled 2-cell of
     the source with the matching one of the target."""
-    report = WeakcatReport()
+    report = CheckReport()
     W1, W2, G = Fd.source, Fd.target, Fd.functor
     sig = W1.presentation.signature
     for op, arity in sig.ops:

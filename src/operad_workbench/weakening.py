@@ -212,15 +212,6 @@ class WeakeningContext:
         return tree_size(t.tree if isinstance(t, PermutedTree) else t)
 
 
-def two_cell(ctx: WeakeningContext, t1: WeakObject, t2: WeakObject) -> Decision:
-    return ctx.two_cell(t1, t2)
-
-
-def enumerate_classes(ctx: WeakeningContext, arity: int,
-                      max_size: int) -> list[WeakClass]:
-    return ctx.enumerate_classes(arity, max_size)
-
-
 @dataclass
 class AgreementReport:
     arities: dict[int, tuple[list[str], list[str]]]

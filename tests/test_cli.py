@@ -180,11 +180,50 @@ def test_strictify_bundled_example(capsys):
     assert payload["comparison"]["failures"] == []
 
 
+def test_strictify_text_output(capsys):
+    code, out, err = run(capsys, "strictify", WEAKCAT)
+    assert code == 0 and err == ""
+    assert out == """\
+objects: 40
+strictness:
+  ok associativity: 930 instances
+  ok associativity instances out of bounds: 2710 instances
+  ok unit law: 72 instances
+comparison:
+  ok comparison cell endpoints: 89 instances
+  ok comparison cell naturality: 16 instances
+  ok comparison pasting: 110 instances
+  ok essential surjectivity: 3 instances
+  ok hom bijection: 1600 instances
+PASS
+"""
+
+
+def test_strictify_bad_end_table_exits_3(capsys, tmp_path):
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    data["target"] = "end-2"
+    data["interp"] = {"m": "2:[1,x,2,1]", "e": "0:[1]"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "strictify", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: bad table entry in '2:[1,x,2,1]'\n"
+
+
 def test_perm_block_compose(capsys):
     code, out, _ = run(capsys, "perm", "block-compose",
                        "[2,1]", "[1,3,2]", "[2,1]")
     assert code == 0
     assert out.strip() == "[3,5,4,2,1]"
+
+
+def test_perm_rejects_a_spaced_entry(capsys):
+    code, out, err = run(capsys, "perm", "block-compose",
+                         "[2,1]", "[1,3,2]", "[2 1]")
+    assert code == 3 and out == ""
+    assert err == ("error: bad finite function '[2 1]': entry '2 1' "
+                   "is not an integer\n")
 
 
 def test_perm_wrong_inner_count(capsys):

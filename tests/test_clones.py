@@ -105,8 +105,8 @@ def test_clone_axiom_suites():
 def test_roundtrip_comm_monoid():
     report = roundtrip_check(COMM, vector_pools())
     assert report.ok, report.lines()
-    assert report.checked["compose"] > 0
-    assert report.checked["action"] > 0
+    assert report.checked == {"action": 1120, "compose": 10417,
+                              "identity": 1}
 
 
 def test_roundtrip_end_operad():
@@ -117,6 +117,7 @@ def test_roundtrip_end_operad():
 def test_clone_roundtrip_end_clone():
     report = clone_roundtrip_check(EndClone(3), end_pools(3))
     assert report.ok, report.lines()
+    assert report.checked == {"projection": 6, "substitution": 90}
 
 
 def test_fp_from_clone_is_an_operad():
@@ -150,3 +151,26 @@ def test_roundtrip_detects_broken_clone():
     pools = {n: EndClone(2).enumerate_elements(n, 4) for n in range(3)}
     report = clone_roundtrip_check(Skewed(), pools)
     assert not report.ok
+    assert report.lines()[:3] == ["ok projection: 6 instances",
+                                  "ok substitution: 160 instances",
+                                  "FAIL substitution: arities 1 over 2"]
+    assert len(report.failures) == 32
+
+
+def test_roundtrip_detects_broken_operad():
+    class Skewed(CommMonoidFPOperad):
+        """Composition forgets to scale by a multiplicity of 2."""
+
+        def compose(self, p, qs):
+            self._check_compose(p, qs)
+            return tuple(x * (1 if scale == 2 else scale)
+                         for scale, q in zip(p, qs) for x in q)
+
+    report = roundtrip_check(Skewed(), vector_pools(), max_arity=2)
+    assert report.checked == {"action": 148, "compose": 346, "identity": 1}
+    assert len(report.failures) == 192
+    assert report.failures[:3] == ["compose: [1] with [2]",
+                                   "compose: [1] with [0,2]",
+                                   "compose: [1] with [1,2]"]
+    assert report.failures[-2:] == ["action: [2,1] by [3,3]",
+                                    "action: [2,2] by [3,3]"]

@@ -105,8 +105,9 @@ def test_parse_format_roundtrips():
     assert parse_fn("[1,2]") == identity(2)
     with pytest.raises(FinMapError):
         parse_perm("[2,2]")
-    with pytest.raises(FinMapError):
-        parse_fn("nope")
+    for bad in ("nope", "[2 1]", "[1,,2]", "[1,2,]"):
+        with pytest.raises(FinMapError):
+            parse_fn(bad)
 
 
 def test_direct_sum():

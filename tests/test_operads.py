@@ -9,9 +9,10 @@ from conftest import comm_monoid_fp_context, random_poly
 
 from operad_workbench.finmaps import (compose, fn, identity, inverse, perm,
                                       perm_identity)
-from operad_workbench.operads import (CommMonoidFPOperad, EndOperad,
-                                      FiniteOp, FreeOperad, Interpretation,
-                                      IntPolyFPOperad, OperadError,
+from operad_workbench.operads import (CheckReport, CommMonoidFPOperad,
+                                      EndOperad, FiniteOp, FreeOperad,
+                                      Interpretation, IntPolyFPOperad,
+                                      OperadError,
                                       SymmetryOperad, TerminalPlainOperad,
                                       TerminalSymmetricOperad,
                                       builtin_operad, default_assignment,
@@ -27,14 +28,49 @@ from oracles import (EndTable, end_act, end_compose,
 SIG = Signature.of({"m": 2, "e": 0})
 
 
-@pytest.mark.parametrize("name", [
-    "terminal-plain", "terminal-symmetric", "initial", "symmetries",
-    "comm-monoid-fp", "int-poly-fp", "end-2",
-])
+# instances checked per law at the default bounds
+_FP_LAWS = {"action": 20, "associativity": 50, "combined-substitution": 112,
+            "equivariance-inner": 24, "equivariance-outer": 84, "unit": 10}
+AXIOM_COUNTS = {
+    "terminal-plain": {"associativity": 13, "unit": 3},
+    "terminal-symmetric": {"action": 5, "associativity": 13,
+                           "equivariance-inner": 6, "equivariance-outer": 21,
+                           "unit": 3},
+    "initial": {"action": 1, "associativity": 1, "equivariance-inner": 1,
+                "equivariance-outer": 1, "unit": 1},
+    "symmetries": {"action": 9, "associativity": 22, "equivariance-inner": 10,
+                   "equivariance-outer": 39, "unit": 4},
+    "comm-monoid-fp": {**_FP_LAWS, "associativity": 49, "unit": 9},
+    "int-poly-fp": _FP_LAWS,
+    "end-2": _FP_LAWS,
+}
+
+
+@pytest.mark.parametrize("name", list(AXIOM_COUNTS))
 def test_builtin_axiom_suites(name):
     report = operad_axiom_check(builtin_operad(name))
     assert report.ok, report.lines()
-    assert report.checked
+    assert report.checked == AXIOM_COUNTS[name]
+
+
+def test_check_report_renders_descriptions_only_on_failure():
+    report = CheckReport()
+    report.check("unit", True, lambda: 1 / 0)
+    report.check("unit", False, lambda: "2:[1,2,2,1]")
+    report.note("unit", 2)
+    report.fail("by hand")
+    assert report.checked == {"unit": 4} and not report.ok
+    assert report.lines() == ["ok unit: 4 instances",
+                              "FAIL unit: 2:[1,2,2,1]", "FAIL by hand"]
+    assert CheckReport().ok and CheckReport().lines() == []
+
+
+@pytest.mark.parametrize("name", [*AXIOM_COUNTS, "free"])
+@pytest.mark.parametrize("junk", ["2:[1,x]", "1:[1,,2]", "2:[1 2]",
+                                  "2:[1,x,2,1]"])
+def test_parse_element_raises_only_operad_error(name, junk, monoid):
+    with pytest.raises(OperadError):
+        builtin_operad(name, monoid).parse_element(junk)
 
 
 @pytest.mark.parametrize("flavor", ["plain", "symmetric", "fp"])

@@ -9,12 +9,13 @@ from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       identity_weak_functor, skewed_group_instance,
                       terminal_weakcat, zmod)
 
+from operad_workbench.operads import CheckReport
 from operad_workbench.terms import parse_term
 from operad_workbench.trees import tree_arity
 from operad_workbench.weakcat import (FiniteCategory, Functor,
                                       WeakPCategoryData, WeakPFunctorData,
-                                      WeakcatReport, check_weak_functor,
-                                      coherence_check, key_of, load_weakcat)
+                                      check_weak_functor, coherence_check,
+                                      key_of, load_weakcat)
 from operad_workbench.strictify import (StrictifyError, StrictPCategory,
                                         _element_tuples, _induced_map,
                                         _uniqueness, check_equivalence,
@@ -364,14 +365,14 @@ def test_uniqueness_closure_matches_reference(label, z3_instance, monoid,
     W = z3_instance
     G = _maps(W, monoid)[label]
     S = strictify(W)
-    H = _induced_map(S, G.target, G, WeakcatReport())
+    H = _induced_map(S, G.target, G, CheckReport())
     assert H is not None
-    report = WeakcatReport()
+    report = CheckReport()
     pinned, conflicts = _uniqueness(S, W, G.target, G, H, report)
     with monkeypatch.context() as patch:
         patch.setattr(strictify_module, "_close_pins",
                       _reference_close_pins)
-        want = WeakcatReport()
+        want = CheckReport()
         want_pinned, want_conflicts = _uniqueness(S, W, G.target, G, H,
                                                   want)
     assert pinned == want_pinned and list(pinned) == list(want_pinned)

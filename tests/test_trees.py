@@ -51,6 +51,10 @@ def test_parse_format_roundtrip():
     assert parse_fp_tree(format_fp_tree(ft), SIG) == ft
     with pytest.raises(TreeError):
         parse_tree("m(|)", SIG)
+    for parse in (parse_permuted_tree, parse_fp_tree):
+        for bad in ("[2 1] m(|,|)", "[1,,2] m(|,|)"):
+            with pytest.raises(TreeError):
+                parse(bad, SIG)
 
 
 def all_trees(max_size=4, arities=(0, 1, 2)):

@@ -13,7 +13,7 @@ from operad_workbench.trees import parse_tree
 from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
                                       WeakPCategoryData, WeakcatError,
                                       cell_key, check_weak_functor,
-                                      coherence_check, derive_delta, derive_h,
+                                      coherence_check,
                                       indiscrete_monoid_instance, key_of,
                                       load_weakcat, save_weakcat, unkey)
 
@@ -215,20 +215,20 @@ def test_h_action_uses_absolute_variable_indexing(z3_instance):
     assert W.h_obj(parse_tree("m(|,|)", W.presentation.signature),
                    ("2", "2")) == "1"
     assert W.h_arr(parse_term("m(x1,x2)"), ("0>1", "2>2")) == "2>0"
-    assert derive_h(W, parse_term("e"), ()) == "0"
+    assert W.h_obj(parse_term("e"), ()) == "0"
 
 
 def test_derive_delta_compiles_identities_on_strict_data(z3_instance):
     W = z3_instance
-    assoc = derive_delta(W, parse_term("m(m(x1,x2),x3)"),
-                         parse_term("m(x1,m(x2,x3))"), ("1", "2", "2"))
+    assoc = W.derive_delta(parse_term("m(m(x1,x2),x3)"),
+                           parse_term("m(x1,m(x2,x3))"), ("1", "2", "2"))
     assert W.base.is_identity(assoc)
-    unit = derive_delta(W, parse_term("m(e,x1)"), parse_term("x1"), ("2",))
+    unit = W.derive_delta(parse_term("m(e,x1)"), parse_term("x1"), ("2",))
     assert unit == "2>2"
-    padded = derive_delta(W, parse_term("m(e,m(x1,e))"),
-                          parse_term("x1"), ("1",))
+    padded = W.derive_delta(parse_term("m(e,m(x1,e))"),
+                            parse_term("x1"), ("1",))
     assert W.base.is_identity(padded)
-    assert derive_delta(W, parse_term("x1"), parse_term("x1"), ("2",)) \
+    assert W.derive_delta(parse_term("x1"), parse_term("x1"), ("2",)) \
         == "2>2"
 
 

@@ -13,8 +13,7 @@ from operad_workbench.trees import (PermutedTree, graft, parse_permuted_tree,
 from operad_workbench.weakening import (FP_REJECTION, WeakeningContext,
                                         WeakeningError,
                                         WeakeningFlavorError,
-                                        biased_unbiased_agreement,
-                                        enumerate_classes, two_cell)
+                                        biased_unbiased_agreement)
 
 
 def plain_terminal_context(presentation, **kwargs) -> WeakeningContext:
@@ -168,8 +167,8 @@ def test_agreement_needs_matching_targets(monoid, comm_monoid):
         biased_unbiased_agreement(ctx_a, ctx_b, (1,), 4)
 
 
-def test_module_level_wrappers(pointed):
+def test_two_cell_and_classes_on_pointed(pointed):
     ctx = plain_terminal_context(pointed)
     c = parse_tree("c", pointed.signature)
-    assert two_cell(ctx, c, c).yes
-    assert len(enumerate_classes(ctx, 0, 4)) == 1
+    assert ctx.two_cell(c, c).yes
+    assert len(ctx.enumerate_classes(0, 4)) == 1
