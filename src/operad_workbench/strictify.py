@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Sequence
 
+from .operads import CheckReport
 from .terms import App, Term, Var, format_term
 from .trees import (Leaf, Node, PermutedTree, compose_permuted, format_tree,
                     format_permuted_tree, graft, tree_arity, tree_size)
-from .operads import CheckReport
 from .weakcat import (Arrow, FiniteCategory, Functor, WeakPCategoryData,
                       WeakPFunctorData, WeakcatError, check_weak_functor)
 

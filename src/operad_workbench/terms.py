@@ -271,7 +271,7 @@ class _Scanner:
     """Cursor over one line of input shared by the term and tree parsers;
     errors name the column and come out as the subclass's error_class."""
 
-    error_class: type[ValueError] = TermError
+    error_class: type[ValueError]
 
     def __init__(self, text: str, signature: Signature | None):
         self.text = text
@@ -302,6 +302,7 @@ class _Scanner:
 
 
 class _TermParser(_Scanner):
+    error_class = TermError
 
     def name(self) -> str:
         self.skip_ws()

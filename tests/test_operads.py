@@ -12,8 +12,8 @@ from operad_workbench.finmaps import (compose, fn, identity, inverse, perm,
 from operad_workbench.operads import (CheckReport, CommMonoidFPOperad,
                                       EndOperad, FiniteOp, FreeOperad,
                                       Interpretation, IntPolyFPOperad,
-                                      OperadError,
-                                      SymmetryOperad, TerminalPlainOperad,
+                                      OperadError, SymmetryOperad,
+                                      TerminalPlainOperad,
                                       TerminalSymmetricOperad,
                                       builtin_operad, default_assignment,
                                       eval_tree, format_poly,
