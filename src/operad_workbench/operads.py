@@ -27,12 +27,10 @@ from .finmaps import (FinFunction, block_compose, block_permutation,
                       format_fn, format_perm, identity, inverse, parse_perm,
                       perm, perm_identity, select)
 from .terms import (FLAVOR_RANK, Equation, Presentation, Signature, Term,
-                    format_term)
-from .trees import (FPTree, LEAF, Leaf, Node, PermutedTree,
-                    act_fn_tree, act_perm_tree, compose_fp, compose_permuted,
-                    enumerate_fp_trees, enumerate_permuted_trees,
-                    enumerate_trees, format_fp_tree, format_permuted_tree,
-                    format_tree, graft, leaf_fp, leaf_permuted,
+                    _compositions, format_term)
+from .trees import (FPTree, LEAF, Leaf, Node, PermutedTree, act_fn_tree,
+                    compose_fp, enumerate_fp_trees, enumerate_permuted_trees,
+                    enumerate_trees, format_fp_tree, format_tree, graft,
                     parse_fp_tree, parse_permuted_tree, parse_tree, to_tree,
                     tree_arity)
 
@@ -253,7 +251,7 @@ class CommMonoidFPOperad(Operad):
         out = []
         total = 0
         while len(out) < bound:
-            batch = _vectors_of_sum(total, arity)
+            batch = _compositions(total, arity, least=0)
             if not batch and total > 0 and arity == 0:
                 break
             for v in batch:
@@ -280,18 +278,6 @@ class CommMonoidFPOperad(Operad):
 
     def format_element(self, p):
         return "[" + ",".join(str(x) for x in p) + "]"
-
-
-def _vectors_of_sum(total: int, arity: int) -> list[tuple[int, ...]]:
-    if arity == 0:
-        return [()] if total == 0 else []
-    if arity == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _vectors_of_sum(total - first, arity - 1):
-            out.append((first,) + rest)
-    return out
 
 
 @dataclass(frozen=True)
@@ -411,7 +397,7 @@ class IntPolyFPOperad(Operad):
         out = [poly_const(arity, 0), poly_const(arity, 1)]
         degree = 1
         while len(out) < bound and degree <= bound:
-            for exps in sorted(_exponents_of_degree(degree, arity)):
+            for exps in _compositions(degree, arity, least=0):
                 if len(out) >= bound:
                     break
                 out.append(_poly_norm(arity, {exps: 1}))
@@ -423,12 +409,6 @@ class IntPolyFPOperad(Operad):
 
     def format_element(self, p):
         return format_poly(p)
-
-
-def _exponents_of_degree(degree: int, arity: int) -> list[tuple[int, ...]]:
-    if arity == 0:
-        return [()] if degree == 0 else []
-    return [tuple(v) for v in _vectors_of_sum(degree, arity)]
 
 
 _POLY_TERM_RE = re.compile(
@@ -615,6 +595,19 @@ class EndOperad(Operad):
         return f"{p.arity}:[" + ",".join(str(v) for v in p.table) + "]"
 
 
+# per flavor of free operad: the element made of an identity function
+# and a plain tree (plain elements are the bare tree), then composition,
+# printing, enumeration and parsing of elements
+_FREE_FLAVORS = {
+    "plain": (lambda f, t: t, graft, format_tree, enumerate_trees,
+              parse_tree),
+    "symmetric": (PermutedTree, compose_fp, format_fp_tree,
+                  enumerate_permuted_trees, parse_permuted_tree),
+    "fp": (FPTree, compose_fp, format_fp_tree, enumerate_fp_trees,
+           parse_fp_tree),
+}
+
+
 class FreeOperad(Operad):
     """Labelled trees over a signature, composed by grafting.
 
@@ -631,22 +624,15 @@ class FreeOperad(Operad):
         self.signature = signature
         self.flavor = flavor
         self.name = f"free-{flavor}"
+        (self._pair, self._compose, self._format, self._enumerate_at,
+         self._parse) = _FREE_FLAVORS[flavor]
 
     def identity(self):
-        if self.flavor == "plain":
-            return LEAF
-        if self.flavor == "symmetric":
-            return leaf_permuted()
-        return leaf_fp()
+        return self._pair(identity(1), LEAF)
 
     def generator(self, op: str):
         k = self.signature.arity(op)
-        node = Node(op, (LEAF,) * k)
-        if self.flavor == "plain":
-            return node
-        if self.flavor == "symmetric":
-            return PermutedTree(perm_identity(k), node)
-        return FPTree(identity(k), node)
+        return self._pair(identity(k), Node(op, (LEAF,) * k))
 
     def arity_of(self, p) -> int:
         if self.flavor == "plain":
@@ -655,51 +641,32 @@ class FreeOperad(Operad):
 
     def compose(self, p, qs):
         self._check_compose(p, qs)
-        if self.flavor == "plain":
-            return graft(p, qs)
-        if self.flavor == "symmetric":
-            return compose_permuted(p, qs)
-        return compose_fp(p, qs)
+        return self._compose(p, qs)
 
     def act_fn(self, f, p):
+        if self.flavor == "plain":
+            return super().act_fn(f, p)
         self._check_act(f, p)
-        if self.flavor == "symmetric":
-            if not f.is_bijection:
-                raise OperadError(f"{self.name} only acts by permutations")
-            return act_perm_tree(f, p)
+        if self.flavor == "symmetric" and not f.is_bijection:
+            raise OperadError(f"{self.name} only acts by permutations")
         return act_fn_tree(f, p)
 
     def enumerate_elements(self, arity, bound):
         max_size = 1
         out: list = []
         while len(out) < bound and max_size <= 2 * bound + 2:
-            out = self._enumerate(arity, max_size)
+            out = self._enumerate_at(self.signature, arity, max_size)
             max_size += 1
         return out[:bound]
 
-    def _enumerate(self, arity, max_size):
-        if self.flavor == "plain":
-            return enumerate_trees(self.signature, arity, max_size)
-        if self.flavor == "symmetric":
-            return enumerate_permuted_trees(self.signature, arity, max_size)
-        return enumerate_fp_trees(self.signature, arity, max_size)
-
     def parse_element(self, text):
         try:
-            if self.flavor == "plain":
-                return parse_tree(text, self.signature)
-            if self.flavor == "symmetric":
-                return parse_permuted_tree(text, self.signature)
-            return parse_fp_tree(text, self.signature)
+            return self._parse(text, self.signature)
         except Exception as exc:
             raise OperadError(str(exc)) from exc
 
     def format_element(self, p):
-        if self.flavor == "plain":
-            return format_tree(p)
-        if self.flavor == "symmetric":
-            return format_permuted_tree(p)
-        return format_fp_tree(p)
+        return self._format(p)
 
 
 def eval_tree(tree, assignment: Mapping[str, object], operad: Operad):
@@ -707,7 +674,7 @@ def eval_tree(tree, assignment: Mapping[str, object], operad: Operad):
     assignment. Permuted and relabelled pairs evaluate their plain tree
     and then apply the action."""
     if isinstance(tree, PermutedTree):
-        return operad.act_perm(tree.perm, eval_tree(tree.tree, assignment, operad))
+        return operad.act_perm(tree.fn, eval_tree(tree.tree, assignment, operad))
     if isinstance(tree, FPTree):
         return operad.act_fn(tree.fn, eval_tree(tree.tree, assignment, operad))
     if isinstance(tree, Leaf):
@@ -862,8 +829,7 @@ def act_functorial_ok(operad: Operad, g: FinFunction, f: FinFunction, p) -> bool
     stepwise = operad.act_fn(g, operad.act_fn(f, p))
     joined = operad.act_fn(compose(g, f), p)
     identity_ok = operad.elements_equal(
-        operad.act_fn(identity(operad.arity_of(p)) if operad.flavor == "fp"
-                      else perm_identity(operad.arity_of(p)), p), p)
+        operad.act_fn(identity(operad.arity_of(p)), p), p)
     return identity_ok and operad.elements_equal(stepwise, joined)
 
 
@@ -883,13 +849,8 @@ def equivariance_inner_ok(operad: Operad, p, gs: Sequence[FinFunction],
                           rs: Sequence) -> bool:
     """Acting on each argument equals composing first and acting by the
     direct sum."""
-    acted = [operad.act_fn(g, r) if operad.flavor == "fp"
-             else operad.act_perm(g, r) for g, r in zip(gs, rs)]
-    left = operad.compose(p, acted)
-    joined = direct_sum(list(gs))
-    base = operad.compose(p, list(rs))
-    right = operad.act_fn(joined, base) if operad.flavor == "fp" \
-        else operad.act_perm(joined, base)
+    left = operad.compose(p, [operad.act_fn(g, r) for g, r in zip(gs, rs)])
+    right = operad.act_fn(direct_sum(list(gs)), operad.compose(p, list(rs)))
     return operad.elements_equal(left, right)
 
 

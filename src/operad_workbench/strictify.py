@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Sequence
 
-from .operads import CheckReport
+from .operads import CheckReport, FreeOperad
 from .terms import App, Term, Var, format_term
-from .trees import (Leaf, Node, PermutedTree, compose_permuted, format_tree,
-                    format_permuted_tree, graft, tree_arity, tree_size)
+from .trees import Leaf, Node, tree_arity, tree_size
 from .weakcat import (Arrow, FiniteCategory, Functor, WeakPCategoryData,
                       WeakPFunctorData, WeakcatError, check_weak_functor)
 
@@ -60,18 +59,6 @@ class StArrow:
     base: str
 
 
-def _graft_reprs(outer, inners):
-    if isinstance(outer, PermutedTree):
-        return compose_permuted(outer, list(inners))
-    return graft(outer, list(inners))
-
-
-def _format_repr(tree) -> str:
-    if isinstance(tree, PermutedTree):
-        return format_permuted_tree(tree)
-    return format_tree(tree)
-
-
 def _op_term(op: str, arity: int) -> Term:
     return App(op, tuple(Var(i) for i in range(1, arity + 1)))
 
@@ -93,6 +80,9 @@ class StrictPCategory:
         self.arity_bound = arity_bound
         self.element_bound = element_bound
         self.operad = W.interpretation.operad
+        # representatives are elements of the free operad of the flavor
+        self._free = FreeOperad(W.presentation.signature,
+                                W.presentation.flavor)
         self._reprs: dict = {}
         self._repr_terms: dict = {}
         self.elements: dict[int, list] = {}
@@ -117,13 +107,10 @@ class StrictPCategory:
         self._fc_arrow_ids: dict[tuple, str] = {}
 
     def _scan_representatives(self, arity: int):
+        # objects come in (size, text) order, so the first tree to reach
+        # a value is its canonical representative
         for tree in self.W.context.enumerate_objects(arity, self.W.max_term_size):
-            value = self.W.interpretation.eval_tree(tree)
-            plain = tree.tree if isinstance(tree, PermutedTree) else tree
-            candidate = (tree_size(plain), _format_repr(tree), tree)
-            best = self._reprs.get(value)
-            if best is None or candidate[:2] < best[:2]:
-                self._reprs[value] = candidate
+            self._reprs.setdefault(self.W.interpretation.eval_tree(tree), tree)
 
     def _add_object(self, element, operands: tuple[str, ...]):
         h_value = self.W.h_obj(self.repr_term(element), operands)
@@ -132,13 +119,13 @@ class StrictPCategory:
         self._index[obj.key()] = obj
 
     def repr_tree(self, element):
-        entry = self._reprs.get(element)
-        if entry is None:
+        tree = self._reprs.get(element)
+        if tree is None:
             raise StrictifyError(
                 f"element {self.operad.format_element(element)} has no "
                 f"representative tree within size {self.W.max_term_size} "
                 f"and arity {self.arity_bound}")
-        return entry[2]
+        return tree
 
     def repr_term(self, element) -> Term:
         """The representative tree of the element as a term, converted
@@ -222,7 +209,8 @@ class StrictPCategory:
         composite = self.operad.compose(q, [x.element for x in xs])
         # an out-of-bounds composite fails here, before any grafting
         start = self.repr_term(composite)
-        grafted = _graft_reprs(outer, [self.repr_tree(x.element) for x in xs])
+        grafted = self._free.compose(
+            outer, [self.repr_tree(x.element) for x in xs])
         operands = tuple(o for x in xs for o in x.operands)
         return self.W.derive_delta(start, grafted, operands)
 

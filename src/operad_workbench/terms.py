@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .finmaps import FinFunction
 
@@ -267,6 +267,13 @@ def format_equation(eq: Equation) -> str:
     return f"@{eq.arity}: {format_term(eq.lhs)} = {format_term(eq.rhs)}"
 
 
+# the deepest parenthesis nesting a term or tree may have. The walks
+# over a parsed term recurse once per level; the deepest, evaluating in
+# the free operad and comparing the result, takes about four of the
+# interpreter's default 1,000 frames per level, so 200 leaves headroom
+_MAX_NESTING = 200
+
+
 class _Scanner:
     """Cursor over one line of input shared by the term and tree parsers;
     errors name the column and come out as the subclass's error_class."""
@@ -277,6 +284,7 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.signature = signature
+        self.depth = 0
 
     def error(self, message: str) -> ValueError:
         return self.error_class(
@@ -300,6 +308,26 @@ class _Scanner:
         if self.pos != len(self.text):
             raise self.error("trailing input")
 
+    def arguments(self, item: Callable[[], object]) -> tuple:
+        """A parenthesised, comma-separated list of item() results, or ()
+        when no parenthesis follows."""
+        self.skip_ws()
+        if self.peek() != "(":
+            return ()
+        if self.depth == _MAX_NESTING:
+            raise self.error(f"nesting deeper than {_MAX_NESTING}")
+        self.depth += 1
+        self.pos += 1
+        parsed = [item()]
+        self.skip_ws()
+        while self.peek() == ",":
+            self.pos += 1
+            parsed.append(item())
+            self.skip_ws()
+        self.expect(")")
+        self.depth -= 1
+        return tuple(parsed)
+
 
 class _TermParser(_Scanner):
     error_class = TermError
@@ -316,18 +344,7 @@ class _TermParser(_Scanner):
         name = self.name()
         if _VAR_RE.match(name):
             return Var(int(name[1:]))
-        self.skip_ws()
-        args: tuple[Term, ...] = ()
-        if self.peek() == "(":
-            self.pos += 1
-            parsed = [self.term()]
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                parsed.append(self.term())
-                self.skip_ws()
-            self.expect(")")
-            args = tuple(parsed)
+        args = self.arguments(self.term)
         t = App(name, args)
         if self.signature is not None:
             if name not in self.signature:
@@ -475,17 +492,15 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
     return out
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """The ordered ways to write total as parts positive summands."""
+def _compositions(total: int, parts: int, least: int = 1
+                  ) -> list[tuple[int, ...]]:
+    """The ordered ways to write total as parts summands, each at least
+    least, in lexicographic order."""
     if parts == 0:
         return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return [(first,) + rest
+            for first in range(least, total - least * (parts - 1) + 1)
+            for rest in _compositions(total - first, parts - 1, least)]
 
 
 @dataclass(frozen=True)

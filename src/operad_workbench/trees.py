@@ -1,10 +1,12 @@
 """Operation trees and their permuted and relabelled variants.
 
 A plain tree is a grafting of operation symbols with `|` leaves marking
-open inputs; its arity is the leaf count. A permuted tree pairs a plain
-tree with a permutation of its inputs, a relabelled tree pairs it with
-an arbitrary finite function out of its inputs. The pairs are literal:
-two pairs are equal exactly when both components are.
+open inputs; its arity is the leaf count. A relabelled tree pairs a
+plain tree with an arbitrary finite function out of its inputs, and a
+permuted tree is a relabelled tree whose function is a permutation, so
+one body composes, acts on, prints and reads both. The pairs are
+literal: two pairs are equal exactly when they have the same flavor
+and both components agree.
 
 Composition grafts inner trees into the outer tree's leaves after
 routing them through the outer function, and combines the functions by
@@ -17,11 +19,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .finmaps import (FinFunction, FinMapError, comb_compose, compose,
-                      format_fn, format_perm, identity, parse_fn, perm,
-                      perm_identity, select)
+                      format_fn, identity, parse_fn, perm, select)
 from .terms import (App, Signature, Term, Var, _NAME_RE, _Scanner,
                     _compositions, label_fn)
 
@@ -90,26 +91,6 @@ def _graft(t: Tree, subs: tuple[Tree, ...]) -> tuple[Tree, tuple[Tree, ...]]:
 
 
 @dataclass(frozen=True)
-class PermutedTree:
-    """A plain tree with a permutation of its inputs."""
-
-    perm: FinFunction
-    tree: Tree
-
-    def __post_init__(self):
-        if not self.perm.is_bijection:
-            raise TreeError("permuted tree needs a bijection")
-        if self.perm.dom != tree_arity(self.tree):
-            raise TreeError(
-                f"permutation degree {self.perm.dom} does not match "
-                f"tree arity {tree_arity(self.tree)}")
-
-    @property
-    def arity(self) -> int:
-        return self.perm.dom
-
-
-@dataclass(frozen=True)
 class FPTree:
     """A plain tree with a relabelling function on its inputs.
 
@@ -131,10 +112,26 @@ class FPTree:
         return self.fn.cod
 
 
+@dataclass(frozen=True)
+class PermutedTree(FPTree):
+    """A relabelled tree whose function is a permutation of its inputs.
+
+    A permuted pair never equals the relabelled pair with the same
+    components: the flavors stay apart under equality."""
+
+    def __post_init__(self):
+        if not self.fn.is_bijection:
+            raise TreeError("permuted tree needs a bijection")
+        if self.fn.dom != tree_arity(self.tree):
+            raise TreeError(
+                f"permutation degree {self.fn.dom} does not match "
+                f"tree arity {tree_arity(self.tree)}")
+
+
 def leaf_permuted(n: int = 1) -> PermutedTree:
     if n != 1:
         raise TreeError("the unit tree has arity 1")
-    return PermutedTree(perm_identity(1), LEAF)
+    return PermutedTree(identity(1), LEAF)
 
 
 def leaf_fp(n: int = 1) -> FPTree:
@@ -143,46 +140,38 @@ def leaf_fp(n: int = 1) -> FPTree:
     return FPTree(identity(1), LEAF)
 
 
-def compose_permuted(outer: PermutedTree, inner: Sequence[PermutedTree]
-                     ) -> PermutedTree:
-    """Graft permuted trees into a permuted tree.
+def compose_fp(outer: FPTree, inner: Sequence[FPTree]) -> FPTree:
+    """Graft relabelled trees into a relabelled tree, one per output slot.
 
     Leaf j of the outer tree receives the inner tree routed there by the
-    outer permutation, and the permutations combine by block
-    substitution of the inner permutations into the outer one.
+    outer function, and the functions combine by combing the inner
+    functions out of the outer one. The result has the outer pair's
+    type, so permuted trees compose to a permuted tree.
     """
-    if len(inner) != outer.arity:
-        raise TreeError(
-            f"composition needs {outer.arity} inner trees, got {len(inner)}")
-    perms = [p.perm for p in inner]
-    trees = tuple(p.tree for p in inner)
-    combined = comb_compose(outer.perm, perms)
-    return PermutedTree(combined, graft(outer.tree, select(outer.perm, trees)))
-
-
-def compose_fp(outer: FPTree, inner: Sequence[FPTree]) -> FPTree:
-    """Graft relabelled trees into a relabelled tree, one per output slot."""
     if len(inner) != outer.arity:
         raise TreeError(
             f"composition needs {outer.arity} inner trees, got {len(inner)}")
     fns = [p.fn for p in inner]
     trees = tuple(p.tree for p in inner)
     combined = comb_compose(outer.fn, fns)
-    return FPTree(combined, graft(outer.tree, select(outer.fn, trees)))
+    return type(outer)(combined, graft(outer.tree, select(outer.fn, trees)))
+
+
+compose_permuted = compose_fp
 
 
 def act_perm_tree(rho: FinFunction, pt: PermutedTree) -> PermutedTree:
     if not rho.is_bijection:
         raise TreeError("action needs a bijection")
-    return PermutedTree(compose(rho, pt.perm), pt.tree)
+    return act_fn_tree(rho, pt)
 
 
 def act_fn_tree(g: FinFunction, ft: FPTree) -> FPTree:
-    return FPTree(compose(g, ft.fn), ft.tree)
+    return type(ft)(compose(g, ft.fn), ft.tree)
 
 
 def as_fp(pt: PermutedTree) -> FPTree:
-    return FPTree(pt.perm, pt.tree)
+    return FPTree(pt.fn, pt.tree)
 
 
 def as_permuted(ft: FPTree) -> PermutedTree:
@@ -217,10 +206,9 @@ def _to_term(t: Tree, alphabet: tuple[int, ...]) -> tuple[Term, tuple[int, ...]]
     return App(t.op, tuple(args)), alphabet
 
 
-def to_term(ft: FPTree | PermutedTree) -> Term:
+def to_term(ft: FPTree) -> Term:
     """Read a tree pair as a term: the function labels the leaves."""
-    f = ft.fn if isinstance(ft, FPTree) else ft.perm
-    return to_term_alpha(ft.tree, f.table)
+    return to_term_alpha(ft.tree, ft.fn.table)
 
 
 def shape(t: Term) -> Tree:
@@ -251,12 +239,13 @@ def format_tree(t: Tree) -> str:
     return f"{t.op}({','.join(format_tree(c) for c in t.children)})"
 
 
-def format_permuted_tree(pt: PermutedTree) -> str:
-    return f"{format_perm(pt.perm)} {format_tree(pt.tree)}"
-
-
 def format_fp_tree(ft: FPTree) -> str:
     return f"{format_fn(ft.fn)} {format_tree(ft.tree)}"
+
+
+# a permutation's codomain is its largest entry, so format_fn never
+# prints one with an explicit codomain
+format_permuted_tree = format_fp_tree
 
 
 _PREFIX_RE = re.compile(r"^\s*(\[[^\]]*\])\s*(.*)$", re.DOTALL)
@@ -275,18 +264,7 @@ class _TreeParser(_Scanner):
             raise self.error("expected '|' or an operation name")
         name = m.group(0)
         self.pos = m.end()
-        self.skip_ws()
-        children: tuple[Tree, ...] = ()
-        if self.peek() == "(":
-            self.pos += 1
-            parsed = [self.tree()]
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                parsed.append(self.tree())
-                self.skip_ws()
-            self.expect(")")
-            children = tuple(parsed)
+        children = self.arguments(self.tree)
         node = Node(name, children)
         if self.signature is not None:
             if name not in self.signature:
@@ -316,32 +294,33 @@ def _split_prefix(text: str) -> tuple[str | None, str]:
 def parse_permuted_tree(text: str, signature: Signature | None = None
                         ) -> PermutedTree:
     """Parse `[perm] tree`; a missing prefix means the identity."""
-    prefix, rest = _split_prefix(text)
-    tree = parse_tree(rest, signature)
-    if prefix is None:
-        return PermutedTree(perm_identity(tree_arity(tree)), tree)
-    try:
-        p = perm(parse_fn(prefix).table)
-    except FinMapError as exc:
-        raise TreeError(str(exc)) from exc
-    return PermutedTree(p, tree)
+    return _parse_pair(text, signature, PermutedTree,
+                       lambda prefix: perm(parse_fn(prefix).table))
 
 
 def parse_fp_tree(text: str, signature: Signature | None = None) -> FPTree:
     """Parse `[table->cod] tree`; a missing prefix means the identity."""
+    return _parse_pair(text, signature, FPTree, parse_fn)
+
+
+def _parse_pair(text: str, signature: Signature | None, pair: type,
+                read_fn: Callable[[str], FinFunction]) -> FPTree:
     prefix, rest = _split_prefix(text)
     tree = parse_tree(rest, signature)
     if prefix is None:
-        return FPTree(identity(tree_arity(tree)), tree)
+        return pair(identity(tree_arity(tree)), tree)
     try:
-        f = parse_fn(prefix)
+        f = read_fn(prefix)
     except FinMapError as exc:
         raise TreeError(str(exc)) from exc
-    return FPTree(f, tree)
+    return pair(f, tree)
 
 
-def enumerate_trees(signature: Signature, arity: int, max_size: int) -> list[Tree]:
-    """All trees with the given leaf count and at most max_size nodes."""
+def _trees_by_leaves(signature: Signature, max_size: int
+                     ) -> Callable[[int], list[Tree]]:
+    """The trees with a given leaf count and at most max_size nodes, read
+    from one (node count, leaf count) table that every leaf count asked
+    of it shares."""
     cache: dict[tuple[int, int], list[Tree]] = {}
 
     def of(size: int, leaves: int) -> list[Tree]:
@@ -358,10 +337,7 @@ def enumerate_trees(signature: Signature, arity: int, max_size: int) -> list[Tre
             for op, k in signature.ops:
                 if k == 0:
                     continue
-                # the ways to share the leaves among the k children, zeros
-                # allowed: compositions of leaves + k, each part less one
-                splits = [tuple(c - 1 for c in shifted)
-                          for shifted in _compositions(leaves + k, k)]
+                splits = _compositions(leaves, k, least=0)
                 for sizes in _compositions(size - 1, k):
                     for split in splits:
                         pools = [of(s, l) for s, l in zip(sizes, split)]
@@ -372,30 +348,42 @@ def enumerate_trees(signature: Signature, arity: int, max_size: int) -> list[Tre
         cache[key] = found
         return found
 
-    out: list[Tree] = []
-    for size in range(1, max_size + 1):
-        out.extend(of(size, arity))
-    return sorted(out, key=lambda t: (tree_size(t), format_tree(t)))
+    return lambda leaves: [t for size in range(1, max_size + 1)
+                           for t in of(size, leaves)]
+
+
+def enumerate_trees(signature: Signature, arity: int, max_size: int) -> list[Tree]:
+    """All trees with the given leaf count and at most max_size nodes,
+    sorted by (size, text)."""
+    trees = _trees_by_leaves(signature, max_size)(arity)
+    return sorted(trees, key=lambda t: (tree_size(t), format_tree(t)))
+
+
+def _pair_order(ft: FPTree) -> tuple[int, str]:
+    return (tree_size(ft.tree), format_fp_tree(ft))
 
 
 def enumerate_permuted_trees(signature: Signature, arity: int, max_size: int
                              ) -> list[PermutedTree]:
-    out = []
-    for tree in enumerate_trees(signature, arity, max_size):
-        for table in itertools.permutations(range(1, arity + 1)):
-            out.append(PermutedTree(perm(table), tree))
-    return sorted(out, key=lambda pt: (tree_size(pt.tree), format_permuted_tree(pt)))
+    """All permuted trees of the arity within the size bound, sorted by
+    (size, text)."""
+    out = [PermutedTree(perm(table), tree)
+           for tree in enumerate_trees(signature, arity, max_size)
+           for table in itertools.permutations(range(1, arity + 1))]
+    return sorted(out, key=_pair_order)
 
 
 def enumerate_fp_trees(signature: Signature, arity: int, max_size: int,
                        max_leaves: int | None = None) -> list[FPTree]:
+    """All relabelled trees of the arity with at most max_size nodes and
+    max_leaves leaves (default max_size), sorted by (size, text)."""
+    trees_of = _trees_by_leaves(signature, max_size)
     out = []
     for leaves in range(0, (max_leaves if max_leaves is not None else max_size) + 1):
-        trees = [t for t in enumerate_trees(signature, leaves, max_size)]
+        trees = trees_of(leaves)
         if not trees:
             continue
         for table in itertools.product(range(1, arity + 1), repeat=leaves):
             f = FinFunction(leaves, arity, table)
             out.extend(FPTree(f, t) for t in trees)
-    return sorted(out, key=lambda ft: (tree_size(ft.tree), format_fp_tree(ft)))
-
+    return sorted(out, key=_pair_order)

@@ -25,8 +25,7 @@ from .operads import CheckReport, Interpretation, Operad, builtin_operad
 from .terms import (App, Equation, Presentation, RewriteStep, Term, Var,
                     format_term, parse_presentation, format_presentation,
                     support)
-from .trees import (PermutedTree, Tree, format_tree, format_fp_tree,
-                    to_term, to_term_alpha, to_tree, tree_arity)
+from .trees import format_fp_tree, format_tree, to_tree
 from .weakening import WeakeningContext, WeakObject
 
 RESERVED = set(",∘=@")
@@ -401,9 +400,7 @@ class WeakPCategoryData:
     def _as_term(self, t: Term | WeakObject) -> Term:
         if isinstance(t, (Var, App)):
             return t
-        if isinstance(t, PermutedTree):
-            return to_term(t)
-        return to_term_alpha(t, tuple(range(1, tree_arity(t) + 1)))
+        return self.context.object_term(t)
 
     def is_strict(self) -> bool:
         return all(self.base.is_identity(arrow_id)

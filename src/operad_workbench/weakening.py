@@ -23,8 +23,8 @@ from .operads import Interpretation
 from .terms import (Presentation, RewriteStep, SaturationResult, Term,
                     closure_saturate, format_term)
 from .trees import (FPTree, PermutedTree, Tree, enumerate_permuted_trees,
-                    enumerate_trees, format_permuted_tree, format_tree,
-                    to_term, to_term_alpha, tree_arity, tree_size)
+                    enumerate_trees, format_fp_tree, format_tree, to_term,
+                    to_term_alpha, tree_arity)
 
 FP_REJECTION = (
     "finite-product weakening is degenerate: the duplication action forces "
@@ -96,13 +96,13 @@ class WeakeningContext:
 
     def object_arity(self, t: WeakObject) -> int:
         """Validate an object against the flavor and return its arity."""
-        if isinstance(t, FPTree):
-            raise WeakeningError(FP_REJECTION)
         if isinstance(t, PermutedTree):
             if self.flavor != "symmetric":
                 raise WeakeningError(
                     "permuted trees are objects of the symmetric flavor only")
             return t.arity
+        if isinstance(t, FPTree):
+            raise WeakeningError(FP_REJECTION)
         # under the symmetric flavor a bare tree stands for itself with
         # the identity permutation
         return tree_arity(t)
@@ -114,7 +114,7 @@ class WeakeningContext:
 
     def format_object(self, t: WeakObject) -> str:
         if isinstance(t, PermutedTree):
-            return format_permuted_tree(t)
+            return format_fp_tree(t)
         return format_tree(t)
 
     def eval_object(self, t: WeakObject):
@@ -172,6 +172,8 @@ class WeakeningContext:
             f"not merged within size {self.max_term_size}{suffix}")
 
     def enumerate_objects(self, arity: int, max_size: int) -> list[WeakObject]:
+        """The objects of the arity within the size bound, in (size,
+        text) order."""
         if self.flavor == "symmetric":
             return list(enumerate_permuted_trees(
                 self.presentation.signature, arity, max_size))
@@ -180,36 +182,28 @@ class WeakeningContext:
     def enumerate_classes(self, arity: int, max_size: int) -> list[WeakClass]:
         """All objects of the arity within the size bound, partitioned by
         two_cell. Evaluable mode keys classes by target element; closure
-        mode groups by saturation merges (unknown pairs stay apart)."""
+        mode groups by saturation merges (unknown pairs stay apart).
+
+        The objects come in (size, text) order and each class is keyed
+        at its first member, so the members of a class, and the classes
+        by their first members, come out in that order too."""
         objects = self.enumerate_objects(arity, max_size)
         if self.evaluable:
             values = [self.eval_object(obj) for obj in objects]
             buckets: dict = {}
             for obj, value in zip(objects, values):
                 buckets.setdefault(value, []).append(obj)
-            classes = [
-                WeakClass(arity, value, tuple(sorted(
-                    members, key=lambda o: (self._obj_size(o),
-                                            self.format_object(o)))))
-                for value, members in buckets.items()]
-        else:
-            sat = self.saturation(arity)
-            roots: dict = {}
-            for obj in objects:
-                term = self.object_term(obj)
-                anchor = (sat.anchor(arity, term)
-                          if sat.in_universe(arity, term) else term)
-                roots.setdefault(anchor, []).append(obj)
-            classes = [
-                WeakClass(arity, None, tuple(sorted(
-                    members, key=lambda o: (self._obj_size(o),
-                                            self.format_object(o)))))
+            return [WeakClass(arity, value, tuple(members))
+                    for value, members in buckets.items()]
+        sat = self.saturation(arity)
+        roots: dict = {}
+        for obj in objects:
+            term = self.object_term(obj)
+            anchor = (sat.anchor(arity, term)
+                      if sat.in_universe(arity, term) else term)
+            roots.setdefault(anchor, []).append(obj)
+        return [WeakClass(arity, None, tuple(members))
                 for members in roots.values()]
-        return sorted(classes, key=lambda c: (self._obj_size(c.members[0]),
-                                              self.format_object(c.members[0])))
-
-    def _obj_size(self, t: WeakObject) -> int:
-        return tree_size(t.tree if isinstance(t, PermutedTree) else t)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared fixtures: bundled theories, targets, element pools, and
 converters between library terms and the nested-tuple oracle form."""
 
+import importlib.util
 import itertools
 from pathlib import Path
 
@@ -19,8 +20,18 @@ from operad_workbench.weakcat import (FiniteCategory, Functor,
                                       unkey)
 from operad_workbench.weakening import WeakeningContext
 
-EXAMPLES = Path(__file__).resolve().parent.parent / (
-    "src/operad_workbench/examples")
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "src/operad_workbench/examples"
+
+
+def perfbench_module(name: str):
+    """Load one of the benchmark's stdlib-only modules (refs, preflight)
+    by path, without importing the benchmark itself."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_theory(name: str):

@@ -5,13 +5,13 @@ import io
 import json
 
 import pytest
-from conftest import EXAMPLES, load_theory
+from conftest import EXAMPLES, ROOT, load_theory, perfbench_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operad_workbench.cli import main
-from operad_workbench.terms import (App, Var, parse_term, replace_at,
-                                    subterm_at)
+from operad_workbench.terms import (App, Var, _MAX_NESTING, parse_term,
+                                    replace_at, subterm_at)
 from operad_workbench.weakcat import WeakcatError, load_weakcat
 
 MONOID = str(EXAMPLES / "monoid.th")
@@ -251,6 +251,54 @@ def test_unknown_target(capsys):
     code, _, err = run(capsys, "eval", MONOID, "--target", "nope", "x1")
     assert code == 3
     assert "nope" in err
+
+
+@pytest.mark.parametrize("arity, term", [("1", "m(x1,x1)"),
+                                         ("3", "m(x1,x2)")])
+def test_free_plain_target_refuses_relabelled_terms(capsys, arity, term):
+    code, out, err = run(capsys, "eval", MONOID, "--target", "free",
+                         "--arity", arity, term)
+    assert code == 3 and out == ""
+    assert err == "error: free-plain has no finite-function action\n"
+
+
+def _nested(depth: int) -> str:
+    """m(x1,m(x2,...m(x<depth>,x<depth+1>)...)), depth parentheses deep."""
+    return ("".join(f"m(x{i}," for i in range(1, depth + 1))
+            + f"x{depth + 1}" + ")" * depth)
+
+
+@pytest.mark.parametrize("depth", [_MAX_NESTING + 1, 3000])
+def test_overdeep_terms_are_refused(capsys, depth):
+    deep = _nested(depth)
+    for argv in (("term-info", MONOID, "--arity", str(depth + 1), deep),
+                 ("eval", MONOID, "--target", "free", deep),
+                 ("decide", MONOID, deep, "x1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: nesting deeper than "
+                              f"{_MAX_NESTING} at column")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("term-info", MONOID, "--arity", str(_MAX_NESTING + 1)), 0),
+    (("eval", MONOID, "--target", "free"), 0),
+    (("eval", COMM, "--target", "comm-monoid-fp", "--json"), 0),
+    (("decide", MONOID, "--target", "free"), 0),
+    (("decide", COMM, "--target", "symmetries"), 0),
+    (("decide", MONOID, "--max-size", "1"), 2)])
+def test_terms_at_the_nesting_limit_are_handled(capsys, argv, expected):
+    term = _nested(_MAX_NESTING)
+    operands = (term, term) if argv[0] == "decide" else (term,)
+    code, out, err = run(capsys, *argv, *operands)
+    assert code == expected and err == ""
+    assert out
+
+
+def test_readme_examples_print_what_the_readme_shows():
+    preflight = perfbench_module("preflight")
+    result = preflight.run_preflight(main, ROOT / "README.md", EXAMPLES)
+    assert result == {"examples": 6, "failures": []}
 
 
 @pytest.mark.parametrize("field, value", [

@@ -240,6 +240,13 @@ def test_free_operad_composes_by_grafting():
     assert free.arity_of(free.compose(x, ys)) == 3
 
 
+def test_free_plain_operad_has_no_function_action():
+    free = FreeOperad(SIG, "plain")
+    with pytest.raises(OperadError,
+                       match="^free-plain has no finite-function action$"):
+        free.act_fn(fn((1, 1), cod=1), parse_tree("m(|,|)", SIG))
+
+
 def test_eval_tree_is_a_homomorphism():
     operad = CommMonoidFPOperad()
     assignment = {"m": (1, 1), "e": ()}

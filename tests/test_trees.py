@@ -4,10 +4,12 @@ term/tree correspondence."""
 import itertools
 
 import pytest
+from conftest import perfbench_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operad_workbench.finmaps import fn, identity, perm, select
+from operad_workbench.finmaps import (FinFunction, fn, format_perm, identity,
+                                      perm, select)
 from operad_workbench.terms import (Signature, enumerate_terms, format_term,
                                     max_var, parse_term, rename_vars,
                                     term_size)
@@ -25,6 +27,7 @@ from operad_workbench.trees import (FPTree, LEAF, Leaf, Node, PermutedTree,
                                     tree_arity, tree_size)
 
 SIG = Signature.of({"m": 2, "e": 0})
+REFS = perfbench_module("refs")
 
 
 def tr(text):
@@ -51,6 +54,8 @@ def test_parse_format_roundtrip():
     assert parse_fp_tree(format_fp_tree(ft), SIG) == ft
     with pytest.raises(TreeError):
         parse_tree("m(|)", SIG)
+    with pytest.raises(TreeError, match="^nesting deeper than 200 at column"):
+        parse_tree("m(|," * 201 + "|" + ")" * 201, SIG)
     for parse in (parse_permuted_tree, parse_fp_tree):
         for bad in ("[2 1] m(|,|)", "[1,,2] m(|,|)"):
             with pytest.raises(TreeError):
@@ -150,7 +155,7 @@ def test_unit_trees_and_actions():
     pt = parse_permuted_tree("[2,1] m(|,|)", SIG)
     rho = perm((2, 1))
     acted = act_perm_tree(rho, pt)
-    assert acted.perm == identity(2) and acted.tree == pt.tree
+    assert acted.fn == identity(2) and acted.tree == pt.tree
     ft = parse_fp_tree("[1,2 -> 2] m(|,|)", SIG)
     g = fn((1, 1), cod=1)
     assert act_fn_tree(g, ft) == FPTree(fn((1, 1), cod=1), ft.tree)
@@ -216,3 +221,123 @@ def test_enumerations_are_sorted_and_well_formed():
     assert len(pts) == 2 * len(trees)
     fps = enumerate_fp_trees(SIG, 1, 3, max_leaves=2)
     assert all(ft.arity == 1 for ft in fps)
+
+
+# The enumerators as they stood before one shape table served every
+# leaf count; the current ones must list exactly the same pairs in the
+# same order.
+
+def _reference_compositions(total, parts):
+    if parts == 0:
+        return [()] if total == 0 else []
+    if parts == 1:
+        return [(total,)] if total >= 1 else []
+    out = []
+    for first in range(1, total - parts + 2):
+        for rest in _reference_compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out
+
+
+def _reference_trees(signature, arity, max_size):
+    cache = {}
+
+    def of(size, leaves):
+        key = (size, leaves)
+        if key in cache:
+            return cache[key]
+        found = []
+        if size == 1:
+            if leaves == 1:
+                found.append(LEAF)
+            if leaves == 0:
+                found.extend(Node(op, ()) for op, k in signature.ops if k == 0)
+        else:
+            for op, k in signature.ops:
+                if k == 0:
+                    continue
+                # the ways to share the leaves among the k children, zeros
+                # allowed: compositions of leaves + k, each part less one
+                splits = [tuple(c - 1 for c in shifted)
+                          for shifted in _reference_compositions(leaves + k, k)]
+                for sizes in _reference_compositions(size - 1, k):
+                    for split in splits:
+                        pools = [of(s, l) for s, l in zip(sizes, split)]
+                        if any(not pool for pool in pools):
+                            continue
+                        for combo in itertools.product(*pools):
+                            found.append(Node(op, combo))
+        cache[key] = found
+        return found
+
+    out = []
+    for size in range(1, max_size + 1):
+        out.extend(of(size, arity))
+    return sorted(out, key=lambda t: (tree_size(t), format_tree(t)))
+
+
+def _reference_permuted_trees(signature, arity, max_size):
+    out = []
+    for tree in _reference_trees(signature, arity, max_size):
+        for table in itertools.permutations(range(1, arity + 1)):
+            out.append(PermutedTree(perm(table), tree))
+    return sorted(out, key=lambda pt: (
+        tree_size(pt.tree), f"{format_perm(pt.fn)} {format_tree(pt.tree)}"))
+
+
+def _reference_fp_trees(signature, arity, max_size, max_leaves=None):
+    out = []
+    for leaves in range(0, (max_leaves if max_leaves is not None else max_size) + 1):
+        trees = [t for t in _reference_trees(signature, leaves, max_size)]
+        if not trees:
+            continue
+        for table in itertools.product(range(1, arity + 1), repeat=leaves):
+            f = FinFunction(leaves, arity, table)
+            out.extend(FPTree(f, t) for t in trees)
+    return sorted(out, key=lambda ft: (tree_size(ft.tree), format_fp_tree(ft)))
+
+
+@pytest.mark.parametrize("theory", ["monoid", "pointed_abcd",
+                                    "unbiased_monoid"])
+def test_enumerators_match_the_reference_and_the_counts(request, theory):
+    signature = request.getfixturevalue(theory).signature
+    ops = dict(signature.ops)
+    for arity in range(4):
+        trees = enumerate_trees(signature, arity, 7)
+        assert trees == _reference_trees(signature, arity, 7)
+        assert len(trees) == REFS.count_trees(ops, arity, 7)
+        permuted = enumerate_permuted_trees(signature, arity, 7)
+        assert permuted == _reference_permuted_trees(signature, arity, 7)
+        assert len(permuted) == REFS.count_trees(ops, arity, 7, permuted=True)
+        for max_leaves in (None, 3):
+            fps = enumerate_fp_trees(signature, arity, 5, max_leaves)
+            assert fps == _reference_fp_trees(signature, arity, 5, max_leaves)
+            assert len(fps) == sum(
+                REFS.count_trees(ops, leaves, 5) * arity ** leaves
+                for leaves in range((max_leaves or 5) + 1))
+
+
+def test_permuted_trees_are_bijective_relabelled_trees():
+    p = perm((2, 1))
+    t = tr("m(|,|)")
+    assert PermutedTree(p, t) != FPTree(p, t)
+    assert isinstance(PermutedTree(p, t), FPTree)
+    composite = compose_fp(PermutedTree(p, t), [leaf_permuted(),
+                                                PermutedTree(p, t)])
+    assert type(composite) is PermutedTree
+    assert format_fp_tree(composite) == "[3,2,1] m(m(|,|),|)"
+    assert type(compose_fp(FPTree(p, t), [leaf_fp(), leaf_fp()])) is FPTree
+    assert type(act_fn_tree(p, PermutedTree(p, t))) is PermutedTree
+    with pytest.raises(TreeError, match="^permuted tree needs a bijection$"):
+        PermutedTree(fn((1, 1), cod=2), t)
+    with pytest.raises(TreeError, match="^permutation degree 1 does not "
+                                        "match tree arity 2$"):
+        PermutedTree(perm((1,)), t)
+    with pytest.raises(TreeError, match="^function domain 1 does not "
+                                        "match tree arity 2$"):
+        FPTree(identity(1), t)
+    with pytest.raises(TreeError, match="^action needs a bijection$"):
+        act_perm_tree(fn((1, 1), cod=2), PermutedTree(p, t))
+    with pytest.raises(TreeError, match="^composition needs 2 inner trees, "
+                                        "got 1$"):
+        compose_fp(PermutedTree(p, t), [leaf_permuted()])
