@@ -4,8 +4,8 @@ weakened categorical structures, and their strictification."""
 
 from .finmaps import (FinFunction, FinMapError, block_compose,
                       block_permutation, comb_compose, compose, direct_sum,
-                      fn, identity, inverse, perm, perm_compose,
-                      perm_identity, perm_inverse, select)
+                      fn, identity, inverse, perm, perm_identity,
+                      perm_inverse, select)
 from .terms import (App, Equation, GENERAL, LINEAR, Presentation,
                     PresentationError, STRONGLY_REGULAR, Signature, Term,
                     TermError, Var, classify_equation, classify_presentation,
@@ -14,12 +14,12 @@ from .terms import (App, Equation, GENERAL, LINEAR, Presentation,
                     parse_presentation, parse_term, substitute, support,
                     term_size, var_seq)
 from .trees import (FPTree, Leaf, Node, PermutedTree, Tree, TreeError,
-                    classify_tree_side, compose_fp, compose_permuted,
-                    enumerate_fp_trees, enumerate_permuted_trees,
-                    enumerate_trees, format_fp_tree, format_permuted_tree,
+                    compose_fp, compose_permuted, enumerate_fp_trees,
+                    enumerate_permuted_trees, enumerate_trees,
+                    format_fp_tree, format_object, format_permuted_tree,
                     format_tree, graft, parse_fp_tree, parse_permuted_tree,
-                    parse_tree, to_term, to_term_alpha, to_tree, tree_arity,
-                    tree_size)
+                    parse_tree, to_object, to_term, to_term_alpha, to_tree,
+                    tree_arity, tree_size)
 from .operads import (CheckReport, CommMonoidFPOperad, EndOperad, FiniteOp,
                       FreeOperad, InitialOperad, IntPolyFPOperad,
                       Interpretation, Operad, OperadError, Poly,

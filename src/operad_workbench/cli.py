@@ -25,11 +25,10 @@ from .operads import (Interpretation, OperadError, builtin_operad,
 from .strictify import (StrictifyError, check_equivalence, check_strictness,
                         strictify)
 from .terms import (PresentationError, TermError, classify_equation,
-                    classify_presentation, format_equation, format_term,
-                    max_var, parse_presentation, parse_term, term_size,
-                    var_seq)
-from .trees import (PermutedTree, TreeError, classify_tree_side,
-                    format_fp_tree, to_tree)
+                    classify_presentation, classify_term, format_equation,
+                    format_term, max_var, parse_presentation, parse_term,
+                    term_size, var_seq)
+from .trees import TreeError, format_fp_tree, to_object, to_tree
 from .weakcat import WeakcatError, load_weakcat
 from .weakening import WeakeningContext, WeakeningError
 
@@ -144,18 +143,6 @@ def _context(args, presentation) -> WeakeningContext:
                             max_steps=args.steps)
 
 
-def _as_object(term, arity: int):
-    """Read a term as a weakening object: a bare tree when the labelling
-    is an identity, a permuted tree when it is a bijection, and the full
-    pair otherwise (which only fp contexts could accept)."""
-    pair = to_tree(term, arity)
-    if pair.fn.is_identity:
-        return pair.tree
-    if pair.fn.is_bijection:
-        return PermutedTree(pair.fn, pair.tree)
-    return pair
-
-
 def cmd_classify(args) -> int:
     presentation = _load_presentation(args.file)
     rows = [{"equation": format_equation(eq), "class": classify_equation(eq)}
@@ -179,7 +166,7 @@ def cmd_term_info(args) -> int:
         "arity": args.arity,
         "size": term_size(term),
         "variables": list(var_seq(term)),
-        "class": classify_tree_side(pair),
+        "class": classify_term(term, args.arity),
         "split": format_fp_tree(pair),
     }
     lines = [f"term: {payload['term']}",
@@ -212,8 +199,8 @@ def cmd_decide(args) -> int:
     ctx = _context(args, presentation)
     left = parse_term(args.left, presentation.signature)
     right = parse_term(args.right, presentation.signature)
-    o1 = _as_object(left, max_var(left))
-    o2 = _as_object(right, max_var(right))
+    o1 = to_object(left, max_var(left))
+    o2 = to_object(right, max_var(right))
     decision = ctx.two_cell(o1, o2)
     trace = None
     lines = [f"{decision.answer}: {decision.reason}"]

@@ -189,29 +189,33 @@ class EndClone(Clone):
         return EndOperad(self.carrier).enumerate_elements(arity, bound)
 
 
-def clone_axiom_check(clone: Clone, pools: dict[int, list],
-                      max_arity: int = 3) -> CheckReport:
+# the clone checks and the action half of roundtrip_check probe the
+# arities up to this one
+_CLONE_ARITY = 3
+
+
+def clone_axiom_check(clone: Clone, pools: dict[int, list]) -> CheckReport:
     """Projection and substitution laws on the given element pools:
     projections select, substituting projections in order is a no-op,
-    and substitution is associative."""
+    and substitution is associative (on arities up to 2)."""
     report = CheckReport()
-    for n in range(1, max_arity + 1):
-        for m in range(1, max_arity + 1):
+    for n in range(1, _CLONE_ARITY + 1):
+        for m in range(1, _CLONE_ARITY + 1):
             for i in range(1, n + 1):
                 for qs in _tuples(pools.get(m, []), n, cap=64):
                     got = clone.ccompose(clone.proj(i, n), list(qs))
                     report.check("projection-selects",
                                  clone.elements_equal(got, qs[i - 1]),
                                  lambda: f"proj({i},{n}) over arity {m}")
-    for n in range(1, max_arity + 1):
+    for n in range(1, _CLONE_ARITY + 1):
         for p in pools.get(n, []):
             spread = [clone.proj(i, n) for i in range(1, n + 1)]
             report.check("identity-substitution",
                          clone.elements_equal(clone.ccompose(p, spread), p),
                          lambda: f"arity {n}")
-    for n in range(1, min(max_arity, 2) + 1):
-        for m in range(1, min(max_arity, 2) + 1):
-            for k in range(1, min(max_arity, 2) + 1):
+    for n in range(1, 3):
+        for m in range(1, 3):
+            for k in range(1, 3):
                 for p in pools.get(n, [])[:2]:
                     for qs in _tuples(pools.get(m, []), n, cap=4):
                         for rs in _tuples(pools.get(k, []), m, cap=4):
@@ -234,12 +238,12 @@ def _tuples(pool: list, n: int, cap: int) -> list[tuple]:
 
 
 def roundtrip_check(operad: Operad, pools: dict[int, list],
-                    max_arity: int = 3,
-                    fn_arity_bound: int = 3) -> CheckReport:
+                    max_arity: int = 3) -> CheckReport:
     """Translate an fp operad to its clone and back, then compare the two
     operad structures elementwise on the given pools: identity, every
     composition instance over the pools with composite arity within the
-    bound, and every finite-function action within the arity bound."""
+    bound, and every finite-function action out of an arity within the
+    bound into an arity up to 3."""
     clone = CloneFromFP(operad)
     back = FPFromClone(clone)
     report = CheckReport()
@@ -266,7 +270,7 @@ def roundtrip_check(operad: Operad, pools: dict[int, list],
                         + ", ".join(operad.format_element(q) for q in qs))
 
     for n in range(max_arity + 1):
-        for m in range(fn_arity_bound + 1):
+        for m in range(_CLONE_ARITY + 1):
             for table in itertools.product(range(1, m + 1), repeat=n):
                 f = make_fn(table, m)
                 for p in pools.get(n, []):
@@ -280,19 +284,19 @@ def roundtrip_check(operad: Operad, pools: dict[int, list],
     return report
 
 
-def clone_roundtrip_check(clone: Clone, pools: dict[int, list],
-                          max_arity: int = 3) -> CheckReport:
+def clone_roundtrip_check(clone: Clone, pools: dict[int, list]
+                          ) -> CheckReport:
     """Translate a clone to its fp operad and back, then compare
     projections and substitution instances elementwise."""
     back = CloneFromFP(FPFromClone(clone))
     report = CheckReport()
-    for n in range(1, max_arity + 1):
+    for n in range(1, _CLONE_ARITY + 1):
         for i in range(1, n + 1):
             report.check("projection",
                          clone.elements_equal(back.proj(i, n), clone.proj(i, n)),
                          lambda: f"proj({i},{n})")
-    for n in range(1, max_arity + 1):
-        for m in range(1, max_arity + 1):
+    for n in range(1, _CLONE_ARITY + 1):
+        for m in range(1, _CLONE_ARITY + 1):
             for p in pools.get(n, []):
                 for qs in _tuples(pools.get(m, []), n, cap=27):
                     direct = clone.ccompose(p, list(qs))

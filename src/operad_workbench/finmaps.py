@@ -100,12 +100,6 @@ def inverse(p: FinFunction) -> FinFunction:
     return FinFunction(p.dom, p.dom, tuple(table))
 
 
-def perm_compose(f: FinFunction, g: FinFunction) -> FinFunction:
-    if not (f.is_bijection and g.is_bijection):
-        raise FinMapError("perm_compose needs bijections")
-    return compose(f, g)
-
-
 perm_inverse = inverse
 
 

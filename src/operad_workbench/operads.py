@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .finmaps import (FinFunction, block_compose, block_permutation,
                       comb_compose, compose, direct_sum, fn as make_fn,
@@ -31,8 +31,8 @@ from .terms import (FLAVOR_RANK, Equation, Presentation, Signature, Term,
 from .trees import (FPTree, LEAF, Leaf, Node, PermutedTree, act_fn_tree,
                     compose_fp, enumerate_fp_trees, enumerate_permuted_trees,
                     enumerate_trees, format_fp_tree, format_tree, graft,
-                    parse_fp_tree, parse_permuted_tree, parse_tree, to_tree,
-                    tree_arity)
+                    parse_fp_tree, parse_permuted_tree, parse_tree,
+                    to_object, tree_arity)
 
 
 class OperadError(ValueError):
@@ -44,7 +44,6 @@ class Operad:
 
     flavor = "plain"
     name = "operad"
-    finite_per_arity = False
 
     def identity(self):
         raise NotImplementedError
@@ -92,7 +91,6 @@ class TerminalPlainOperad(Operad):
 
     flavor = "plain"
     name = "terminal-plain"
-    finite_per_arity = True
 
     def identity(self):
         return 1
@@ -138,7 +136,6 @@ class InitialOperad(Operad):
 
     flavor = "symmetric"
     name = "initial"
-    finite_per_arity = True
 
     def identity(self):
         return 1
@@ -181,7 +178,6 @@ class SymmetryOperad(Operad):
 
     flavor = "symmetric"
     name = "symmetries"
-    finite_per_arity = True
 
     def identity(self):
         return perm_identity(1)
@@ -228,7 +224,6 @@ class CommMonoidFPOperad(Operad):
 
     flavor = "fp"
     name = "comm-monoid-fp"
-    finite_per_arity = False
 
     def identity(self):
         return (1,)
@@ -359,7 +354,6 @@ class IntPolyFPOperad(Operad):
 
     flavor = "fp"
     name = "int-poly-fp"
-    finite_per_arity = False
 
     def identity(self):
         return poly_var(1, 1)
@@ -416,9 +410,9 @@ _POLY_TERM_RE = re.compile(
 _POLY_VAR_RE = re.compile(r"x([1-9][0-9]*)(?:\^([0-9]+))?")
 
 
-def parse_poly(text: str, nvars: int | None = None) -> Poly:
-    """Parse a polynomial like `2*x1^2*x2 - 3`; arity defaults to the
-    largest variable index."""
+def parse_poly(text: str) -> Poly:
+    """Parse a polynomial like `2*x1^2*x2 - 3`; its arity is the largest
+    variable index."""
     chunks: list[tuple[int, str]] = []
     sign = 1
     body = text.strip()
@@ -449,14 +443,11 @@ def parse_poly(text: str, nvars: int | None = None) -> Poly:
             exps[index] = exps.get(index, 0) + power
             max_index = max(max_index, index)
         parsed.append((sgn * coeff, exps))
-    arity = nvars if nvars is not None else max_index
     raw: dict[tuple[int, ...], int] = {}
     for coeff, exps in parsed:
-        if any(i > arity for i in exps):
-            raise OperadError("variable index exceeds declared arity")
-        key = tuple(exps.get(i, 0) for i in range(1, arity + 1))
+        key = tuple(exps.get(i, 0) for i in range(1, max_index + 1))
         raw[key] = raw.get(key, 0) + coeff
-    return _poly_norm(arity, raw)
+    return _poly_norm(max_index, raw)
 
 
 def _next_sign(body: str) -> int | None:
@@ -518,7 +509,25 @@ class FiniteOp:
         return self.table[index]
 
 
+# the most entries an operation table on a finite carrier may have, far
+# above the 3^9-entry composites of the certify benchmark
+_TABLE_ENTRIES = 2 ** 20
+
+
+def _table_entries(carrier: int, arity: int) -> int:
+    """The entry count of an arity's operation table on the carrier,
+    refused before any table is built when it exceeds the budget."""
+    entries = carrier ** arity
+    if entries > _TABLE_ENTRIES:
+        raise OperadError(
+            f"an operation of arity {arity} on {carrier} elements needs "
+            f"{carrier}^{arity} table entries, over the budget of "
+            f"{_TABLE_ENTRIES}")
+    return entries
+
+
 def op_from_callable(carrier: int, arity: int, fn: Callable) -> FiniteOp:
+    _table_entries(carrier, arity)
     table = []
     for args in itertools.product(range(1, carrier + 1), repeat=arity):
         table.append(fn(*args))
@@ -529,7 +538,6 @@ class EndOperad(Operad):
     """All finitary operations on a finite carrier, under substitution."""
 
     flavor = "fp"
-    finite_per_arity = True
 
     def __init__(self, carrier: int):
         if carrier < 1:
@@ -547,6 +555,8 @@ class EndOperad(Operad):
         self._check_compose(p, qs)
         if any(q.carrier != self.carrier for q in (p, *qs)):
             raise OperadError("carrier mismatch")
+        arity = sum(q.arity for q in qs)
+        _table_entries(self.carrier, arity)
         # the composite's argument tuple is the inner argument blocks side
         # by side, so its table walks the product of the inner tables and
         # reads p.table at the mixed-radix index of the inner values
@@ -554,11 +564,12 @@ class EndOperad(Operad):
         for i, q in enumerate(qs):
             stride = self.carrier ** (len(qs) - 1 - i)
             offsets = [o + (v - 1) * stride for o in offsets for v in q.table]
-        return FiniteOp(self.carrier, sum(q.arity for q in qs),
+        return FiniteOp(self.carrier, arity,
                         tuple(p.table[o] for o in offsets))
 
     def act_fn(self, f, p):
         self._check_act(f, p)
+        _table_entries(self.carrier, f.cod)
         table = []
         for args in itertools.product(range(1, self.carrier + 1), repeat=f.cod):
             table.append(p(select(f, args)))
@@ -566,8 +577,9 @@ class EndOperad(Operad):
 
     def enumerate_elements(self, arity, bound):
         out = []
-        for table in itertools.product(range(1, self.carrier + 1),
-                                       repeat=self.carrier ** arity):
+        for table in itertools.product(
+                range(1, self.carrier + 1),
+                repeat=_table_entries(self.carrier, arity)):
             if len(out) >= bound:
                 break
             out.append(FiniteOp(self.carrier, arity, table))
@@ -615,8 +627,6 @@ class FreeOperad(Operad):
     according to the flavor. No equations are imposed: two elements are
     equal exactly when they are the same labelled pair.
     """
-
-    finite_per_arity = False
 
     def __init__(self, signature: Signature, flavor: str = "plain"):
         if flavor not in FLAVOR_RANK:
@@ -710,13 +720,7 @@ class Interpretation:
     def eval_term(self, t: Term, n: int):
         """Evaluate a term at a declared arity: split off the labelling
         function, evaluate the shape, then act."""
-        pair = to_tree(t, n)
-        base = eval_tree(pair.tree, self.assignment, self.operad)
-        if pair.fn.is_identity:
-            return base
-        if pair.fn.is_bijection:
-            return self.operad.act_perm(pair.fn, base)
-        return self.operad.act_fn(pair.fn, base)
+        return eval_tree(to_object(t, n), self.assignment, self.operad)
 
     def eval_tree(self, tree):
         return eval_tree(tree, self.assignment, self.operad)
@@ -725,7 +729,6 @@ class Interpretation:
 @dataclass
 class InterpretationReport:
     equation_failures: list[tuple[Equation, str, str]]
-    surjectivity: dict[int, tuple[int, int]] | None
 
     @property
     def ok(self) -> bool:
@@ -738,23 +741,11 @@ class InterpretationReport:
         for eq, lhs, rhs in self.equation_failures:
             out.append(f"fails {format_term(eq.lhs)} = {format_term(eq.rhs)} "
                        f"@{eq.arity}: {lhs} != {rhs}")
-        if self.surjectivity is not None:
-            for arity in sorted(self.surjectivity):
-                hit, total = self.surjectivity[arity]
-                out.append(f"arity {arity}: reaches {hit} of {total} elements")
         return out
 
 
-def validate_interpretation(interp: Interpretation,
-                            surjectivity_arities: Sequence[int] = (),
-                            element_bound: int = 64,
-                            tree_size_bound: int = 7) -> InterpretationReport:
-    """Check every equation of the presentation under the assignment.
-
-    When surjectivity_arities is given and the target has finitely many
-    elements per arity, also report how many target elements of those
-    arities are hit by trees up to tree_size_bound.
-    """
+def validate_interpretation(interp: Interpretation) -> InterpretationReport:
+    """Check every equation of the presentation under the assignment."""
     failures = []
     for eq in interp.presentation.equations:
         lhs = interp.eval_term(eq.lhs, eq.arity)
@@ -762,21 +753,7 @@ def validate_interpretation(interp: Interpretation,
         if not interp.operad.elements_equal(lhs, rhs):
             failures.append((eq, interp.operad.format_element(lhs),
                              interp.operad.format_element(rhs)))
-    surjectivity = None
-    if surjectivity_arities and interp.operad.finite_per_arity:
-        surjectivity = {}
-        for arity in surjectivity_arities:
-            targets = interp.operad.enumerate_elements(arity, element_bound)
-            reached = set()
-            for tree in enumerate_trees(interp.presentation.signature, arity,
-                                        tree_size_bound):
-                value = interp.eval_tree(tree)
-                for i, t in enumerate(targets):
-                    if interp.operad.elements_equal(value, t):
-                        reached.add(i)
-                        break
-            surjectivity[arity] = (len(reached), len(targets))
-    return InterpretationReport(failures, surjectivity)
+    return InterpretationReport(failures)
 
 
 @dataclass
@@ -874,31 +851,33 @@ def _heads(pools: Mapping[int, list], ks: Sequence[int]) -> list | None:
     return [pools[k][0] for k in ks]
 
 
-def operad_axiom_check(operad: Operad, max_arity: int = 2,
-                       element_bound: int = 4,
-                       instance_cap: int = 4000) -> CheckReport:
+_AXIOM_ARITY = 2
+_AXIOM_CAP = 4000
+
+
+def operad_axiom_check(operad: Operad, element_bound: int = 4) -> CheckReport:
     """Systematically probe the operad laws on small enumerated elements.
 
     Walks units, associativity, action functoriality, both equivariance
-    shapes, and (for fp flavor) the combined substitution law, stopping
-    each law after instance_cap instances.
+    shapes, and (for fp flavor) the combined substitution law, on
+    elements of arity up to 2, stopping each law after 4000 instances.
     """
     pools = {n: operad.enumerate_elements(n, element_bound)
-             for n in range(max_arity + 1)}
+             for n in range(_AXIOM_ARITY + 1)}
     report = CheckReport()
     checked = report.checked
 
     for n, pool in pools.items():
         for p in pool:
-            if checked.get("unit", 0) >= instance_cap:
+            if checked.get("unit", 0) >= _AXIOM_CAP:
                 break
             report.check("unit", unit_instance_ok(operad, p),
                          lambda: operad.format_element(p))
 
-    for n in range(max_arity + 1):
+    for n in range(_AXIOM_ARITY + 1):
         for p in pools[n]:
-            for ks in itertools.product(range(max_arity + 1), repeat=n):
-                if checked.get("associativity", 0) >= instance_cap:
+            for ks in itertools.product(range(_AXIOM_ARITY + 1), repeat=n):
+                if checked.get("associativity", 0) >= _AXIOM_CAP:
                     break
                 qs = _heads(pools, ks)
                 if qs is None:
@@ -909,20 +888,21 @@ def operad_axiom_check(operad: Operad, max_arity: int = 2,
                              lambda: operad.format_element(p))
 
     if FLAVOR_RANK[operad.flavor] >= FLAVOR_RANK["symmetric"]:
-        for n in range(1, max_arity + 1):
+        for n in range(1, _AXIOM_ARITY + 1):
             tables = list(itertools.permutations(range(1, n + 1)))
             for p in pools[n]:
                 for t1 in tables:
                     for t2 in tables:
-                        if checked.get("action", 0) >= instance_cap:
+                        if checked.get("action", 0) >= _AXIOM_CAP:
                             break
                         report.check(
                             "action",
                             act_functorial_ok(operad, perm(t1), perm(t2), p),
                             lambda: operad.format_element(p))
                 for t in tables:
-                    for ks in itertools.product(range(max_arity + 1), repeat=n):
-                        if checked.get("equivariance-outer", 0) >= instance_cap:
+                    for ks in itertools.product(range(_AXIOM_ARITY + 1),
+                                                repeat=n):
+                        if checked.get("equivariance-outer", 0) >= _AXIOM_CAP:
                             break
                         rs = _heads(pools, ks)
                         if rs is None:
@@ -932,9 +912,10 @@ def operad_axiom_check(operad: Operad, max_arity: int = 2,
                             equivariance_outer_ok(operad, perm(t), p, rs),
                             lambda: f"{operad.format_element(p)} by {t}")
 
-        for n in range(1, max_arity + 1):
+        for n in range(1, _AXIOM_ARITY + 1):
             for p in pools[n]:
-                for ks in itertools.product(range(1, max_arity + 1), repeat=n):
+                for ks in itertools.product(range(1, _AXIOM_ARITY + 1),
+                                            repeat=n):
                     rs = _heads(pools, ks)
                     if rs is None:
                         continue
@@ -942,21 +923,21 @@ def operad_axiom_check(operad: Operad, max_arity: int = 2,
                         gs = [make_fn((1,) * k, 1) for k in ks]
                     else:
                         gs = [perm(tuple(range(k, 0, -1))) for k in ks]
-                    if checked.get("equivariance-inner", 0) < instance_cap:
+                    if checked.get("equivariance-inner", 0) < _AXIOM_CAP:
                         report.check("equivariance-inner",
                                      equivariance_inner_ok(operad, p, gs, rs),
                                      lambda: operad.format_element(p))
 
     if operad.flavor == "fp":
         fns = [make_fn(table, c)
-               for c in range(1, max_arity + 1)
-               for dom in range(1, max_arity + 1)
+               for c in range(1, _AXIOM_ARITY + 1)
+               for dom in range(1, _AXIOM_ARITY + 1)
                for table in itertools.product(range(1, c + 1), repeat=dom)]
-        inner_shapes = [(1,), (1, 1)][:max(1, max_arity)]
+        inner_shapes = [(1,), (1, 1)]
         for f in fns:
             for p in pools.get(f.dom, []):
                 for gs_tables in itertools.product(inner_shapes, repeat=f.cod):
-                    if checked.get("combined-substitution", 0) >= instance_cap:
+                    if checked.get("combined-substitution", 0) >= _AXIOM_CAP:
                         break
                     qs = _heads(pools, [len(t) for t in gs_tables])
                     if qs is None:

@@ -431,13 +431,12 @@ def _comparison_psi(S: StrictPCategory, term: Term,
     return S.W.base.compose(second, first)
 
 
-def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
-                      arrow_cap: int = 4,
-                      instance_cap: int = 2000) -> CheckReport:
+def check_equivalence(S: StrictPCategory, W: WeakPCategoryData) -> CheckReport:
     """The comparison to the base: hom-sets transported bijectively,
     every base object hit exactly by the identity-element pair, and the
     construction's deltas satisfying the weak map laws (endpoints,
-    invertibility, naturality, pasting) on in-bound instances."""
+    invertibility, naturality, pasting) on in-bound instances: at most
+    2000 comparison cells and four sampled arrows."""
     if W is not S.W:
         raise StrictifyError("the comparison check needs the input the "
                              "strict category was built from")
@@ -461,12 +460,12 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
             report.fail(f"comparison cell at the identity element over "
                         f"{a!r} is not the identity")
     checked = 0
-    pool = S.sample_arrows(arrow_cap * 4)[:arrow_cap]
+    pool = S.sample_arrows(16)[:4]
     for op, arity in W.presentation.signature.ops:
         op_elem = W.interpretation.assignment[op]
         for xs in islice(product(S.objects, repeat=arity),
                          _OBJECT_TUPLES):
-            if checked >= instance_cap:
+            if checked >= 2000:
                 break
             try:
                 cell = _comparison_cell(S, op, xs)
@@ -518,15 +517,14 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData,
 
 
 def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
-                             G: WeakPFunctorData, arity_bound: int = 3,
-                             element_bound: int = 20,
-                             arrow_cap: int = 6) -> CheckReport:
+                             G: WeakPFunctorData) -> CheckReport:
     """Builds the strict map H out of the strict category induced by a
     weak map G into a strict target, checks that H is a strict functor
     restricting to G, and certifies uniqueness: every arrow image of a
     strict map restricting to G is forced by closure from the
-    restriction data. A G that check_weak_functor fails is refused, as
-    is a target that is not strict."""
+    restriction data. The strict action is probed at six sampled
+    arrows. A G that check_weak_functor fails is refused, as is a target
+    that is not strict."""
     report = CheckReport()
     if not B.is_strict():
         raise StrictifyError("the target of the induced map must be strict")
@@ -538,7 +536,7 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
         raise StrictifyError(
             f"the map into the strict target is not a weak map: "
             f"{weak.failures[0]}")
-    S = strictify(W, arity_bound, element_bound)
+    S = strictify(W)
     _require_plain(S, "the universal property check")
     H = _induced_map(S, B, G, report)
     if H is None:
@@ -546,7 +544,7 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
     _, obj_ids, _ = S.as_finite_category()
     unit = S.operad.identity()
 
-    pool = S.sample_arrows(arrow_cap * 4)[:arrow_cap]
+    pool = S.sample_arrows(24)[:6]
     for op, arity in W.presentation.signature.ops:
         op_elem = W.interpretation.assignment[op]
         for xs in islice(product(S.objects, repeat=arity),

@@ -451,15 +451,12 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def enumerate_terms(signature: Signature, arity: int, max_size: int,
-                    kind: str = GENERAL) -> list[Term]:
+def enumerate_terms(signature: Signature, arity: int, max_size: int
+                    ) -> list[Term]:
     """All terms with support inside 1..arity and at most max_size nodes.
 
-    kind narrows the result: LINEAR keeps terms using each of x1..x_arity
-    exactly once, STRONGLY_REGULAR additionally in increasing order.
-    Sorted by (size, text) for determinism. With kind GENERAL, every
-    compound term is built from the list's own smaller terms, as shared
-    objects.
+    Sorted by (size, text) for determinism. Every compound term is built
+    from the list's own smaller terms, as shared objects.
     """
     out: list[Term] = []
     texts: list[str] = []
@@ -483,12 +480,6 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
         texts.extend(text for text, _ in found)
         out.extend(term for _, term in found)
         bounds.append(len(out))
-    if kind == LINEAR:
-        target = tuple(range(1, arity + 1))
-        out = [t for t in out if tuple(sorted(var_seq(t))) == target]
-    elif kind == STRONGLY_REGULAR:
-        target = tuple(range(1, arity + 1))
-        out = [t for t in out if var_seq(t) == target]
     return out
 
 
@@ -645,19 +636,19 @@ class SaturationResult:
             return None
         return self._elementary_path(closure, i1, i2, closure.unions)
 
-    def explain_many(self, arity: int, t1: Term, t2: Term, limit: int = 4,
-                     slack: int = 4) -> list[list[RewriteStep]]:
+    def explain_many(self, arity: int, t1: Term, t2: Term, limit: int = 4
+                     ) -> list[list[RewriteStep]]:
         """Up to limit distinct rewrite chains from t1 to t2, shortest
         first, ties broken by step serialization. Chains follow simple
-        paths in the merge graph no longer than the shortest plus slack;
-        an empty list means the terms are not merged."""
+        paths in the merge graph at most four links longer than the
+        shortest; an empty list means the terms are not merged."""
         closure = self._closures[arity]
         i1, i2 = closure.ids(t1, t2)
         if not closure.same(i1, i2):
             return []
         if i1 == i2:
             return [[]]
-        cap = len(self._bfs(closure, i1, i2, closure.unions)) + slack
+        cap = len(self._bfs(closure, i1, i2, closure.unions)) + 4
         found: list[list[tuple[int, int, tuple, int]]] = []
         path: list[tuple[int, int, tuple, int]] = []
         on_path = {i1}

@@ -59,17 +59,6 @@ def tree_size(t: Tree) -> int:
     return 1 + sum(tree_size(c) for c in t.children)
 
 
-def validate_tree(t: Tree, signature: Signature) -> None:
-    if isinstance(t, Leaf):
-        return
-    declared = signature.arity(t.op)
-    if len(t.children) != declared:
-        raise TreeError(
-            f"operation {t.op!r} expects {declared} children, got {len(t.children)}")
-    for c in t.children:
-        validate_tree(c, signature)
-
-
 def graft(t: Tree, subs: Sequence[Tree]) -> Tree:
     """Replace the i-th leaf (left to right) with subs[i]."""
     if len(subs) != tree_arity(t):
@@ -128,18 +117,6 @@ class PermutedTree(FPTree):
                 f"tree arity {tree_arity(self.tree)}")
 
 
-def leaf_permuted(n: int = 1) -> PermutedTree:
-    if n != 1:
-        raise TreeError("the unit tree has arity 1")
-    return PermutedTree(identity(1), LEAF)
-
-
-def leaf_fp(n: int = 1) -> FPTree:
-    if n != 1:
-        raise TreeError("the unit tree has arity 1")
-    return FPTree(identity(1), LEAF)
-
-
 def compose_fp(outer: FPTree, inner: Sequence[FPTree]) -> FPTree:
     """Graft relabelled trees into a relabelled tree, one per output slot.
 
@@ -160,30 +137,8 @@ def compose_fp(outer: FPTree, inner: Sequence[FPTree]) -> FPTree:
 compose_permuted = compose_fp
 
 
-def act_perm_tree(rho: FinFunction, pt: PermutedTree) -> PermutedTree:
-    if not rho.is_bijection:
-        raise TreeError("action needs a bijection")
-    return act_fn_tree(rho, pt)
-
-
 def act_fn_tree(g: FinFunction, ft: FPTree) -> FPTree:
     return type(ft)(compose(g, ft.fn), ft.tree)
-
-
-def as_fp(pt: PermutedTree) -> FPTree:
-    return FPTree(pt.fn, pt.tree)
-
-
-def as_permuted(ft: FPTree) -> PermutedTree:
-    if not ft.fn.is_bijection:
-        raise TreeError("function component is not a bijection")
-    return PermutedTree(ft.fn, ft.tree)
-
-
-def as_plain(ft: FPTree) -> Tree:
-    if not ft.fn.is_identity:
-        raise TreeError("function component is not an identity")
-    return ft.tree
 
 
 def to_term_alpha(t: Tree, alphabet: Sequence[int]) -> Term:
@@ -222,13 +177,16 @@ def to_tree(t: Term, n: int) -> FPTree:
     return FPTree(label_fn(t, n), shape(t))
 
 
-def classify_tree_side(ft: FPTree) -> str:
-    from .terms import GENERAL, LINEAR, STRONGLY_REGULAR
-    if ft.fn.is_identity:
-        return STRONGLY_REGULAR
-    if ft.fn.is_bijection:
-        return LINEAR
-    return GENERAL
+def to_object(t: Term, n: int) -> Tree | FPTree:
+    """A term at a declared arity as the plainest object carrying it: the
+    bare tree when its labelling is an identity, a permuted tree when it
+    is a bijection, and the relabelled pair otherwise."""
+    pair = to_tree(t, n)
+    if pair.fn.is_identity:
+        return pair.tree
+    if pair.fn.is_bijection:
+        return PermutedTree(pair.fn, pair.tree)
+    return pair
 
 
 def format_tree(t: Tree) -> str:
@@ -241,6 +199,13 @@ def format_tree(t: Tree) -> str:
 
 def format_fp_tree(ft: FPTree) -> str:
     return f"{format_fn(ft.fn)} {format_tree(ft.tree)}"
+
+
+def format_object(obj: Tree | FPTree) -> str:
+    """A bare tree or a tree pair, as its own format function prints it."""
+    if isinstance(obj, FPTree):
+        return format_fp_tree(obj)
+    return format_tree(obj)
 
 
 # a permutation's codomain is its largest entry, so format_fn never

@@ -25,7 +25,7 @@ from .operads import CheckReport, Interpretation, Operad, builtin_operad
 from .terms import (App, Equation, Presentation, RewriteStep, Term, Var,
                     format_term, parse_presentation, format_presentation,
                     support)
-from .trees import format_fp_tree, format_tree, to_tree
+from .trees import format_object, to_object
 from .weakening import WeakeningContext, WeakObject
 
 RESERVED = set(",∘=@")
@@ -287,15 +287,8 @@ class Functor:
 
 
 def cell_key(eq: Equation) -> str:
-    return (f"{_side_text(eq.lhs, eq.arity)}="
-            f"{_side_text(eq.rhs, eq.arity)}@{eq.arity}")
-
-
-def _side_text(t: Term, arity: int) -> str:
-    pair = to_tree(t, arity)
-    if pair.fn.is_identity:
-        return format_tree(pair.tree)
-    return format_fp_tree(pair)
+    return (f"{format_object(to_object(eq.lhs, eq.arity))}="
+            f"{format_object(to_object(eq.rhs, eq.arity))}@{eq.arity}")
 
 
 class WeakPCategoryData:
@@ -484,28 +477,29 @@ class WeakPCategoryData:
         return inverse
 
 
-def coherence_check(W: WeakPCategoryData, max_arity: int = 3,
-                    max_size: int | None = None, path_limit: int = 3,
-                    operand_cap: int = 27, pair_cap: int = 40) -> CheckReport:
+_COHERENCE_ARITY = 3
+
+
+def coherence_check(W: WeakPCategoryData) -> CheckReport:
     """Path independence of compiled 2-cells: wherever the merge graph
     offers several distinct rewrite paths between two trees, all of them
-    must compile to the same base arrow at every probed operand tuple."""
+    must compile to the same base arrow at every probed operand tuple.
+    Per arity up to 3, at most 40 class pairs with up to 3 paths each are
+    probed at the first 27 operand tuples."""
     report = CheckReport()
-    max_size = W.max_term_size if max_size is None else max_size
-    W.context.saturation(max_arity)
-    for arity in range(0, max_arity + 1):
+    W.context.saturation(_COHERENCE_ARITY)
+    for arity in range(0, _COHERENCE_ARITY + 1):
         sat = W.context.saturation(arity)
-        operand_pool = list(islice(product(W.base.objects, repeat=arity),
-                                   operand_cap))
+        operand_pool = list(islice(product(W.base.objects, repeat=arity), 27))
         pairs = 0
-        for cls in W.context.enumerate_classes(arity, max_size):
+        for cls in W.context.enumerate_classes(arity, W.max_term_size):
             anchor = cls.members[0]
             term_a = W._as_term(anchor)
             for other in cls.members[1:]:
-                if pairs >= pair_cap:
+                if pairs >= 40:
                     break
                 term_b = W._as_term(other)
-                chains = sat.explain_many(arity, term_a, term_b, limit=path_limit)
+                chains = sat.explain_many(arity, term_a, term_b, limit=3)
                 if len(chains) < 2:
                     continue
                 pairs += 1
@@ -555,10 +549,11 @@ class WeakPFunctorData:
         return self.target.base.compose(second, first)
 
 
-def check_weak_functor(Fd: WeakPFunctorData, samples_cap: int = 200) -> CheckReport:
+def check_weak_functor(Fd: WeakPFunctorData) -> CheckReport:
     """The coherence family must be invertible, natural, reduce to the
     identity on the unit tree, and intertwine every compiled 2-cell of
-    the source with the matching one of the target."""
+    the source with the matching one of the target (the first 200
+    equation instances)."""
     report = CheckReport()
     W1, W2, G = Fd.source, Fd.target, Fd.functor
     sig = W1.presentation.signature
@@ -603,7 +598,7 @@ def check_weak_functor(Fd: WeakPFunctorData, samples_cap: int = 200) -> CheckRep
     checked = 0
     for index, eq in enumerate(W1.presentation.equations):
         for operands in product(W1.base.objects, repeat=eq.arity):
-            if checked >= samples_cap:
+            if checked >= 200:
                 break
             checked += 1
             d1 = W1.derive_delta(eq.lhs, eq.rhs, operands)
@@ -756,8 +751,7 @@ def load_weakcat(text: str) -> WeakPCategoryData:
 
 def indiscrete_monoid_instance(presentation: Presentation,
                                elements: Sequence[str], unit: str,
-                               multiply,
-                               max_term_size: int = 6) -> WeakPCategoryData:
+                               multiply) -> WeakPCategoryData:
     """The weak instance on the indiscrete category over a finite
     monoid: the binary generator acts by multiply on objects, the
     nullary one picks the unit, and every delta component is the unique
@@ -803,5 +797,4 @@ def indiscrete_monoid_instance(presentation: Presentation,
     target = builtin_operad("terminal-plain", presentation)
     assignment = {m_op: 2, e_op: 0}
     return WeakPCategoryData(base, presentation, generators, deltas,
-                             target, assignment,
-                             max_term_size=max_term_size)
+                             target, assignment)

@@ -23,7 +23,7 @@ from .operads import Interpretation
 from .terms import (Presentation, RewriteStep, SaturationResult, Term,
                     closure_saturate, format_term)
 from .trees import (FPTree, PermutedTree, Tree, enumerate_permuted_trees,
-                    enumerate_trees, format_fp_tree, format_tree, to_term,
+                    enumerate_trees, format_object, to_term,
                     to_term_alpha, tree_arity)
 
 FP_REJECTION = (
@@ -113,9 +113,7 @@ class WeakeningContext:
         return to_term_alpha(t, tuple(range(1, tree_arity(t) + 1)))
 
     def format_object(self, t: WeakObject) -> str:
-        if isinstance(t, PermutedTree):
-            return format_fp_tree(t)
-        return format_tree(t)
+        return format_object(t)
 
     def eval_object(self, t: WeakObject):
         if not self.evaluable:

@@ -280,6 +280,25 @@ def test_overdeep_terms_are_refused(capsys, depth):
                               f"{_MAX_NESTING} at column")
 
 
+def test_oversized_end_tables_exit_3(capsys, tmp_path):
+    """An end-N element whose table would pass the entry budget is
+    refused before it is built: the composite of a 201-variable term in
+    end-2, and the default element of a 40-ary operation."""
+    code, out, err = run(capsys, "eval", MONOID, "--target", "end-2",
+                         _nested(_MAX_NESTING))
+    assert code == 3 and out == ""
+    assert err == ("error: an operation of arity 21 on 2 elements needs "
+                   "2^21 table entries, over the budget of 1048576\n")
+    wide = tmp_path / "wide.th"
+    wide.write_text("theory Wide\nflavor plain\nops:\n  w : 40\n",
+                    encoding="utf-8")
+    term = "w(" + ",".join(f"x{i}" for i in range(1, 41)) + ")"
+    code, out, err = run(capsys, "eval", str(wide), "--target", "end-2", term)
+    assert code == 3 and out == ""
+    assert err == ("error: an operation of arity 40 on 2 elements needs "
+                   "2^40 table entries, over the budget of 1048576\n")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("term-info", MONOID, "--arity", str(_MAX_NESTING + 1)), 0),
     (("eval", MONOID, "--target", "free"), 0),

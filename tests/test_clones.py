@@ -97,9 +97,15 @@ def test_end_clone_ccompose_matches_pointwise_substitution():
 def test_clone_axiom_suites():
     report = clone_axiom_check(CloneFromFP(COMM), vector_pools())
     assert report.ok, report.lines()
+    assert report.checked == {"projection-selects": 778,
+                              "identity-substitution": 39,
+                              "substitution-associative": 226}
     end_pools = {n: EndClone(2).enumerate_elements(n, 8) for n in range(4)}
     report = clone_axiom_check(EndClone(2), end_pools)
     assert report.ok, report.lines()
+    assert report.checked == {"projection-selects": 884,
+                              "identity-substitution": 20,
+                              "substitution-associative": 256}
 
 
 def test_roundtrip_comm_monoid():

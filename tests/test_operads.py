@@ -17,8 +17,8 @@ from operad_workbench.operads import (CheckReport, CommMonoidFPOperad,
                                       TerminalSymmetricOperad,
                                       builtin_operad, default_assignment,
                                       eval_tree, format_poly,
-                                      operad_axiom_check, parse_poly,
-                                      validate_interpretation)
+                                      op_from_callable, operad_axiom_check,
+                                      parse_poly, validate_interpretation)
 from operad_workbench.terms import Signature, parse_term
 from operad_workbench.trees import LEAF, Node, graft, parse_tree
 from oracles import (EndTable, end_act, end_compose,
@@ -230,6 +230,29 @@ def test_end_operad_compose_rejects_mismatches():
         operad.compose(FiniteOp(3, 2, (1,) * 9), [q, q])
 
 
+def test_end_tables_over_the_budget_are_refused_before_they_are_built():
+    def never(*args):
+        raise AssertionError("a refused table was filled")
+
+    end2, end4 = EndOperad(2), EndOperad(4)
+    # the inner tables are within the budget, their composite is not
+    p = op_from_callable(4, 2, max)
+    qs = [op_from_callable(4, 5, lambda *args: args[0]),
+          op_from_callable(4, 6, lambda *args: args[-1])]
+    for refused, carrier, arity in (
+            (lambda: op_from_callable(2, 21, never), 2, 21),
+            (lambda: end2.enumerate_elements(21, 1), 2, 21),
+            (lambda: end2.act_fn(fn((1,), cod=21), FiniteOp(2, 1, (2, 1))),
+             2, 21),
+            (lambda: end4.compose(p, qs), 4, 11)):
+        with pytest.raises(OperadError) as info:
+            refused()
+        assert str(info.value) == (
+            f"an operation of arity {arity} on {carrier} elements needs "
+            f"{carrier}^{arity} table entries, over the budget of 1048576")
+    assert len(end4.compose(p, [qs[0], end4.identity()]).table) == 4 ** 6
+
+
 def test_free_operad_composes_by_grafting():
     free = FreeOperad(SIG, "plain")
     x = parse_tree("m(|,m(|,|))", SIG)
@@ -270,11 +293,16 @@ def test_interpretation_evaluates_terms(comm_monoid):
 def test_validate_interpretation_detects_broken_assignment(comm_monoid):
     good = comm_monoid_fp_context(comm_monoid).interpretation
     assert validate_interpretation(good).ok
+    assert validate_interpretation(good).lines() == ["all equations hold"]
     operad = CommMonoidFPOperad()
     bad = Interpretation(comm_monoid, operad, {"m": (1, 2), "e": ()})
     report = validate_interpretation(bad)
     assert not report.ok
     assert report.equation_failures
+    assert report.lines() == [
+        "fails m(m(x1,x2),x3) = m(x1,m(x2,x3)) @3: [1,2,2] != [1,2,4]",
+        "fails m(e,x1) = x1 @1: [2] != [1]",
+        "fails m(x1,x2) = m(x2,x1) @2: [1,2] != [2,1]"]
 
 
 def test_interpretation_guards(monoid, comm_monoid):

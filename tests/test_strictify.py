@@ -174,13 +174,27 @@ def test_memoized_action_matches_cold_computation(instance, z3_instance,
 STRICTNESS_COUNTS = {"unit law": 72, "associativity": 930,
                      "associativity instances out of bounds": 2710}
 
+EQUIVALENCE_COUNTS = {
+    3: {"hom bijection": 1600, "essential surjectivity": 3,
+        "comparison cell endpoints": 89, "comparison cell naturality": 16,
+        "comparison pasting": 110},
+    4: {"hom bijection": 7225, "essential surjectivity": 4,
+        "comparison cell endpoints": 186, "comparison cell naturality": 10,
+        "comparison pasting": 99}}
+
 
 def test_strictness_counts_are_pinned(z3_instance, z4_instance):
+    """check_strictness and check_equivalence on Z/3, Z/4 and the bundled
+    instance, under their fixed probe bounds."""
     bundled = load_weakcat((EXAMPLES / "indiscrete_monoid_weakcat.json")
                            .read_text(encoding="utf-8"))
     for W in (z3_instance, z4_instance, bundled):
-        report = check_strictness(strictify(W))
+        S = strictify(W)
+        report = check_strictness(S)
         assert report.checked == STRICTNESS_COUNTS
+        assert report.ok, report.lines()
+        report = check_equivalence(S, W)
+        assert report.checked == EQUIVALENCE_COUNTS[len(W.base.objects)]
         assert report.ok, report.lines()
 
 
@@ -238,7 +252,10 @@ def test_universal_property_collapse(z3_instance, monoid):
     B = terminal_weakcat(monoid)
     assert B.is_strict()
     G = collapse_functor(z3_instance, B)
-    assert check_weak_functor(G).ok
+    weak = check_weak_functor(G)
+    assert weak.ok
+    assert weak.checked == {"psi endpoints": 10, "psi naturality": 82,
+                            "unit law": 3, "pasting square": 33}
     report = universal_property_check(z3_instance, B, G)
     assert report.ok, report.lines()
 

@@ -8,26 +8,27 @@ from conftest import perfbench_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operad_workbench.finmaps import (FinFunction, fn, format_perm, identity,
-                                      perm, select)
+from operad_workbench.finmaps import (FinFunction, compose, fn, format_perm,
+                                      identity, perm, select)
+from operad_workbench.operads import FreeOperad, OperadError
 from operad_workbench.terms import (Signature, enumerate_terms, format_term,
                                     max_var, parse_term, rename_vars,
                                     term_size)
 from operad_workbench.trees import (FPTree, LEAF, Leaf, Node, PermutedTree,
-                                    TreeError, act_fn_tree, act_perm_tree,
-                                    as_fp, as_permuted, as_plain,
-                                    classify_tree_side, compose_fp,
+                                    TreeError, act_fn_tree, compose_fp,
                                     compose_permuted, enumerate_fp_trees,
                                     enumerate_permuted_trees, enumerate_trees,
-                                    format_fp_tree, format_permuted_tree,
-                                    format_tree, graft, leaf_fp,
-                                    leaf_permuted, parse_fp_tree,
-                                    parse_permuted_tree, parse_tree, shape,
-                                    to_term, to_term_alpha, to_tree,
-                                    tree_arity, tree_size)
+                                    format_fp_tree, format_object,
+                                    format_permuted_tree, format_tree, graft,
+                                    parse_fp_tree, parse_permuted_tree,
+                                    parse_tree, shape, to_object, to_term,
+                                    to_term_alpha, to_tree, tree_arity,
+                                    tree_size)
 
 SIG = Signature.of({"m": 2, "e": 0})
 REFS = perfbench_module("refs")
+# the unit of permuted-tree composition
+UNIT = PermutedTree(identity(1), LEAF)
 
 
 def tr(text):
@@ -106,8 +107,8 @@ def permuted_pool(max_size=3, arities=(0, 1, 2)):
 def test_compose_permuted_unit_laws():
     for pt in permuted_pool():
         n = pt.arity
-        assert compose_permuted(pt, [leaf_permuted()] * n) == pt
-        assert compose_permuted(leaf_permuted(), [pt]) == pt
+        assert compose_permuted(pt, [UNIT] * n) == pt
+        assert compose_permuted(UNIT, [pt]) == pt
 
 
 def test_compose_permuted_associativity():
@@ -136,7 +137,7 @@ def test_compose_permuted_tracks_terms():
     # pair receives the v-th inner term, relabelled into its block
     x = parse_permuted_tree("[2,1] m(|,|)", SIG)
     y1 = parse_permuted_tree("[1,2] m(|,m(|,e))", SIG)
-    y2 = leaf_permuted()
+    y2 = UNIT
     composite = compose_permuted(x, [y1, y2])
     assert to_term(composite) == parse_term("m(x3,m(x1,m(x2,e)))")
 
@@ -150,11 +151,11 @@ def test_compose_fp_matches_fp_term_substitution():
 
 
 def test_unit_trees_and_actions():
-    assert leaf_permuted() == PermutedTree(perm((1,)), LEAF)
-    assert leaf_fp() == FPTree(identity(1), LEAF)
+    assert UNIT == PermutedTree(perm((1,)), LEAF)
+    assert UNIT != FPTree(identity(1), LEAF)
     pt = parse_permuted_tree("[2,1] m(|,|)", SIG)
     rho = perm((2, 1))
-    acted = act_perm_tree(rho, pt)
+    acted = act_fn_tree(rho, pt)
     assert acted.fn == identity(2) and acted.tree == pt.tree
     ft = parse_fp_tree("[1,2 -> 2] m(|,|)", SIG)
     g = fn((1, 1), cod=1)
@@ -165,19 +166,8 @@ def test_act_is_a_left_action():
     rho = perm((2, 3, 1))
     tau = perm((3, 2, 1))
     for pt in enumerate_permuted_trees(SIG, 3, 5)[:12]:
-        one = act_perm_tree(rho, act_perm_tree(tau, pt))
-        from operad_workbench.finmaps import compose
-        assert one == act_perm_tree(compose(rho, tau), pt)
-
-
-def test_conversions():
-    pt = parse_permuted_tree("[2,1] m(|,|)", SIG)
-    assert as_permuted(as_fp(pt)) == pt
-    assert as_plain(FPTree(identity(2), pt.tree)) == pt.tree
-    with pytest.raises(TreeError):
-        as_permuted(parse_fp_tree("[1,1 -> 1] m(|,|)", SIG))
-    with pytest.raises(TreeError):
-        as_plain(as_fp(pt))
+        one = act_fn_tree(rho, act_fn_tree(tau, pt))
+        assert one == act_fn_tree(compose(rho, tau), pt)
 
 
 def test_term_tree_roundtrip_small():
@@ -202,13 +192,20 @@ def test_shape_forgets_labels():
     assert shape(term) == tr("m(m(|,e),|)")
 
 
-def test_classify_tree_side():
-    assert classify_tree_side(parse_fp_tree("[1,2 -> 2] m(|,|)", SIG)) \
-        == "strongly_regular"
-    assert classify_tree_side(parse_fp_tree("[2,1 -> 2] m(|,|)", SIG)) \
-        == "linear"
-    assert classify_tree_side(parse_fp_tree("[1,1 -> 1] m(|,|)", SIG)) \
-        == "general"
+def test_to_object_picks_the_plainest_object():
+    # an identity labelling gives the bare tree, a bijection a permuted
+    # tree, and any other function the relabelled pair
+    cases = [("m(x1,x2)", 2, tr("m(|,|)"), "m(|,|)"),
+             ("m(x2,x1)", 2, PermutedTree(perm((2, 1)), tr("m(|,|)")),
+              "[2,1] m(|,|)"),
+             ("m(x1,x1)", 1, FPTree(fn((1, 1), cod=1), tr("m(|,|)")),
+              "[1,1] m(|,|)"),
+             ("m(x1,x2)", 3, FPTree(fn((1, 2), cod=3), tr("m(|,|)")),
+              "[1,2->3] m(|,|)")]
+    for text, arity, want, printed in cases:
+        got = to_object(parse_term(text), arity)
+        assert got == want and type(got) is type(want)
+        assert format_object(got) == printed
 
 
 def test_enumerations_are_sorted_and_well_formed():
@@ -322,11 +319,11 @@ def test_permuted_trees_are_bijective_relabelled_trees():
     t = tr("m(|,|)")
     assert PermutedTree(p, t) != FPTree(p, t)
     assert isinstance(PermutedTree(p, t), FPTree)
-    composite = compose_fp(PermutedTree(p, t), [leaf_permuted(),
-                                                PermutedTree(p, t)])
+    composite = compose_fp(PermutedTree(p, t), [UNIT, PermutedTree(p, t)])
     assert type(composite) is PermutedTree
     assert format_fp_tree(composite) == "[3,2,1] m(m(|,|),|)"
-    assert type(compose_fp(FPTree(p, t), [leaf_fp(), leaf_fp()])) is FPTree
+    unit_fp = FPTree(identity(1), LEAF)
+    assert type(compose_fp(FPTree(p, t), [unit_fp, unit_fp])) is FPTree
     assert type(act_fn_tree(p, PermutedTree(p, t))) is PermutedTree
     with pytest.raises(TreeError, match="^permuted tree needs a bijection$"):
         PermutedTree(fn((1, 1), cod=2), t)
@@ -336,8 +333,10 @@ def test_permuted_trees_are_bijective_relabelled_trees():
     with pytest.raises(TreeError, match="^function domain 1 does not "
                                         "match tree arity 2$"):
         FPTree(identity(1), t)
-    with pytest.raises(TreeError, match="^action needs a bijection$"):
-        act_perm_tree(fn((1, 1), cod=2), PermutedTree(p, t))
+    with pytest.raises(OperadError,
+                       match="^free-symmetric only acts by permutations$"):
+        FreeOperad(SIG, "symmetric").act_fn(fn((1, 1), cod=2),
+                                            PermutedTree(p, t))
     with pytest.raises(TreeError, match="^composition needs 2 inner trees, "
                                         "got 1$"):
-        compose_fp(PermutedTree(p, t), [leaf_permuted()])
+        compose_fp(PermutedTree(p, t), [UNIT])

@@ -1,11 +1,12 @@
 """Finite categories with weak algebra structure: validation, the
 derived action, compiled 2-cells, coherence, and serialization."""
 
+import importlib.util
 import itertools
 
 import pytest
-from conftest import (EXAMPLES, identity_weak_functor, skewed_group_instance,
-                      zmod)
+from conftest import (EXAMPLES, ROOT, identity_weak_functor,
+                      skewed_group_instance, zmod)
 
 from operad_workbench.strictify import strictify
 from operad_workbench.terms import parse_term
@@ -278,6 +279,15 @@ def test_coherence_check_passes_on_z3(z3_instance):
     assert any("path independence" in line for line in report.lines())
 
 
+def test_coherence_counts_are_pinned(z3_instance, z4_instance):
+    bundled = load_weakcat((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                           .read_text(encoding="utf-8"))
+    for W, count in ((z3_instance, 81), (z4_instance, 131), (bundled, 81)):
+        report = coherence_check(W)
+        assert report.checked == {"path independence": count}
+        assert report.ok, report.lines()
+
+
 def test_skewed_associator_validates_but_is_incoherent(monoid):
     W = skewed_group_instance(monoid)
     assert not W.is_strict()
@@ -288,6 +298,8 @@ def test_skewed_associator_validates_but_is_incoherent(monoid):
 def test_identity_weak_functor_checks(z3_instance):
     report = check_weak_functor(identity_weak_functor(z3_instance))
     assert report.ok, report.lines()
+    assert report.checked == {"psi endpoints": 10, "psi naturality": 82,
+                              "unit law": 3, "pasting square": 33}
 
 
 def test_corrupted_psi_is_detected(z3_instance):
@@ -304,6 +316,23 @@ def test_json_roundtrip(z3_instance):
     assert loaded.is_strict()
     assert loaded.base.objects == z3_instance.base.objects
     assert loaded.interpretation.assignment == {"m": 2, "e": 0}
+
+
+def test_bundled_instance_is_what_its_generator_writes(tmp_path,
+                                                       monkeypatch, capsys):
+    """scripts/make_indiscrete_example.py, run on a copy of monoid.th,
+    writes the bundled instance byte for byte."""
+    spec = importlib.util.spec_from_file_location(
+        "make_indiscrete_example",
+        ROOT / "scripts" / "make_indiscrete_example.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "monoid.th").write_bytes((EXAMPLES / "monoid.th").read_bytes())
+    monkeypatch.setattr(script, "EXAMPLES", tmp_path)
+    script.main()
+    name = "indiscrete_monoid_weakcat.json"
+    assert (tmp_path / name).read_bytes() == (EXAMPLES / name).read_bytes()
+    assert capsys.readouterr().out.startswith("wrote ")
 
 
 def test_load_rejects_malformed_input(z3_instance):
