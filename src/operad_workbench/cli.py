@@ -24,10 +24,10 @@ from .operads import (Interpretation, OperadError, builtin_operad,
                       default_assignment)
 from .strictify import (StrictifyError, check_equivalence, check_strictness,
                         strictify)
-from .terms import (PresentationError, TermError, classify_equation,
-                    classify_presentation, classify_term, format_equation,
-                    format_term, max_var, parse_presentation, parse_term,
-                    term_size, var_seq)
+from .terms import (MAX_STEPS, MAX_TERM_SIZE, PresentationError, TermError,
+                    classify_equation, classify_presentation, classify_term,
+                    format_equation, format_term, max_var,
+                    parse_presentation, parse_term, term_size, var_seq)
 from .trees import TreeError, format_fp_tree, to_object, to_tree
 from .weakcat import WeakcatError, load_weakcat
 from .weakening import WeakeningContext, WeakeningError
@@ -66,6 +66,9 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON payload instead of text")
+    budgets = _Parser(add_help=False)
+    budgets.add_argument("--max-size", type=_positive, default=MAX_TERM_SIZE)
+    budgets.add_argument("--steps", type=_positive, default=MAX_STEPS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common],
@@ -86,23 +89,19 @@ def build_parser() -> _Parser:
                    help="declared arity (default: the largest variable)")
     p.add_argument("term")
 
-    p = sub.add_parser("decide", parents=[common],
+    p = sub.add_parser("decide", parents=[common, budgets],
                        help="is there a 2-cell between two objects")
     p.add_argument("file", type=Path)
     p.add_argument("--target", default=None,
                    help="decide by evaluation in this builtin target")
-    p.add_argument("--max-size", type=_positive, default=6)
-    p.add_argument("--steps", type=_positive, default=500_000)
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("classes", parents=[common],
+    p = sub.add_parser("classes", parents=[common, budgets],
                        help="the object partition at an arity")
     p.add_argument("file", type=Path)
     p.add_argument("--target", default=None)
     p.add_argument("--arity", type=_arity, required=True)
-    p.add_argument("--max-size", type=_positive, default=6)
-    p.add_argument("--steps", type=_positive, default=500_000)
 
     p = sub.add_parser("strictify", parents=[common],
                        help="build the strict category from a saved weak "

@@ -510,14 +510,15 @@ _AXIOM = "axiom"
 _CONG = "cong"
 
 
-class _ArityClosure:
-    """Union-find with a merge graph over one bounded term universe,
-    hash-consed on term ids. A term's id is its position in the
-    universe; nodes[i] is (op, child ids) for an App and (index, ()) for
-    a Var, node_index inverts nodes, and sizes[i] is the term's size.
-    parent[i] is i's union-find parent and edges[i] lists (neighbour id,
-    reason, stamp) for every union that touched i, where the stamp counts
-    the unions before it."""
+class SaturationResult:
+    """Bounded equality closure of one arity: union-find with a merge
+    graph over the bounded term universe, hash-consed on term ids, plus
+    merge explanations. A term's id is its position in the universe;
+    nodes[i] is (op, child ids) for an App and (index, ()) for a Var,
+    node_index inverts nodes, and sizes[i] is the term's size. parent[i]
+    is i's union-find parent and edges[i] lists (neighbour id, reason,
+    stamp) for every union that touched i, where the stamp counts the
+    unions before it. exhausted says the step budget ran out."""
 
     def __init__(self, universe: list[Term]):
         self.terms = universe
@@ -540,12 +541,9 @@ class _ArityClosure:
         self.parent = list(range(len(universe)))
         self.edges: list[list[tuple[int, tuple, int]]] = [[] for _ in universe]
         self.unions = 0
+        self.exhausted = False
 
-    def id_of(self, t: Term) -> int | None:
-        """The id of t, or None when t lies outside the universe."""
-        return self.instance_id(t, self.var_ids)
-
-    def instance_id(self, pattern: Term, binding: Mapping[int, int]) -> int | None:
+    def _instance_id(self, pattern: Term, binding: Mapping[int, int]) -> int | None:
         """The id of pattern with x_v bound to the term of id binding[v],
         or None when that instance lies outside the universe (every
         subterm of a universe term lies inside it)."""
@@ -553,13 +551,19 @@ class _ArityClosure:
             return binding.get(pattern.index)
         kids = []
         for a in pattern.args:
-            kid = self.instance_id(a, binding)
+            kid = self._instance_id(a, binding)
             if kid is None:
                 return None
             kids.append(kid)
         return self.node_index.get((pattern.op, tuple(kids)))
 
-    def find(self, i: int) -> int:
+    def _ids(self, *terms: Term) -> list[int]:
+        ids = [self._instance_id(t, self.var_ids) for t in terms]
+        if None in ids:
+            raise TermError("term outside the saturated universe")
+        return ids
+
+    def _find(self, i: int) -> int:
         parent = self.parent
         root = i
         while parent[root] != root:
@@ -568,87 +572,57 @@ class _ArityClosure:
             parent[i], i = root, parent[i]
         return root
 
-    def union(self, a: int, b: int, reason: tuple) -> bool:
+    def _union(self, a: int, b: int, reason: tuple) -> bool:
         stamp = self.unions
         self.unions += 1
         self.edges[a].append((b, reason, stamp))
         self.edges[b].append((a, reason, stamp))
-        ra, rb = self.find(a), self.find(b)
+        ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return False
         self.parent[ra] = rb
         return True
 
-    def same(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
+    def in_universe(self, t: Term) -> bool:
+        return self._instance_id(t, self.var_ids) is not None
 
-    def ids(self, *terms: Term) -> list[int]:
-        ids = [self.id_of(t) for t in terms]
-        if None in ids:
-            raise TermError("term outside the saturated universe")
-        return ids
+    def same(self, t1: Term, t2: Term) -> bool:
+        i1, i2 = self._ids(t1, t2)
+        return self._find(i1) == self._find(i2)
 
-
-class SaturationResult:
-    """Bounded equality closure: per-arity partitions plus merge explanations."""
-
-    def __init__(self, closures: dict[int, _ArityClosure], equations: tuple[Equation, ...],
-                 max_term_size: int, exhausted: bool):
-        self._closures = closures
-        self.equations = equations
-        self.max_term_size = max_term_size
-        self.exhausted = exhausted
-
-    def arities(self) -> list[int]:
-        return sorted(self._closures)
-
-    def universe(self, arity: int) -> list[Term]:
-        return list(self._closures[arity].terms)
-
-    def in_universe(self, arity: int, t: Term) -> bool:
-        return arity in self._closures and self._closures[arity].id_of(t) is not None
-
-    def same(self, arity: int, t1: Term, t2: Term) -> bool:
-        closure = self._closures[arity]
-        return closure.same(*closure.ids(t1, t2))
-
-    def anchor(self, arity: int, t: Term) -> Term:
+    def anchor(self, t: Term) -> Term:
         """A class representative usable as a grouping key; stable within
         this result object, arbitrary beyond that."""
-        closure = self._closures[arity]
-        (i,) = closure.ids(t)
-        return closure.terms[closure.find(i)]
+        (i,) = self._ids(t)
+        return self.terms[self._find(i)]
 
-    def classes(self, arity: int) -> list[list[Term]]:
+    def classes(self) -> list[list[Term]]:
         # ids follow the (size, text) order, so each class comes out
         # sorted and the classes come out sorted by their first member
-        closure = self._closures[arity]
         grouped: dict[int, list[Term]] = {}
-        for i, t in enumerate(closure.terms):
-            grouped.setdefault(closure.find(i), []).append(t)
+        for i, t in enumerate(self.terms):
+            grouped.setdefault(self._find(i), []).append(t)
         return list(grouped.values())
 
-    def explain(self, arity: int, t1: Term, t2: Term) -> list[RewriteStep] | None:
+    def explain(self, t1: Term, t2: Term) -> list[RewriteStep] | None:
         """A chain of elementary rewrites from t1 to t2, or None if unmerged."""
-        closure = self._closures[arity]
-        i1, i2 = closure.ids(t1, t2)
-        if not closure.same(i1, i2):
+        i1, i2 = self._ids(t1, t2)
+        if self._find(i1) != self._find(i2):
             return None
-        return self._elementary_path(closure, i1, i2, closure.unions)
+        return self._elementary_path(i1, i2, self.unions)
 
-    def explain_many(self, arity: int, t1: Term, t2: Term, limit: int = 4
+    def explain_many(self, t1: Term, t2: Term, limit: int = 4
                      ) -> list[list[RewriteStep]]:
         """Up to limit distinct rewrite chains from t1 to t2, shortest
         first, ties broken by step serialization. Chains follow simple
         paths in the merge graph at most four links longer than the
         shortest; an empty list means the terms are not merged."""
-        closure = self._closures[arity]
-        i1, i2 = closure.ids(t1, t2)
-        if not closure.same(i1, i2):
+        i1, i2 = self._ids(t1, t2)
+        if self._find(i1) != self._find(i2):
             return []
         if i1 == i2:
             return [[]]
-        cap = len(self._bfs(closure, i1, i2, closure.unions)) + 4
+        cap = len(self._bfs(i1, i2, self.unions)) + 4
         found: list[list[tuple[int, int, tuple, int]]] = []
         path: list[tuple[int, int, tuple, int]] = []
         on_path = {i1}
@@ -664,7 +638,7 @@ class SaturationResult:
             # repeated unions leave parallel duplicate edges; visit each
             # distinct (target, reason) once, at its oldest stamp
             distinct: dict[tuple[int, tuple], int] = {}
-            for v, reason, stamp in closure.edges[u]:
+            for v, reason, stamp in self.edges[u]:
                 distinct.setdefault((v, reason), stamp)
             for (v, reason), stamp in distinct.items():
                 if v in on_path:
@@ -676,7 +650,7 @@ class SaturationResult:
                 on_path.discard(v)
 
         walk(i1)
-        terms = closure.terms
+        terms = self.terms
         found.sort(key=lambda links: (
             len(links),
             [format_term(terms[a]) + "/" + format_term(terms[b]) for a, b, _, _ in links]))
@@ -686,19 +660,18 @@ class SaturationResult:
         for links in found:
             if len(out) >= limit:
                 break
-            steps = [step for link in links for step in self._expand(closure, *link)]
+            steps = [step for link in links for step in self._expand(*link)]
             if tuple(steps) not in seen:
                 seen.add(tuple(steps))
                 out.append(steps)
         return out
 
-    def _elementary_path(self, closure: _ArityClosure, i1: int, i2: int,
-                         before: int) -> list[RewriteStep]:
-        return [step for link in self._bfs(closure, i1, i2, before)
-                for step in self._expand(closure, *link)]
+    def _elementary_path(self, i1: int, i2: int, before: int
+                         ) -> list[RewriteStep]:
+        return [step for link in self._bfs(i1, i2, before)
+                for step in self._expand(*link)]
 
-    @staticmethod
-    def _bfs(closure: _ArityClosure, i1: int, i2: int, before: int
+    def _bfs(self, i1: int, i2: int, before: int
              ) -> list[tuple[int, int, tuple, int]]:
         """A shortest path from i1 to i2 over the merge edges stamped
         before `before`."""
@@ -710,7 +683,7 @@ class SaturationResult:
         while frontier:
             nxt = []
             for u in frontier:
-                for v, reason, stamp in closure.edges[u]:
+                for v, reason, stamp in self.edges[u]:
                     if v in seen or stamp >= before:
                         continue
                     seen.add(v)
@@ -728,9 +701,9 @@ class SaturationResult:
             frontier = nxt
         raise TermError("merge graph disconnected inside a class")
 
-    def _expand(self, closure: _ArityClosure, a: int, b: int, reason: tuple,
-                stamp: int) -> list[RewriteStep]:
-        terms = closure.terms
+    def _expand(self, a: int, b: int, reason: tuple, stamp: int
+                ) -> list[RewriteStep]:
+        terms = self.terms
         if reason[0] == _AXIOM:
             _, eq_index, binding, lhs_inst, _rhs_inst = reason
             bound = tuple((v, terms[k]) for v, k in binding)
@@ -741,10 +714,10 @@ class SaturationResult:
         assert reason[0] == _CONG
         steps: list[RewriteStep] = []
         current = terms[a]
-        for i, (child_a, child_b) in enumerate(zip(closure.nodes[a][1], closure.nodes[b][1])):
+        for i, (child_a, child_b) in enumerate(zip(self.nodes[a][1], self.nodes[b][1])):
             if child_a == child_b:
                 continue
-            for step in self._elementary_path(closure, child_a, child_b, stamp):
+            for step in self._elementary_path(child_a, child_b, stamp):
                 args = list(current.args)
                 args[i] = step.target
                 nxt = App(current.op, tuple(args))
@@ -755,37 +728,33 @@ class SaturationResult:
         return steps
 
 
+# the default saturation budgets: the size bound on universe terms and
+# the unions attempted within one arity
+MAX_TERM_SIZE = 6
+MAX_STEPS = 500_000
+
+
 def closure_saturate(signature: Signature, equations: Sequence[Equation],
-                     max_arity: int, max_term_size: int,
-                     max_steps: int = 1_000_000) -> SaturationResult:
-    """Bounded equality closure over all terms of each arity 0..max_arity.
+                     arity: int, max_term_size: int,
+                     max_steps: int = MAX_STEPS) -> SaturationResult:
+    """Bounded equality closure over all terms of one arity.
 
     Seeds every equation instance whose two sides fit inside the size
     bound, then closes under one-level congruence and transitivity to a
     fixpoint (or until max_steps unions have been attempted). Sound with
     respect to the unrestricted closure; complete only up to the bounds.
     """
-    equations = tuple(equations)
-    closures: dict[int, _ArityClosure] = {}
-    budget = max_steps
-    exhausted = False
-    for arity in range(max_arity + 1):
-        closure = _ArityClosure(enumerate_terms(signature, arity, max_term_size))
-        closures[arity] = closure
-        budget = _seed_instances(closure, equations, max_term_size, budget)
-        if budget <= 0:
-            exhausted = True
-            break
-        budget = _congruence_fixpoint(closure, budget)
-        if budget <= 0:
-            exhausted = True
-            break
-    return SaturationResult(closures, equations, max_term_size, exhausted)
+    sat = SaturationResult(enumerate_terms(signature, arity, max_term_size))
+    budget = _seed_instances(sat, tuple(equations), max_term_size, max_steps)
+    if budget > 0:
+        budget = _congruence_fixpoint(sat, budget)
+    sat.exhausted = budget <= 0
+    return sat
 
 
-def _seed_instances(closure: _ArityClosure, equations: tuple[Equation, ...],
+def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
                     max_term_size: int, budget: int) -> int:
-    sizes = closure.sizes
+    sizes = sat.sizes
     for eq_index, eq in enumerate(equations):
         occurring = sorted(support(eq.lhs) | support(eq.rhs))
         base_l = term_size(eq.lhs)
@@ -798,12 +767,12 @@ def _seed_instances(closure: _ArityClosure, equations: tuple[Equation, ...],
             if budget <= 0:
                 return budget
             if i == len(occurring):
-                lhs_inst = closure.instance_id(eq.lhs, binding)
-                rhs_inst = closure.instance_id(eq.rhs, binding)
+                lhs_inst = sat._instance_id(eq.lhs, binding)
+                rhs_inst = sat._instance_id(eq.rhs, binding)
                 if lhs_inst is not None and rhs_inst is not None:
                     frozen = tuple(sorted(binding.items()))
-                    closure.union(lhs_inst, rhs_inst,
-                                  (_AXIOM, eq_index, frozen, lhs_inst, rhs_inst))
+                    sat._union(lhs_inst, rhs_inst,
+                               (_AXIOM, eq_index, frozen, lhs_inst, rhs_inst))
                 return budget - 1
             v = occurring[i]
             for t, size in enumerate(sizes):
@@ -832,11 +801,11 @@ def _occurrences(t: Term, v: int) -> int:
     return sum(_occurrences(a, v) for a in t.args)
 
 
-def _congruence_fixpoint(closure: _ArityClosure, budget: int) -> int:
+def _congruence_fixpoint(sat: SaturationResult, budget: int) -> int:
     # hash nodes by operation and child classes; a shared signature
     # means the children are pairwise merged, so the terms merge too
-    compound = [(i, op, kids) for i, (op, kids) in enumerate(closure.nodes) if kids]
-    find = closure.find
+    compound = [(i, op, kids) for i, (op, kids) in enumerate(sat.nodes) if kids]
+    find = sat._find
     changed = True
     while changed and budget > 0:
         changed = False
@@ -849,7 +818,7 @@ def _congruence_fixpoint(closure: _ArityClosure, budget: int) -> int:
             # union even when already merged: the redundant edge keeps
             # alternative rewrite paths available to explain_many
             budget -= 1
-            if closure.union(anchor, t, (_CONG,)):
+            if sat._union(anchor, t, (_CONG,)):
                 changed = True
             if budget <= 0:
                 return budget

@@ -22,9 +22,9 @@ from itertools import islice, product
 from typing import Mapping, Sequence
 
 from .operads import CheckReport, Interpretation, Operad, builtin_operad
-from .terms import (App, Equation, Presentation, RewriteStep, Term, Var,
-                    format_term, parse_presentation, format_presentation,
-                    support)
+from .terms import (MAX_STEPS, MAX_TERM_SIZE, App, Equation, Presentation,
+                    RewriteStep, Term, Var, format_term, parse_presentation,
+                    format_presentation, support)
 from .trees import format_object, to_object
 from .weakening import WeakeningContext, WeakObject
 
@@ -300,7 +300,8 @@ class WeakPCategoryData:
                  deltas: Mapping[int, Mapping[tuple[str, ...], str]],
                  target: Operad | None = None,
                  assignment: Mapping[str, object] | None = None,
-                 max_term_size: int = 6, max_steps: int = 500_000):
+                 max_term_size: int = MAX_TERM_SIZE,
+                 max_steps: int = MAX_STEPS):
         self.base = base
         self.presentation = presentation
         self.context = WeakeningContext(
@@ -419,16 +420,16 @@ class WeakPCategoryData:
         if term1 == term2:
             return self.base.identity(self.h_obj(term1, operands))
         sat = self.context.saturation(arity)
-        if not (sat.in_universe(arity, term1) and sat.in_universe(arity, term2)):
+        if not (sat.in_universe(term1) and sat.in_universe(term2)):
             return None
-        if not sat.same(arity, term1, term2):
+        if not sat.same(term1, term2):
             decision = self._refute(term1, term2, arity)
             if decision == "no":
                 raise WeakcatError(
                     f"no 2-cell between {format_term(term1)} and "
                     f"{format_term(term2)}")
             return None
-        steps = sat.explain(arity, term1, term2)
+        steps = sat.explain(term1, term2)
         return self.compile_path(steps, operands,
                                  at_object=self.h_obj(term1, operands))
 
@@ -487,7 +488,6 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
     Per arity up to 3, at most 40 class pairs with up to 3 paths each are
     probed at the first 27 operand tuples."""
     report = CheckReport()
-    W.context.saturation(_COHERENCE_ARITY)
     for arity in range(0, _COHERENCE_ARITY + 1):
         sat = W.context.saturation(arity)
         operand_pool = list(islice(product(W.base.objects, repeat=arity), 27))
@@ -499,7 +499,7 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
                 if pairs >= 40:
                     break
                 term_b = W._as_term(other)
-                chains = sat.explain_many(arity, term_a, term_b, limit=3)
+                chains = sat.explain_many(term_a, term_b, limit=3)
                 if len(chains) < 2:
                     continue
                 pairs += 1
@@ -745,8 +745,8 @@ def load_weakcat(text: str) -> WeakPCategoryData:
             raise WeakcatError(f"bound {name!r} must be an integer")
     return WeakPCategoryData(
         base, presentation, generators, deltas, target, assignment,
-        max_term_size=bounds.get("max_term_size", 6),
-        max_steps=bounds.get("max_steps", 500_000))
+        max_term_size=bounds.get("max_term_size", MAX_TERM_SIZE),
+        max_steps=bounds.get("max_steps", MAX_STEPS))
 
 
 def indiscrete_monoid_instance(presentation: Presentation,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .operads import Interpretation
-from .terms import (Presentation, RewriteStep, SaturationResult, Term,
-                    closure_saturate, format_term)
+from .terms import (MAX_STEPS, MAX_TERM_SIZE, Presentation, RewriteStep,
+                    SaturationResult, Term, closure_saturate, format_term)
 from .trees import (FPTree, PermutedTree, Tree, enumerate_permuted_trees,
                     enumerate_trees, format_object, to_term,
                     to_term_alpha, tree_arity)
@@ -72,7 +72,8 @@ class WeakeningContext:
 
     def __init__(self, presentation: Presentation,
                  interpretation: Interpretation | None = None,
-                 max_term_size: int = 6, max_steps: int = 500_000):
+                 max_term_size: int = MAX_TERM_SIZE,
+                 max_steps: int = MAX_STEPS):
         if presentation.flavor == "fp":
             raise WeakeningFlavorError()
         if interpretation is not None \
@@ -83,8 +84,7 @@ class WeakeningContext:
         self.interpretation = interpretation
         self.max_term_size = max_term_size
         self.max_steps = max_steps
-        self._saturation: SaturationResult | None = None
-        self._saturation_arity = -1
+        self._saturations: dict[int, SaturationResult] = {}
 
     @property
     def evaluable(self) -> bool:
@@ -122,13 +122,12 @@ class WeakeningContext:
         return self.interpretation.eval_tree(t)
 
     def saturation(self, arity: int) -> SaturationResult:
-        if self._saturation is None or arity > self._saturation_arity:
-            self._saturation = closure_saturate(
+        """The closure of one arity, built on first use."""
+        if arity not in self._saturations:
+            self._saturations[arity] = closure_saturate(
                 self.presentation.signature, self.presentation.equations,
-                max_arity=arity, max_term_size=self.max_term_size,
-                max_steps=self.max_steps)
-            self._saturation_arity = arity
-        return self._saturation
+                arity, self.max_term_size, self.max_steps)
+        return self._saturations[arity]
 
     def two_cell(self, t1: WeakObject, t2: WeakObject) -> Decision:
         """Decide whether the unique invertible 2-cell t1 -> t2 exists."""
@@ -155,13 +154,13 @@ class WeakeningContext:
         term2 = self.object_term(t2)
         sat = self.saturation(arity)
         for term in (term1, term2):
-            if not sat.in_universe(arity, term):
+            if not sat.in_universe(term):
                 return Decision(
                     "unknown",
                     f"{format_term(term)} exceeds the saturation size bound "
                     f"{self.max_term_size}")
-        if sat.same(arity, term1, term2):
-            steps = sat.explain(arity, term1, term2)
+        if sat.same(term1, term2):
+            steps = sat.explain(term1, term2)
             return Decision("yes", f"merged in {len(steps)} rewrite steps",
                             tuple(steps))
         suffix = "; saturation budget exhausted" if sat.exhausted else ""
@@ -197,8 +196,7 @@ class WeakeningContext:
         roots: dict = {}
         for obj in objects:
             term = self.object_term(obj)
-            anchor = (sat.anchor(arity, term)
-                      if sat.in_universe(arity, term) else term)
+            anchor = sat.anchor(term) if sat.in_universe(term) else term
             roots.setdefault(anchor, []).append(obj)
         return [WeakClass(arity, None, tuple(members))
                 for members in roots.values()]

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 from conftest import EXAMPLES, ROOT, load_theory, perfbench_module
@@ -93,6 +95,16 @@ def test_decide_unknown_when_over_budget(capsys):
                        "m(e,x1)", "x1")
     assert code == 2
     assert out.startswith("unknown:")
+
+
+def test_decide_unknown_names_the_step_budget(capsys):
+    # the step budget once ran out at a lower arity, so the queried
+    # arity was never built and the answer blamed the size bound
+    code, out, _ = run(capsys, "decide", MONOID, "m(x1,x2)", "m(x1,m(e,x2))",
+                       "--steps", "10", "--max-size", "7")
+    assert code == 2
+    assert out == ("unknown: not merged within size 7; "
+                   "saturation budget exhausted\n")
 
 
 def test_decide_json_trace_replays_positions(capsys):
@@ -312,6 +324,19 @@ def test_terms_at_the_nesting_limit_are_handled(capsys, argv, expected):
     code, out, err = run(capsys, *argv, *operands)
     assert code == expected and err == ""
     assert out
+
+
+def test_tracer_finds_every_boundary():
+    # the benchmark's spans wrap names where the package defines them; a
+    # rename that drops one would leave its layer silently untimed
+    layers = SimpleNamespace(**{
+        name.partition(".")[2]: module for name, module in sys.modules.items()
+        if name.startswith("operad_workbench.")})
+    tracer = perfbench_module("tracing").Tracer()
+    try:
+        assert tracer.install(layers) == []
+    finally:
+        tracer.uninstall()
 
 
 def test_readme_examples_print_what_the_readme_shows():

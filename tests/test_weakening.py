@@ -117,6 +117,23 @@ def test_oversized_terms_answer_unknown(monoid):
     assert "size bound" in decision.reason
 
 
+def test_each_arity_is_saturated_once(monoid, monkeypatch):
+    from operad_workbench import terms
+
+    enumerated = []
+    enumerate_terms = terms.enumerate_terms
+
+    def counting(signature, arity, max_size):
+        enumerated.append(arity)
+        return enumerate_terms(signature, arity, max_size)
+
+    monkeypatch.setattr(terms, "enumerate_terms", counting)
+    ctx = WeakeningContext(monoid)
+    for arity in (1, 2, 3, 1):
+        ctx.saturation(arity)
+    assert enumerated == [1, 2, 3]
+
+
 def test_closure_traces_replay(monoid):
     ctx = WeakeningContext(monoid)
     a = parse_tree("m(e,m(|,e))", monoid.signature)
