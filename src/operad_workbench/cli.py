@@ -15,6 +15,7 @@ usage, parse, or data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -295,10 +296,16 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser tree, built on first use: argparse keeps no state
+    between parses, so one tree serves every call in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

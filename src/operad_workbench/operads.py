@@ -54,6 +54,11 @@ class Operad:
     def compose(self, p, qs: Sequence):
         raise NotImplementedError
 
+    def admit_tree(self, tree):
+        """Refuses a tree whose evaluation would build an element this
+        operad cannot hold; every tree is admitted unless a subclass
+        budgets its elements."""
+
     def act_perm(self, sigma: FinFunction, p):
         if FLAVOR_RANK[self.flavor] < FLAVOR_RANK["symmetric"]:
             raise OperadError(f"{self.name} has no permutation action")
@@ -551,6 +556,16 @@ class EndOperad(Operad):
     def arity_of(self, p) -> int:
         return p.arity
 
+    def admit_tree(self, tree):
+        # the composites of a plain tree have its subtrees' leaf counts as
+        # arities, and a relabelled tree's action then builds its arity,
+        # so the widest table is refused before any composite is built
+        if isinstance(tree, FPTree):
+            _table_entries(self.carrier, max(tree_arity(tree.tree),
+                                             tree.arity))
+        else:
+            _table_entries(self.carrier, tree_arity(tree))
+
     def compose(self, p, qs):
         self._check_compose(p, qs)
         if any(q.carrier != self.carrier for q in (p, *qs)):
@@ -682,16 +697,24 @@ class FreeOperad(Operad):
 def eval_tree(tree, assignment: Mapping[str, object], operad: Operad):
     """Evaluate a tree in an operad, sending each node label through the
     assignment. Permuted and relabelled pairs evaluate their plain tree
-    and then apply the action."""
+    and then apply the action. A tree the operad's budget refuses is
+    refused before anything is composed."""
+    operad.admit_tree(tree)
+    return _eval_tree(tree, assignment, operad)
+
+
+def _eval_tree(tree, assignment: Mapping[str, object], operad: Operad):
     if isinstance(tree, PermutedTree):
-        return operad.act_perm(tree.fn, eval_tree(tree.tree, assignment, operad))
+        return operad.act_perm(tree.fn, _eval_tree(tree.tree, assignment,
+                                                   operad))
     if isinstance(tree, FPTree):
-        return operad.act_fn(tree.fn, eval_tree(tree.tree, assignment, operad))
+        return operad.act_fn(tree.fn, _eval_tree(tree.tree, assignment,
+                                                 operad))
     if isinstance(tree, Leaf):
         return operad.identity()
     if tree.op not in assignment:
         raise OperadError(f"no assignment for operation {tree.op!r}")
-    children = [eval_tree(c, assignment, operad) for c in tree.children]
+    children = [_eval_tree(c, assignment, operad) for c in tree.children]
     return operad.compose(assignment[tree.op], children)
 
 

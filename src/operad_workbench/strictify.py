@@ -284,21 +284,18 @@ class StrictPCategory:
                 after.append({fb: [(gid, k, base_compose[(gb, fb)])
                                    for gid, k, gb in out]
                               for fb in into.get(y.h_value, ())})
-            compose = {}
-            composable = []
-            for row in ids:
-                for cell, by_base in zip(row, after):
-                    for fb, fid in cell.items():
-                        for gid, k, c in by_base[fb]:
-                            gf = row[k][c]
-                            compose[(gid, fid)] = gf
-                            composable.append((gid, fid, gf))
+            composable = [(gid, fid, row[k][c])
+                          for row in ids
+                          for cell, by_base in zip(row, after)
+                          for fb, fid in cell.items()
+                          for gid, k, c in by_base[fb]]
             identities = {sids[i]: ids[i][i][base.identity(x.h_value)]
                           for i, x in enumerate(self.objects)}
             # composition is inherited from the validated base, so the
-            # exhaustive table check is skipped
+            # exhaustive table check is skipped; the pair walks read the
+            # triples, and the composite table is derived only if asked
             self._fc = FiniteCategory._trusted(
-                sids, arrows, identities, compose, composable)
+                sids, arrows, identities, composable)
             self._fc_obj_ids = {x.key(): sx
                                 for x, sx in zip(self.objects, sids)}
             self._fc_arrow_ids = {
@@ -315,7 +312,15 @@ class StrictPCategory:
 
 def strictify(W: WeakPCategoryData, arity_bound: int = 3,
               element_bound: int = 20) -> StrictPCategory:
-    return StrictPCategory(W, arity_bound, element_bound)
+    """W's one strict view for these bounds, built on first use and kept
+    on W, so that the checks run on W share its memo tables and its
+    category view. StrictPCategory(W) builds a fresh one."""
+    key = (arity_bound, element_bound)
+    S = W._strict_views.get(key)
+    if S is None:
+        S = W._strict_views[key] = StrictPCategory(W, arity_bound,
+                                                    element_bound)
+    return S
 
 
 def _element_tuples(S: StrictPCategory, k: int,
@@ -744,16 +749,23 @@ def _close_pins(S: StrictPCategory, W: WeakPCategoryData,
                 conflicts: list[str]):
     """Close the pins under inverses and composition, in rounds until a
     round pins nothing new or a conflict appears. Each round pins the
-    inverses first, then walks the composable pairs in table order."""
-    st_fc = S.as_finite_category()[0]
-    arrow_ids = S._fc_arrow_ids
+    inverses first, then walks the composable pairs in table order.
+    Pins never change, so an arrow once inverted and a pair once walked
+    with both ends pinned can pin or contradict nothing again: a round
+    inverts only the arrows pinned since the last inversion and walks
+    only the pairs that the previous walk skipped."""
+    st_fc, _, arrow_ids = S.as_finite_category()
     triple = {aid: key for key, aid in arrow_ids.items()}
     get = pinned.get
     table = B.base._compose
+    pending = st_fc.composable
+    inverted = 0
     changed = True
     while changed and not conflicts:
         changed = False
-        for aid in list(pinned):
+        fresh = list(pinned)[inverted:]
+        inverted += len(fresh)
+        for aid in fresh:
             x_key, y_key, base = triple[aid]
             inv_base = W.base.inverse(base)
             inv_val = B.base.inverse(pinned[aid])
@@ -763,12 +775,16 @@ def _close_pins(S: StrictPCategory, W: WeakPCategoryData,
             if inv_id not in pinned:
                 pinned[inv_id] = inv_val
                 changed = True
-        for g, f, gf in st_fc.composable:
+        skipped = []
+        for pair in pending:
+            g, f, gf = pair
             f_val = get(f)
             if f_val is None:
+                skipped.append(pair)
                 continue
             g_val = get(g)
             if g_val is None:
+                skipped.append(pair)
                 continue
             value = table.get((g_val, f_val))
             if value is None:
@@ -780,3 +796,4 @@ def _close_pins(S: StrictPCategory, W: WeakPCategoryData,
                 changed = True
             elif old != value:
                 conflicts.append(f"forced composition mismatch at {gf!r}")
+        pending = skipped

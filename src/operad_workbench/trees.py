@@ -50,7 +50,11 @@ LEAF = Leaf()
 def tree_arity(t: Tree) -> int:
     if isinstance(t, Leaf):
         return 1
-    return sum(tree_arity(c) for c in t.children)
+    # a plain loop: end-N evaluation counts the leaves of every tree
+    n = 0
+    for c in t.children:
+        n += tree_arity(c)
+    return n
 
 
 def tree_size(t: Tree) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from typing import Mapping, Sequence
 
@@ -54,8 +55,8 @@ class FiniteCategory:
 
     def __init__(self, objects: Sequence[str], arrows: Sequence[Arrow],
                  identities: Mapping[str, str],
-                 compose_table: Mapping[tuple[str, str], str],
-                 check: bool = True):
+                 compose_table: Mapping[tuple[str, str], str] | None,
+                 composable: list[tuple[str, str, str | None]] | None = None):
         self.objects = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
             raise WeakcatError("duplicate object ids")
@@ -71,7 +72,8 @@ class FiniteCategory:
                 raise WeakcatError(f"arrow {a.id!r} has unknown endpoints")
             self.arrows[a.id] = a
         self.identities = dict(identities)
-        self._compose = dict(compose_table)
+        if compose_table is not None:
+            self._compose = dict(compose_table)
         self._inverses: dict[str, str | None] = {}
         self._hom: dict[tuple[str, str], list[str]] = {}
         for a in self.arrows.values():
@@ -79,22 +81,26 @@ class FiniteCategory:
         self._from: dict[str, list[str]] = {}
         for a in self.arrows.values():
             self._from.setdefault(a.src, []).append(a.id)
-        self._composable: list[tuple[str, str, str | None]] | None = None
-        # check=False trusts tables built from an already validated
-        # category; user supplied data must keep the full check
-        if check:
+        self._composable = composable
+        # composable triples are given only for a category built from an
+        # already validated one; user supplied tables keep the full check
+        if composable is None:
             self._validate()
 
     @classmethod
     def _trusted(cls, objects: Sequence[str], arrows: Sequence[Arrow],
                  identities: Mapping[str, str],
-                 compose_table: Mapping[tuple[str, str], str],
                  composable: list[tuple[str, str, str]]) -> FiniteCategory:
-        """An unchecked category whose composable triples were listed
-        alongside its table, in the order of the composable property."""
-        cat = cls(objects, arrows, identities, compose_table, check=False)
-        cat._composable = composable
-        return cat
+        """An unchecked category given by its composable triples, in the
+        order of the composable property; its composite table is derived
+        from them on first use."""
+        return cls(objects, arrows, identities, None, composable)
+
+    @cached_property
+    def _compose(self) -> dict[tuple[str, str], str]:
+        # reached only by a trusted category: a table given at
+        # construction shadows this property
+        return {(g, f): gf for g, f, gf in self._composable}
 
     @property
     def composable(self) -> list[tuple[str, str, str | None]]:
@@ -314,6 +320,8 @@ class WeakPCategoryData:
                 raise WeakcatError("target operad given without an assignment")
             self.interpretation = Interpretation(presentation, target, assignment)
         self._delta_memo: dict = {}
+        # strictify's views of this instance, one per pair of bounds
+        self._strict_views: dict = {}
         self._validate()
 
     @property

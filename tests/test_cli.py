@@ -11,7 +11,9 @@ from conftest import EXAMPLES, ROOT, load_theory, perfbench_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operad_workbench import cli
 from operad_workbench.cli import main
+from operad_workbench.operads import EndOperad
 from operad_workbench.terms import (App, Var, _MAX_NESTING, parse_term,
                                     replace_at, subterm_at)
 from operad_workbench.weakcat import WeakcatError, load_weakcat
@@ -42,6 +44,30 @@ def test_classify_json(capsys):
     assert payload["overall"] == "linear"
     assert {row["class"] for row in payload["equations"]} \
         == {"strongly_regular", "linear"}
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """A decide, a usage error inside a subcommand and a classify through
+    one process print what each prints with a parser of its own, and
+    the parser is built once."""
+    calls = [("decide", MONOID, "m(x1,m(x2,x3))", "m(m(x1,x2),x3)",
+              "--json"),
+             ("decide", MONOID, "--steps", "0", "x1", "x1"),
+             ("classify", MONOID)]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [0, 3, 0]
+    assert alone[1] == (3, "", "usage error: argument --steps: "
+                               "'0' is not a positive budget\n")
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert len(built) == 1
 
 
 def test_term_info(capsys):
@@ -294,13 +320,13 @@ def test_overdeep_terms_are_refused(capsys, depth):
 
 def test_oversized_end_tables_exit_3(capsys, tmp_path):
     """An end-N element whose table would pass the entry budget is
-    refused before it is built: the composite of a 201-variable term in
+    refused before it is built: the value of a 201-variable term in
     end-2, and the default element of a 40-ary operation."""
     code, out, err = run(capsys, "eval", MONOID, "--target", "end-2",
                          _nested(_MAX_NESTING))
     assert code == 3 and out == ""
-    assert err == ("error: an operation of arity 21 on 2 elements needs "
-                   "2^21 table entries, over the budget of 1048576\n")
+    assert err == ("error: an operation of arity 201 on 2 elements needs "
+                   "2^201 table entries, over the budget of 1048576\n")
     wide = tmp_path / "wide.th"
     wide.write_text("theory Wide\nflavor plain\nops:\n  w : 40\n",
                     encoding="utf-8")
@@ -309,6 +335,25 @@ def test_oversized_end_tables_exit_3(capsys, tmp_path):
     assert code == 3 and out == ""
     assert err == ("error: an operation of arity 40 on 2 elements needs "
                    "2^40 table entries, over the budget of 1048576\n")
+
+
+def test_oversized_end_evaluation_composes_nothing(capsys, monkeypatch):
+    """The budget refuses the right comb of 201 variables in end-2 before
+    the first composite: none of the in-budget arities 2 to 20 is
+    built on the way."""
+    calls = []
+    compose = EndOperad.compose
+    monkeypatch.setattr(EndOperad, "compose",
+                        lambda self, p, qs: calls.append(p)
+                        or compose(self, p, qs))
+    code, out, err = run(capsys, "eval", MONOID, "--target", "end-2",
+                         _nested(_MAX_NESTING))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: an operation of arity 201 on 2 elements")
+    assert calls == []
+    assert run(capsys, "eval", MONOID, "--target", "end-2", _nested(3)) \
+        == (0, "4:[1,1,1,1,1,1,1,1,2,2,2,2,2,2,2,2]\n", "")
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -15,7 +15,8 @@ from operad_workbench.trees import tree_arity
 from operad_workbench.weakcat import (FiniteCategory, Functor,
                                       WeakPCategoryData, WeakPFunctorData,
                                       check_weak_functor, coherence_check,
-                                      key_of, load_weakcat)
+                                      indiscrete_monoid_instance, key_of,
+                                      load_weakcat)
 from operad_workbench.strictify import (StrictifyError, StrictPCategory,
                                         _element_tuples, _induced_map,
                                         _uniqueness, check_equivalence,
@@ -331,6 +332,54 @@ def test_universal_property_counts_are_pinned(label, z3_instance, monoid):
     report = universal_property_check(z3_instance, G.target, G)
     assert report.checked == UNIVERSAL_COUNTS
     assert report.failures == []
+
+
+def test_strictify_returns_one_view_per_bounds(monoid):
+    W = indiscrete_monoid_instance(monoid, *zmod(3))
+    S = strictify(W)
+    assert strictify(W) is S
+    assert strictify(W, 3, 20) is S
+    other = strictify(W, arity_bound=2)
+    assert other is not S and strictify(W, arity_bound=2) is other
+    assert len(other.objects) == 1 + 3 + 9
+    assert StrictPCategory(W) is not S
+
+
+def test_checks_on_one_input_build_its_category_once(monoid, monkeypatch):
+    """The strictness, comparison and three universal-property checks
+    on one input share its strict view: the category view is built
+    once, and every count stays pinned."""
+    W = indiscrete_monoid_instance(monoid, *zmod(3))
+    built = []
+    trusted = FiniteCategory._trusted
+    monkeypatch.setattr(FiniteCategory, "_trusted", classmethod(
+        lambda cls, *args: built.append(args) or trusted(*args)))
+    S = strictify(W)
+    assert check_strictness(S).checked == STRICTNESS_COUNTS
+    assert check_equivalence(S, W).checked == EQUIVALENCE_COUNTS[3]
+    maps = _maps(W, monoid)
+    for label in ("identity", "collapse", "doubling"):
+        G = maps[label]
+        report = universal_property_check(W, G.target, G)
+        assert (report.checked, report.failures) == (UNIVERSAL_COUNTS, [])
+    assert len(built) == 1
+    assert strictify(W) is S and S._fc is not None
+
+
+def test_uniqueness_reads_no_composite_table(z3_instance, monoid):
+    """The pair walks read the composable triples; the strict view's
+    composite table is derived only when compose asks for it."""
+    S = StrictPCategory(z3_instance)
+    st_fc = S.as_finite_category()[0]
+    G = _maps(z3_instance, monoid)["doubling"]
+    H = _induced_map(S, G.target, G, CheckReport())
+    report = CheckReport()
+    pinned, _ = _uniqueness(S, z3_instance, G.target, G, H, report)
+    assert len(pinned) == 1600 and report.ok
+    assert "_compose" not in vars(st_fc)
+    g, f, gf = st_fc.composable[-1]
+    assert st_fc.compose(g, f) == gf
+    assert len(vars(st_fc)["_compose"]) == len(st_fc.composable) == 64000
 
 
 def _reference_close_pins(S, W, B, pinned, conflicts):
