@@ -521,8 +521,12 @@ _TABLE_ENTRIES = 2 ** 20
 
 def _table_entries(carrier: int, arity: int) -> int:
     """The entry count of an arity's operation table on the carrier,
-    refused before any table is built when it exceeds the budget."""
-    entries = carrier ** arity
+    refused before any table is built when it exceeds the budget. Two
+    or more elements exceed it from the budget's bit length (21) on, so
+    a wider arity is refused without computing a power that grows with
+    it."""
+    widest = _TABLE_ENTRIES.bit_length()
+    entries = carrier ** (min(arity, widest) if carrier > 1 else arity)
     if entries > _TABLE_ENTRIES:
         raise OperadError(
             f"an operation of arity {arity} on {carrier} elements needs "
@@ -608,6 +612,7 @@ class EndOperad(Operad):
             arity = int(arity_text.strip())
         except ValueError:
             raise OperadError(f"bad arity in {text!r}") from None
+        _table_entries(self.carrier, arity)
         body = table_text.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise OperadError(f"expected a table like [1,2], got {text!r}")

@@ -230,11 +230,6 @@ class StrictPCategory:
         base = self.W.base.compose(inv, self.W.base.compose(mid, d_src))
         return StArrow(src, dst, base)
 
-    def all_arrows(self) -> list[StArrow]:
-        return [StArrow(x, y, b)
-                for x in self.objects for y in self.objects
-                for b in self.W.base.hom(x.h_value, y.h_value)]
-
     def sample_arrows(self, cap: int) -> list[StArrow]:
         """A deterministic mix of strided arrows across object pairs
         (rotating the hom choice) interleaved with identities; arrows
@@ -526,10 +521,10 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
     """Builds the strict map H out of the strict category induced by a
     weak map G into a strict target, checks that H is a strict functor
     restricting to G, and certifies uniqueness: every arrow image of a
-    strict map restricting to G is forced by closure from the
-    restriction data. The strict action is probed at six sampled
-    arrows. A G that check_weak_functor fails is refused, as is a target
-    that is not strict."""
+    strict map restricting to G is forced by factoring the arrow through
+    the unit embeddings of its endpoints. The strict action is probed at
+    six sampled arrows. A G that check_weak_functor fails is refused, as
+    is a target that is not strict."""
     report = CheckReport()
     if not B.is_strict():
         raise StrictifyError("the target of the induced map must be strict")
@@ -605,14 +600,14 @@ def _induced_map(S: StrictPCategory, B: WeakPCategoryData,
     to its G image conjugated by the coherence images gamma of its
     endpoints. None, with the failure on the report, when a gamma is
     not invertible or H is not a functor."""
-    st_fc, obj_ids, _ = S.as_finite_category()
+    st_fc, obj_ids, arrow_ids = S.as_finite_category()
     gammas: dict[tuple, str] = {}
 
-    def gamma(x: StObject) -> str:
-        found = gammas.get(x.key())
+    def gamma(key: tuple) -> str:
+        found = gammas.get(key)
         if found is None:
-            found = G.psi_component(S.repr_term(x.element), x.operands)
-            gammas[x.key()] = found
+            found = G.psi_component(S.repr_term(key[0]), key[1])
+            gammas[key] = found
         return found
 
     obj_table = {}
@@ -620,16 +615,14 @@ def _induced_map(S: StrictPCategory, B: WeakPCategoryData,
         obj_table[obj_ids[x.key()]] = B.h_obj(
             S.repr_term(x.element), [G.functor.obj([a]) for a in x.operands])
     arr_table = {}
-    for f in S.all_arrows():
-        g_src = gamma(f.src)
-        g_dst = gamma(f.dst)
-        inv = B.base.inverse(g_src)
+    for (x_key, y_key, base), aid in arrow_ids.items():
+        inv = B.base.inverse(gamma(x_key))
         if inv is None:
-            report.fail(f"coherence image at ({f.src.element}, "
-                        f"{f.src.operands}) is not invertible")
+            report.fail(f"coherence image at ({x_key[0]}, {x_key[1]}) "
+                        f"is not invertible")
             return None
-        arr_table[S.arrow_id(f)] = B.base.compose(
-            g_dst, B.base.compose(G.functor.arr([f.base]), inv))
+        arr_table[aid] = B.base.compose(
+            gamma(y_key), B.base.compose(G.functor.arr([base]), inv))
     try:
         H = Functor(st_fc, B.base, 1, obj_table, arr_table, name="induced")
     except WeakcatError as exc:
@@ -660,15 +653,16 @@ def _embedding_cell(S: StrictPCategory, op: str,
 def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
                 B: WeakPCategoryData, G: WeakPFunctorData, H: Functor,
                 report: CheckReport) -> tuple[dict[str, str], list[str]]:
-    """Forced-value propagation. Any strict map restricting to G agrees
-    with the pins: identities and the restriction data are forced
-    directly; the embedding of each object into its identity pair is
-    forced by recursion over representative trees (strictness forces
-    action images, the restriction forces the coherence cells); the
-    rest closes under inverse and composition. All arrows pinned and
-    consistent with H means H is the only candidate. Returns the pins
-    and the conflicts found."""
-    st_fc, obj_ids, _ = S.as_finite_category()
+    """Any strict map restricting to G agrees with the pins on every
+    arrow. Identities and the restriction data are pinned directly; the
+    embedding iota of each object into the identity pair over its value
+    is pinned by recursion over representative trees (strictness forces
+    action images, the restriction forces the coherence cells). Every
+    arrow f: x -> y then factors as iota_y^-1 . m . iota_x with m between
+    identity pairs, whose image the restriction fixes at G(m), so f is
+    pinned too. Pins consistent with H mean H is the only candidate.
+    Returns the pins and the conflicts found."""
+    st_fc, obj_ids, arrow_ids = S.as_finite_category()
     unit = S.operad.identity()
     pinned: dict[str, str] = {}
     conflicts: list[str] = []
@@ -728,72 +722,27 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
         iota_val[x.key()] = B.base.compose(val_inv, step_val)
         pin(S.arrow_id(iota_st[x.key()]), iota_val[x.key()])
 
-    _close_pins(S, W, B, pinned, conflicts)
+    # the inverses of each embedding's base arrow and of its pinned value
+    back: dict[tuple, tuple[str, str]] = {}
+    for x in S.objects:
+        base_inv = W.base.inverse(iota_st[x.key()].base)
+        val_inv = B.base.inverse(iota_val[x.key()])
+        if base_inv is None or val_inv is None:
+            report.fail(f"embedding at ({x.element}, {x.operands}) "
+                        f"is not invertible")
+            return pinned, conflicts
+        back[x.key()] = (base_inv, val_inv)
+    compose_w, compose_b = W.base.compose, B.base.compose
+    for (x_key, y_key, base), aid in arrow_ids.items():
+        m = compose_w(iota_st[y_key].base, compose_w(base, back[x_key][0]))
+        pin(aid, compose_b(back[y_key][1],
+                           compose_b(G.functor.arr([m]), iota_val[x_key])))
+
     report.note("uniqueness pins", len(pinned))
     for msg in conflicts[:3]:
         report.fail(msg)
-    unpinned = [a for a in st_fc.arrows if a not in pinned]
-    if unpinned:
-        report.fail(f"uniqueness not certified: {len(unpinned)} arrow "
-                    f"images not forced (first: {unpinned[0]!r})")
-        return pinned, conflicts
     mismatched = [a for a, v in pinned.items() if H.arr([a]) != v]
     report.note("uniqueness agreement", len(pinned) - len(mismatched))
     for a in mismatched[:3]:
         report.fail(f"forced value disagrees with the induced map at {a!r}")
     return pinned, conflicts
-
-
-def _close_pins(S: StrictPCategory, W: WeakPCategoryData,
-                B: WeakPCategoryData, pinned: dict[str, str],
-                conflicts: list[str]):
-    """Close the pins under inverses and composition, in rounds until a
-    round pins nothing new or a conflict appears. Each round pins the
-    inverses first, then walks the composable pairs in table order.
-    Pins never change, so an arrow once inverted and a pair once walked
-    with both ends pinned can pin or contradict nothing again: a round
-    inverts only the arrows pinned since the last inversion and walks
-    only the pairs that the previous walk skipped."""
-    st_fc, _, arrow_ids = S.as_finite_category()
-    triple = {aid: key for key, aid in arrow_ids.items()}
-    get = pinned.get
-    table = B.base._compose
-    pending = st_fc.composable
-    inverted = 0
-    changed = True
-    while changed and not conflicts:
-        changed = False
-        fresh = list(pinned)[inverted:]
-        inverted += len(fresh)
-        for aid in fresh:
-            x_key, y_key, base = triple[aid]
-            inv_base = W.base.inverse(base)
-            inv_val = B.base.inverse(pinned[aid])
-            if inv_base is None or inv_val is None:
-                continue
-            inv_id = arrow_ids[(y_key, x_key, inv_base)]
-            if inv_id not in pinned:
-                pinned[inv_id] = inv_val
-                changed = True
-        skipped = []
-        for pair in pending:
-            g, f, gf = pair
-            f_val = get(f)
-            if f_val is None:
-                skipped.append(pair)
-                continue
-            g_val = get(g)
-            if g_val is None:
-                skipped.append(pair)
-                continue
-            value = table.get((g_val, f_val))
-            if value is None:
-                # raises: forced values that do not compose
-                value = B.base.compose(g_val, f_val)
-            old = get(gf)
-            if old is None:
-                pinned[gf] = value
-                changed = True
-            elif old != value:
-                conflicts.append(f"forced composition mismatch at {gf!r}")
-        pending = skipped

@@ -315,3 +315,49 @@ def naive_equality_closure(equations, universe):
     for t in universe:
         classes.setdefault(find(t), set()).add(t)
     return {t: frozenset(classes[find(t)]) for t in universe}
+
+
+def reference_close_pins(S, W, B, pinned, conflicts):
+    """The forced-value closure that once certified the uniqueness of an
+    induced strict map, kept verbatim as an oracle: close the pins on the
+    arrows of the strict view S under inverses (in the base W.base and
+    the target B.base) and under composition, in rounds until a round
+    pins nothing new or a conflict appears. Works on pins and conflicts
+    in place."""
+    st_fc = S.as_finite_category()[0]
+
+    def pin(arrow_id, value):
+        old = pinned.get(arrow_id)
+        if old is None:
+            pinned[arrow_id] = value
+        elif old != value:
+            conflicts.append(f"conflicting forced values at {arrow_id!r}")
+
+    triple = {aid: key for key, aid in S._fc_arrow_ids.items()}
+    changed = True
+    while changed and not conflicts:
+        changed = False
+        for aid in list(pinned):
+            x_key, y_key, base = triple[aid]
+            inv_base = W.base.inverse(base)
+            inv_val = B.base.inverse(pinned[aid])
+            if inv_base is None or inv_val is None:
+                continue
+            inv_id = S._fc_arrow_ids[(y_key, x_key, inv_base)]
+            if inv_id not in pinned:
+                pin(inv_id, inv_val)
+                changed = True
+        for f in st_fc.arrows.values():
+            if f.id not in pinned:
+                continue
+            for g in st_fc._from.get(f.dst, ()):
+                if g not in pinned:
+                    continue
+                comp = st_fc.compose(g, f.id)
+                value = B.base.compose(pinned[g], pinned[f.id])
+                if comp not in pinned:
+                    pin(comp, value)
+                    changed = True
+                elif pinned[comp] != value:
+                    conflicts.append(
+                        f"forced composition mismatch at {comp!r}")

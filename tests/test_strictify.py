@@ -1,30 +1,29 @@
 """Strictification: object enumeration, the strict action, the
 comparison back to the input, and the induced-map universal property."""
 
-import importlib
+import copy
 import itertools
 
 import pytest
 from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       identity_weak_functor, skewed_group_instance,
                       terminal_weakcat, zmod)
+from oracles import reference_close_pins
 
 from operad_workbench.operads import CheckReport
 from operad_workbench.terms import parse_term
-from operad_workbench.trees import tree_arity
+from operad_workbench.trees import tree_arity, tree_size
 from operad_workbench.weakcat import (FiniteCategory, Functor,
                                       WeakPCategoryData, WeakPFunctorData,
                                       check_weak_functor, coherence_check,
                                       indiscrete_monoid_instance, key_of,
                                       load_weakcat)
-from operad_workbench.strictify import (StrictifyError, StrictPCategory,
-                                        _element_tuples, _induced_map,
-                                        _uniqueness, check_equivalence,
-                                        check_strictness, strictify,
-                                        universal_property_check)
-
-# the package re-exports the strictify function under the module's name
-strictify_module = importlib.import_module("operad_workbench.strictify")
+from operad_workbench.strictify import (StArrow, StrictifyError,
+                                        StrictPCategory, _element_tuples,
+                                        _embedding_cell, _induced_map,
+                                        _op_term, _uniqueness,
+                                        check_equivalence, check_strictness,
+                                        strictify, universal_property_check)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +93,9 @@ def test_sample_arrows_cross_objects(z3_strict):
 def test_as_finite_category(z3_strict):
     fc, obj_ids, arrow_ids = z3_strict.as_finite_category()
     assert len(fc.objects) == len(z3_strict.objects)
-    assert len(fc.arrows) == len(z3_strict.all_arrows())
+    assert len(fc.arrows) == sum(len(z3_strict.hom(x, y))
+                                 for x in z3_strict.objects
+                                 for y in z3_strict.objects)
     x = z3_strict.obj(0, ())
     assert fc.is_identity(fc.identity(obj_ids[x.key()]))
     f = z3_strict.hom(x, z3_strict.obj(1, ("2",)))[0]
@@ -367,8 +368,8 @@ def test_checks_on_one_input_build_its_category_once(monoid, monkeypatch):
 
 
 def test_uniqueness_reads_no_composite_table(z3_instance, monoid):
-    """The pair walks read the composable triples; the strict view's
-    composite table is derived only when compose asks for it."""
+    """Uniqueness composes in the base categories only; the strict
+    view's composite table is derived only when compose asks for it."""
     S = StrictPCategory(z3_instance)
     st_fc = S.as_finite_category()[0]
     G = _maps(z3_instance, monoid)["doubling"]
@@ -382,67 +383,127 @@ def test_uniqueness_reads_no_composite_table(z3_instance, monoid):
     assert len(vars(st_fc)["_compose"]) == len(st_fc.composable) == 64000
 
 
-def _reference_close_pins(S, W, B, pinned, conflicts):
-    """The closure as _uniqueness ran it before finite categories listed
-    their composable pairs; the loop is kept verbatim as an oracle."""
-    st_fc = S.as_finite_category()[0]
+def _reference_pins(S, W, B, G, H):
+    """The pins and conflicts of the forced-value closure: identities,
+    the restriction data, and the unit embeddings built by recursion
+    over representative trees are pinned first, in the order that
+    uniqueness used before it factored through the embeddings; the
+    oracle then closes them under inverses and composition."""
+    st_fc, obj_ids, _ = S.as_finite_category()
+    unit = S.operad.identity()
+    pinned, conflicts = {}, []
 
-    def pin(arrow_id: str, value: str):
+    def pin(arrow_id, value):
         old = pinned.get(arrow_id)
         if old is None:
             pinned[arrow_id] = value
         elif old != value:
             conflicts.append(f"conflicting forced values at {arrow_id!r}")
 
-    triple = {aid: key for key, aid in S._fc_arrow_ids.items()}
-    changed = True
-    while changed and not conflicts:
-        changed = False
-        for aid in list(pinned):
-            x_key, y_key, base = triple[aid]
-            inv_base = W.base.inverse(base)
-            inv_val = B.base.inverse(pinned[aid])
-            if inv_base is None or inv_val is None:
-                continue
-            inv_id = S._fc_arrow_ids[(y_key, x_key, inv_base)]
-            if inv_id not in pinned:
-                pin(inv_id, inv_val)
-                changed = True
-        for f in st_fc.arrows.values():
-            if f.id not in pinned:
-                continue
-            for g in st_fc._from.get(f.dst, ()):
-                if g not in pinned:
-                    continue
-                comp = st_fc.compose(g, f.id)
-                value = B.base.compose(pinned[g], pinned[f.id])
-                if comp not in pinned:
-                    pin(comp, value)
-                    changed = True
-                elif pinned[comp] != value:
-                    conflicts.append(
-                        f"forced composition mismatch at {comp!r}")
+    for x in st_fc.objects:
+        pin(st_fc.identity(x), B.base.identity(H.obj([x])))
+    for b, arrow in W.base.arrows.items():
+        st = StArrow(S.obj(unit, (arrow.src,)), S.obj(unit, (arrow.dst,)), b)
+        pin(S.arrow_id(st), G.functor.arr([b]))
+    for op, arity in W.presentation.signature.ops:
+        for operands in itertools.product(W.base.objects, repeat=arity):
+            pin(S.arrow_id(_embedding_cell(S, op, operands)),
+                G.psi_component(_op_term(op, arity), operands))
+    iota_st, iota_val = {}, {}
+    for x in sorted(S.objects,
+                    key=lambda x: tree_size(S.repr_tree(x.element))):
+        if x.element == unit:
+            iota_st[x.key()] = S.identity(x)
+            iota_val[x.key()] = B.base.identity(H.obj([obj_ids[x.key()]]))
+            continue
+        t = S.repr_tree(x.element)
+        children, at = [], 0
+        for sub in t.children:
+            n = tree_arity(sub)
+            children.append(S.obj(W.interpretation.eval_tree(sub),
+                                  x.operands[at:at + n]))
+            at += n
+        step_st = S.act_arr(W.interpretation.assignment[t.op],
+                            [iota_st[c.key()] for c in children])
+        step_val = B.h_arr(_op_term(t.op, len(children)),
+                           [iota_val[c.key()] for c in children])
+        pin(S.arrow_id(step_st), step_val)
+        cell_st = _embedding_cell(S, t.op,
+                                  tuple(c.h_value for c in children))
+        cell_val = pinned[S.arrow_id(cell_st)]
+        iota_st[x.key()] = S.compose(S.inverse(cell_st), step_st)
+        iota_val[x.key()] = B.base.compose(B.base.inverse(cell_val),
+                                           step_val)
+        pin(S.arrow_id(iota_st[x.key()]), iota_val[x.key()])
+    reference_close_pins(S, W, B, pinned, conflicts)
+    return pinned, conflicts
 
 
-@pytest.mark.parametrize("label",
-                         ["identity", "collapse", "doubling", "not weak"])
-def test_uniqueness_closure_matches_reference(label, z3_instance, monoid,
-                                              monkeypatch):
-    W = z3_instance
-    G = _maps(W, monoid)[label]
-    S = strictify(W)
+def _uniqueness_inputs(z3_instance, z4_instance, monoid):
+    """Label to (source, map, arrow count of the strict view): the four
+    Z/3 maps, the identity and the collapse of Z/4, and the skewed group
+    instance, whose base has non-identity endomorphisms, collapsed onto
+    the terminal instance and sent identically onto the strict group
+    Z/3 with psi "1". That last map is not weak, but it is the one input
+    whose arrow images land in target homs of more than one arrow, so
+    only it sees a forced value that drops G's image of an arrow."""
+    B = terminal_weakcat(monoid)
+    skewed = skewed_group_instance(monoid)
+    inputs = {label: (z3_instance, G, 1600)
+              for label, G in _maps(z3_instance, monoid).items()}
+    inputs["z4 identity"] = (z4_instance, identity_weak_functor(z4_instance),
+                             7225)
+    inputs["z4 collapse"] = (z4_instance, collapse_functor(z4_instance, B),
+                             7225)
+    inputs["skewed collapse"] = (skewed, collapse_functor(skewed, B), 48)
+    group = not_weak_map(z3_instance, monoid)[0]
+    functor = Functor(skewed.base, group.base, 1, {"o": "o"},
+                      {f: f for f in skewed.base.arrows})
+    inputs["skewed onto Z/3"] = (skewed, WeakPFunctorData(
+        skewed, group, functor, {"m": {("o", "o"): "1"}, "e": {(): "0"}}),
+        48)
+    return inputs
+
+
+@pytest.mark.parametrize("label", [
+    "identity", "collapse", "doubling", "not weak", "z4 identity",
+    "z4 collapse", "skewed collapse", "skewed onto Z/3"])
+def test_uniqueness_closure_matches_reference(label, z3_instance,
+                                              z4_instance, monoid):
+    """The pins forced through the unit embeddings equal, as dicts, the
+    seed pins closed by the oracle, with the same (no) conflicts, and
+    agree with H on every arrow."""
+    W, G, arrows = _uniqueness_inputs(z3_instance, z4_instance,
+                                      monoid)[label]
+    # a fresh view, so the composite table the oracle derives is freed
+    S = StrictPCategory(W)
     H = _induced_map(S, G.target, G, CheckReport())
     assert H is not None
     report = CheckReport()
     pinned, conflicts = _uniqueness(S, W, G.target, G, H, report)
-    with monkeypatch.context() as patch:
-        patch.setattr(strictify_module, "_close_pins",
-                      _reference_close_pins)
-        want = CheckReport()
-        want_pinned, want_conflicts = _uniqueness(S, W, G.target, G, H,
-                                                  want)
-    assert pinned == want_pinned and list(pinned) == list(want_pinned)
-    assert conflicts == want_conflicts
-    assert (report.checked, report.failures) \
-        == (want.checked, want.failures)
-    assert len(pinned) == 1600 and not conflicts and report.ok
+    want_pinned, want_conflicts = _reference_pins(S, W, G.target, G, H)
+    assert pinned == want_pinned
+    assert conflicts == want_conflicts == []
+    assert report.checked == {"uniqueness pins": arrows,
+                              "uniqueness agreement": arrows}
+    assert report.ok, report.lines()
+
+
+def test_uniqueness_names_a_disagreeing_induced_map(z3_instance, monoid):
+    """An H with one arrow image changed fails on exactly that arrow."""
+    W = z3_instance
+    G = _maps(W, monoid)["identity"]
+    S = strictify(W)
+    H = _induced_map(S, W, G, CheckReport())
+    st_fc = S.as_finite_category()[0]
+    changed = next(a for a in st_fc.arrows
+                   if not W.base.is_identity(H.arr([a])))
+    broken = copy.copy(H)
+    broken.arr_map = {**H.arr_map, changed: W.base.identity(
+        H.obj([st_fc.arrows[changed].src]))}
+    report = CheckReport()
+    _uniqueness(S, W, W, G, broken, report)
+    assert report.checked == {"uniqueness pins": 1600,
+                              "uniqueness agreement": 1599}
+    assert report.failures == [
+        f"forced value disagrees with the induced map at {changed!r}"]
