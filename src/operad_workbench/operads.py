@@ -496,10 +496,10 @@ class FiniteOp:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.table) != self.carrier ** self.arity:
+        entries = _table_entries(self.carrier, self.arity)
+        if len(self.table) != entries:
             raise OperadError(
-                f"table needs {self.carrier ** self.arity} entries, "
-                f"got {len(self.table)}")
+                f"table needs {entries} entries, got {len(self.table)}")
         if any(not 1 <= v <= self.carrier for v in self.table):
             raise OperadError("table values must lie in the carrier")
 
@@ -521,10 +521,12 @@ _TABLE_ENTRIES = 2 ** 20
 
 def _table_entries(carrier: int, arity: int) -> int:
     """The entry count of an arity's operation table on the carrier,
-    refused before any table is built when it exceeds the budget. Two
-    or more elements exceed it from the budget's bit length (21) on, so
-    a wider arity is refused without computing a power that grows with
-    it."""
+    refused before any table is built when it exceeds the budget or the
+    arity is negative. Two or more elements exceed it from the budget's
+    bit length (21) on, so a wider arity is refused without computing a
+    power that grows with it."""
+    if arity < 0:
+        raise OperadError(f"negative arity {arity}")
     widest = _TABLE_ENTRIES.bit_length()
     entries = carrier ** (min(arity, widest) if carrier > 1 else arity)
     if entries > _TABLE_ENTRIES:

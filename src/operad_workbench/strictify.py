@@ -652,52 +652,34 @@ def _embedding_cell(S: StrictPCategory, op: str,
 
 def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
                 B: WeakPCategoryData, G: WeakPFunctorData, H: Functor,
-                report: CheckReport) -> tuple[dict[str, str], list[str]]:
+                report: CheckReport) -> dict[str, str]:
     """Any strict map restricting to G agrees with the pins on every
-    arrow. Identities and the restriction data are pinned directly; the
-    embedding iota of each object into the identity pair over its value
-    is pinned by recursion over representative trees (strictness forces
-    action images, the restriction forces the coherence cells). Every
-    arrow f: x -> y then factors as iota_y^-1 . m . iota_x with m between
-    identity pairs, whose image the restriction fixes at G(m), so f is
-    pinned too. Pins consistent with H mean H is the only candidate.
-    Returns the pins and the conflicts found."""
-    st_fc, obj_ids, arrow_ids = S.as_finite_category()
+    arrow. An arrow x -> y with base b factors as iota_y^-1 . b . iota_x
+    through the unit embeddings iota into the identity pairs over the
+    values, where the restriction fixes b's image at G(b); so the arrow
+    is pinned at iota_val[y]^-1 . G(b) . iota_val[x]. Every iota has the
+    identity base arrow. A representative op(t1..tk) is the (size, text)-
+    minimal tree of its value, so each t_i represents its own value, and
+    so does op(|..|): grafting the t_i into another representative of
+    op's element, of at most k+1 nodes, would give a smaller or earlier
+    tree. So both delta_in of the strictness step op(iota_x1..iota_xk)
+    and the embedding cell at op are derive_delta(t, t), identities, and
+    induction on t does the rest. The image of iota_x is forced all the
+    same: strictness fixes the step's at B's action on the child images
+    and the restriction fixes the cell's at psi_op, so iota_val[x] =
+    psi_op^-1 . B.h(op)(iota_val[x1]...), the identity at unit pairs.
+    Pins consistent with H mean H is the only candidate. Returns them."""
+    _, obj_ids, arrow_ids = S.as_finite_category()
     unit = S.operad.identity()
-    pinned: dict[str, str] = {}
-    conflicts: list[str] = []
-
-    def pin(arrow_id: str, value: str):
-        old = pinned.get(arrow_id)
-        if old is None:
-            pinned[arrow_id] = value
-        elif old != value:
-            conflicts.append(f"conflicting forced values at {arrow_id!r}")
-
-    for x in st_fc.objects:
-        pin(st_fc.identity(x), B.base.identity(H.obj([x])))
-    for b, arrow in W.base.arrows.items():
-        st = StArrow(S.obj(unit, (arrow.src,)), S.obj(unit, (arrow.dst,)), b)
-        pin(S.arrow_id(st), G.functor.arr([b]))
-    for op, arity in W.presentation.signature.ops:
-        for operands in product(W.base.objects, repeat=arity):
-            cell = _embedding_cell(S, op, operands)
-            pin(S.arrow_id(cell),
-                G.psi_component(_op_term(op, arity), operands))
-
-    # embeddings iota: (p, a...) -> identity pair, in representative
-    # size order so child embeddings are available first
-    iota_st: dict[tuple, StArrow] = {}
+    compose = B.base.compose
+    # in representative size order, so child images are available first
     iota_val: dict[tuple, str] = {}
-    ordered = sorted(S.objects,
-                     key=lambda x: tree_size(S.repr_tree(x.element)))
-    for x in ordered:
+    for x in sorted(S.objects,
+                    key=lambda x: tree_size(S.repr_tree(x.element))):
         if x.element == unit:
-            iota_st[x.key()] = S.identity(x)
             iota_val[x.key()] = B.base.identity(H.obj([obj_ids[x.key()]]))
             continue
         t = S.repr_tree(x.element)
-        op_elem = W.interpretation.assignment[t.op]
         children = []
         at = 0
         for sub in t.children:
@@ -705,44 +687,22 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
             children.append(S.obj(W.interpretation.eval_tree(sub),
                                   x.operands[at:at + n]))
             at += n
-        step_st = S.act_arr(op_elem, [iota_st[c.key()] for c in children])
-        step_val = B.h_arr(_op_term(t.op, len(children)),
-                           [iota_val[c.key()] for c in children])
-        pin(S.arrow_id(step_st), step_val)
-        values = tuple(c.h_value for c in children)
-        cell_st = _embedding_cell(S, t.op, values)
-        cell_val = pinned[S.arrow_id(cell_st)]
-        cell_inv = S.inverse(cell_st)
-        val_inv = B.base.inverse(cell_val)
-        if cell_inv is None or val_inv is None:
+        term = _op_term(t.op, len(children))
+        psi_inv = B.base.inverse(G.psi_component(
+            term, tuple(c.h_value for c in children)))
+        if psi_inv is None:
             report.fail(f"embedding cell at ({x.element}, {x.operands}) "
                         f"is not invertible")
-            return pinned, conflicts
-        iota_st[x.key()] = S.compose(cell_inv, step_st)
-        iota_val[x.key()] = B.base.compose(val_inv, step_val)
-        pin(S.arrow_id(iota_st[x.key()]), iota_val[x.key()])
-
-    # the inverses of each embedding's base arrow and of its pinned value
-    back: dict[tuple, tuple[str, str]] = {}
-    for x in S.objects:
-        base_inv = W.base.inverse(iota_st[x.key()].base)
-        val_inv = B.base.inverse(iota_val[x.key()])
-        if base_inv is None or val_inv is None:
-            report.fail(f"embedding at ({x.element}, {x.operands}) "
-                        f"is not invertible")
-            return pinned, conflicts
-        back[x.key()] = (base_inv, val_inv)
-    compose_w, compose_b = W.base.compose, B.base.compose
-    for (x_key, y_key, base), aid in arrow_ids.items():
-        m = compose_w(iota_st[y_key].base, compose_w(base, back[x_key][0]))
-        pin(aid, compose_b(back[y_key][1],
-                           compose_b(G.functor.arr([m]), iota_val[x_key])))
-
+            return {}
+        iota_val[x.key()] = compose(
+            psi_inv, B.h_arr(term, [iota_val[c.key()] for c in children]))
+    back = {key: B.base.inverse(val) for key, val in iota_val.items()}
+    pinned = {aid: compose(back[y_key],
+                           compose(G.functor.arr([base]), iota_val[x_key]))
+              for (x_key, y_key, base), aid in arrow_ids.items()}
     report.note("uniqueness pins", len(pinned))
-    for msg in conflicts[:3]:
-        report.fail(msg)
     mismatched = [a for a, v in pinned.items() if H.arr([a]) != v]
     report.note("uniqueness agreement", len(pinned) - len(mismatched))
     for a in mismatched[:3]:
         report.fail(f"forced value disagrees with the induced map at {a!r}")
-    return pinned, conflicts
+    return pinned

@@ -53,6 +53,18 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _VAR_RE = re.compile(r"^x[1-9][0-9]*$")
 
 
+def _check_op(name: str, arity: int, seen: set[str]):
+    """Refuse a bad name, a negative arity or a name in seen; then add
+    the name to seen."""
+    if not _NAME_RE.fullmatch(name) or _VAR_RE.match(name):
+        raise TermError(f"bad operation name {name!r}")
+    if arity < 0:
+        raise TermError(f"negative arity for {name!r}")
+    if name in seen:
+        raise TermError(f"duplicate operation {name!r}")
+    seen.add(name)
+
+
 @dataclass(frozen=True)
 class Signature:
     """A finite family of operation names with arities."""
@@ -62,13 +74,7 @@ class Signature:
     def __post_init__(self):
         seen = set()
         for name, arity in self.ops:
-            if not _NAME_RE.fullmatch(name) or _VAR_RE.match(name):
-                raise TermError(f"bad operation name {name!r}")
-            if arity < 0:
-                raise TermError(f"negative arity for {name!r}")
-            if name in seen:
-                raise TermError(f"duplicate operation {name!r}")
-            seen.add(name)
+            _check_op(name, arity, seen)
 
     @classmethod
     def of(cls, ops: Mapping[str, int]) -> "Signature":
@@ -377,7 +383,9 @@ def parse_presentation(text: str) -> Presentation:
     name = None
     flavor = None
     ops: list[tuple[str, int]] = []
-    raw_eqs: list[tuple[int | None, str, str]] = []
+    seen: set[str] = set()
+    # each equation with its line, parsed once every operation is known
+    raw_eqs: list[tuple[int, int | None, str, str]] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -394,6 +402,8 @@ def parse_presentation(text: str) -> Presentation:
             continue
         if line.startswith("flavor"):
             flavor = line[len("flavor"):].strip()
+            if flavor not in FLAVORS:
+                fail(f"unknown flavor {flavor!r}")
             continue
         if line == "ops:":
             section = "ops"
@@ -409,6 +419,10 @@ def parse_presentation(text: str) -> Presentation:
                 ops.append((op_name.strip(), int(arity_text.strip())))
             except ValueError:
                 fail(f"bad arity in {line!r}")
+            try:
+                _check_op(*ops[-1], seen)
+            except TermError as exc:
+                fail(str(exc))
             continue
         if section == "eqs":
             arity: int | None = None
@@ -420,7 +434,7 @@ def parse_presentation(text: str) -> Presentation:
             if "=" not in body:
                 fail(f"expected 'lhs = rhs', got {line!r}")
             lhs_text, _, rhs_text = body.partition("=")
-            raw_eqs.append((arity, lhs_text.strip(), rhs_text.strip()))
+            raw_eqs.append((lineno, arity, lhs_text.strip(), rhs_text.strip()))
             continue
         fail(f"unexpected line {line!r}")
 
@@ -430,15 +444,15 @@ def parse_presentation(text: str) -> Presentation:
         raise PresentationError("missing flavor line")
     signature = Signature(tuple(ops))
     equations = []
-    for arity, lhs_text, rhs_text in raw_eqs:
+    for lineno, arity, lhs_text, rhs_text in raw_eqs:
         try:
             lhs = parse_term(lhs_text, signature)
             rhs = parse_term(rhs_text, signature)
+            if arity is None:
+                arity = max(max_var(lhs), max_var(rhs))
+            equations.append(Equation(arity, lhs, rhs))
         except TermError as exc:
-            raise PresentationError(str(exc)) from exc
-        if arity is None:
-            arity = max(max_var(lhs), max_var(rhs))
-        equations.append(Equation(arity, lhs, rhs))
+            raise PresentationError(f"line {lineno}: {exc}") from exc
     return Presentation(name, flavor, signature, tuple(equations))
 
 

@@ -317,6 +317,77 @@ def naive_equality_closure(equations, universe):
     return {t: frozenset(classes[find(t)]) for t in universe}
 
 
+def _tree_nodes(t):
+    return 1 + sum(_tree_nodes(c) for c in getattr(t, "children", ()))
+
+
+def _tree_leaves(t):
+    children = getattr(t, "children", None)
+    return 1 if children is None else sum(_tree_leaves(c) for c in children)
+
+
+def reference_seed_pins(S, W, B, G, H, embedding_cell, op_term):
+    """The seed pins that once certified the uniqueness of an induced
+    strict map, kept as an oracle: identities, the restriction data on
+    arrows and on the generators' embedding cells (embedding_cell(S, op,
+    operands) is the cell, op_term(op, arity) the generator's term), then
+    the unit embedding of every object of the strict view S into the
+    identity pair over its value, built by recursion over representative
+    trees from strictness steps and inverted embedding cells on the
+    strict side, each pinned with its forced image. Returns the pins,
+    the conflicts, and the embeddings by object key."""
+    st_fc, obj_ids, arrow_ids = S.as_finite_category()
+    unit = S.operad.identity()
+    pinned, conflicts = {}, []
+
+    def pin(arrow_id, value):
+        old = pinned.get(arrow_id)
+        if old is None:
+            pinned[arrow_id] = value
+        elif old != value:
+            conflicts.append(f"conflicting forced values at {arrow_id!r}")
+
+    def arrow_id(f):
+        return arrow_ids[(f.src.key(), f.dst.key(), f.base)]
+
+    for x in st_fc.objects:
+        pin(st_fc.identity(x), B.base.identity(H.obj([x])))
+    for b, arrow in W.base.arrows.items():
+        pin(arrow_ids[(S.obj(unit, (arrow.src,)).key(),
+                       S.obj(unit, (arrow.dst,)).key(), b)],
+            G.functor.arr([b]))
+    for op, arity in W.presentation.signature.ops:
+        for operands in itertools.product(W.base.objects, repeat=arity):
+            pin(arrow_id(embedding_cell(S, op, operands)),
+                G.psi_component(op_term(op, arity), operands))
+    iota_st, iota_val = {}, {}
+    for x in sorted(S.objects,
+                    key=lambda x: _tree_nodes(S.repr_tree(x.element))):
+        if x.element == unit:
+            iota_st[x.key()] = S.identity(x)
+            iota_val[x.key()] = B.base.identity(H.obj([obj_ids[x.key()]]))
+            continue
+        t = S.repr_tree(x.element)
+        children, at = [], 0
+        for sub in t.children:
+            n = _tree_leaves(sub)
+            children.append(S.obj(W.interpretation.eval_tree(sub),
+                                  x.operands[at:at + n]))
+            at += n
+        step_st = S.act_arr(W.interpretation.assignment[t.op],
+                            [iota_st[c.key()] for c in children])
+        step_val = B.h_arr(op_term(t.op, len(children)),
+                           [iota_val[c.key()] for c in children])
+        pin(arrow_id(step_st), step_val)
+        cell_st = embedding_cell(S, t.op, tuple(c.h_value for c in children))
+        cell_val = pinned[arrow_id(cell_st)]
+        iota_st[x.key()] = S.compose(S.inverse(cell_st), step_st)
+        iota_val[x.key()] = B.base.compose(B.base.inverse(cell_val),
+                                           step_val)
+        pin(arrow_id(iota_st[x.key()]), iota_val[x.key()])
+    return pinned, conflicts, iota_st
+
+
 def reference_close_pins(S, W, B, pinned, conflicts):
     """The forced-value closure that once certified the uniqueness of an
     induced strict map, kept verbatim as an oracle: close the pins on the

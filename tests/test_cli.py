@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from operad_workbench import cli
 from operad_workbench.cli import main
 from operad_workbench.operads import EndOperad
-from operad_workbench.terms import (App, Var, _MAX_NESTING, parse_term,
-                                    replace_at, subterm_at)
+from operad_workbench.terms import (App, PresentationError, Var,
+                                    _MAX_NESTING, parse_presentation,
+                                    parse_term, replace_at, subterm_at)
 from operad_workbench.weakcat import WeakcatError, load_weakcat
 
 MONOID = str(EXAMPLES / "monoid.th")
@@ -283,6 +284,29 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "decide", "no_such_file.th", "x1", "x1")
     assert code == 3
     assert err.startswith("error:")
+
+
+OPS = "theory T\nflavor plain\nops:\n  f : 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (OPS + "  x1 : 1\n", "line 5: bad operation name 'x1'"),
+    (OPS + "  g : -1\n", "line 5: negative arity for 'g'"),
+    (OPS + "  f : 2\n", "line 5: duplicate operation 'f'"),
+    (OPS + "eqs:\n  @1: f(x2) = x1\n",
+     "line 6: variable x2 exceeds equation arity 1"),
+    (OPS.replace("plain", "odd"), "line 2: unknown flavor 'odd'"),
+    (OPS + "eqs:\n  f(x1) = g(x1)\n",
+     "line 6: unknown operation 'g' at column 6 in 'g(x1)'")])
+def test_theory_file_faults_name_their_line(capsys, tmp_path, text,
+                                            message):
+    with pytest.raises(PresentationError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
+    theory = tmp_path / "bad.th"
+    theory.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(theory))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_unknown_target(capsys):

@@ -47,7 +47,7 @@ THEORIES = [THEORY, THEORY.replace("m : 2", "m : -1"),
             "theory T\nflavor plain\nops:\n  x1 : 1\n",
             "theory T\nflavor plain\nops:\n  f : 1\neqs:\n  @1: f(x2) = x1\n"]
 END_ELEMENTS = ["2:[1,2,2,1]", "0:[2]", "1:[1,2]", "21:[1]", "100000:[1]",
-                "1000000000:[1]", "-1:[1]"]
+                "1000000000:[1]", "-1:[1]", "-1:[]", "-3:[1,2]"]
 VECTORS = ["[1,2,0]", "[]", "[0]", "[-1]", "[1,,2]"]
 PERMS = ["[2,1,3]", "[1]", "[]", "[1,1]", "[2,1->3]"]
 
@@ -66,11 +66,8 @@ PARSERS = {
     "parse_fn": (parse_fn, FinMapError, FNS, "[]0123,-> x"),
     "parse_perm": (parse_perm, FinMapError, FNS, "[]0123,-> x"),
     "parse_poly": (parse_poly, OperadError, POLYS, "x0123^*+- "),
-    # a bad operation name or an over-arity variable is the signature's
-    # or the equation's TermError; every other fault a PresentationError
-    "parse_presentation": (parse_presentation,
-                           (PresentationError, TermError), THEORIES,
-                           "\n :=@()mex12,#ops"),
+    "parse_presentation": (parse_presentation, PresentationError,
+                           THEORIES, "\n :=@()mex12,#ops"),
     "end-2": (builtin_operad("end-2").parse_element, OperadError,
               END_ELEMENTS, "0123:[],- "),
     "end-3": (builtin_operad("end-3").parse_element, OperadError,

@@ -253,6 +253,16 @@ def test_end_tables_over_the_budget_are_refused_before_they_are_built():
     assert len(end4.compose(p, [qs[0], end4.identity()]).table) == 4 ** 6
 
 
+@pytest.mark.parametrize("call", [
+    lambda: EndOperad(3).parse_element("-1:[1]"),
+    lambda: FiniteOp(3, -1, (1,)),
+    lambda: op_from_callable(2, -1, lambda: 1),
+    lambda: EndOperad(2).enumerate_elements(-1, 3)])
+def test_negative_end_arities_are_refused_by_name(call):
+    with pytest.raises(OperadError, match="^negative arity -1$"):
+        call()
+
+
 def test_free_operad_composes_by_grafting():
     free = FreeOperad(SIG, "plain")
     x = parse_tree("m(|,m(|,|))", SIG)

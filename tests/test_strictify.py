@@ -2,26 +2,27 @@
 comparison back to the input, and the induced-map universal property."""
 
 import copy
+import importlib
 import itertools
 
 import pytest
 from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       identity_weak_functor, skewed_group_instance,
                       terminal_weakcat, zmod)
-from oracles import reference_close_pins
+from oracles import reference_close_pins, reference_seed_pins
 
-from operad_workbench.operads import CheckReport
-from operad_workbench.terms import parse_term
-from operad_workbench.trees import tree_arity, tree_size
+from operad_workbench.operads import CheckReport, TerminalPlainOperad
+from operad_workbench.terms import (Equation, Presentation, Signature,
+                                    parse_term)
+from operad_workbench.trees import tree_arity
 from operad_workbench.weakcat import (FiniteCategory, Functor,
                                       WeakPCategoryData, WeakPFunctorData,
                                       check_weak_functor, coherence_check,
                                       indiscrete_monoid_instance, key_of,
                                       load_weakcat)
-from operad_workbench.strictify import (StArrow, StrictifyError,
-                                        StrictPCategory, _element_tuples,
-                                        _embedding_cell, _induced_map,
-                                        _op_term, _uniqueness,
+from operad_workbench.strictify import (StrictifyError, StrictPCategory,
+                                        _element_tuples, _embedding_cell,
+                                        _induced_map, _op_term, _uniqueness,
                                         check_equivalence, check_strictness,
                                         strictify, universal_property_check)
 
@@ -375,7 +376,7 @@ def test_uniqueness_reads_no_composite_table(z3_instance, monoid):
     G = _maps(z3_instance, monoid)["doubling"]
     H = _induced_map(S, G.target, G, CheckReport())
     report = CheckReport()
-    pinned, _ = _uniqueness(S, z3_instance, G.target, G, H, report)
+    pinned = _uniqueness(S, z3_instance, G.target, G, H, report)
     assert len(pinned) == 1600 and report.ok
     assert "_compose" not in vars(st_fc)
     g, f, gf = st_fc.composable[-1]
@@ -384,59 +385,45 @@ def test_uniqueness_reads_no_composite_table(z3_instance, monoid):
 
 
 def _reference_pins(S, W, B, G, H):
-    """The pins and conflicts of the forced-value closure: identities,
-    the restriction data, and the unit embeddings built by recursion
-    over representative trees are pinned first, in the order that
-    uniqueness used before it factored through the embeddings; the
-    oracle then closes them under inverses and composition."""
-    st_fc, obj_ids, _ = S.as_finite_category()
-    unit = S.operad.identity()
-    pinned, conflicts = {}, []
-
-    def pin(arrow_id, value):
-        old = pinned.get(arrow_id)
-        if old is None:
-            pinned[arrow_id] = value
-        elif old != value:
-            conflicts.append(f"conflicting forced values at {arrow_id!r}")
-
-    for x in st_fc.objects:
-        pin(st_fc.identity(x), B.base.identity(H.obj([x])))
-    for b, arrow in W.base.arrows.items():
-        st = StArrow(S.obj(unit, (arrow.src,)), S.obj(unit, (arrow.dst,)), b)
-        pin(S.arrow_id(st), G.functor.arr([b]))
-    for op, arity in W.presentation.signature.ops:
-        for operands in itertools.product(W.base.objects, repeat=arity):
-            pin(S.arrow_id(_embedding_cell(S, op, operands)),
-                G.psi_component(_op_term(op, arity), operands))
-    iota_st, iota_val = {}, {}
-    for x in sorted(S.objects,
-                    key=lambda x: tree_size(S.repr_tree(x.element))):
-        if x.element == unit:
-            iota_st[x.key()] = S.identity(x)
-            iota_val[x.key()] = B.base.identity(H.obj([obj_ids[x.key()]]))
-            continue
-        t = S.repr_tree(x.element)
-        children, at = [], 0
-        for sub in t.children:
-            n = tree_arity(sub)
-            children.append(S.obj(W.interpretation.eval_tree(sub),
-                                  x.operands[at:at + n]))
-            at += n
-        step_st = S.act_arr(W.interpretation.assignment[t.op],
-                            [iota_st[c.key()] for c in children])
-        step_val = B.h_arr(_op_term(t.op, len(children)),
-                           [iota_val[c.key()] for c in children])
-        pin(S.arrow_id(step_st), step_val)
-        cell_st = _embedding_cell(S, t.op,
-                                  tuple(c.h_value for c in children))
-        cell_val = pinned[S.arrow_id(cell_st)]
-        iota_st[x.key()] = S.compose(S.inverse(cell_st), step_st)
-        iota_val[x.key()] = B.base.compose(B.base.inverse(cell_val),
-                                           step_val)
-        pin(S.arrow_id(iota_st[x.key()]), iota_val[x.key()])
+    """The oracle's seed pins, closed under inverses and composition,
+    with the conflicts and the strict-side unit embeddings."""
+    pinned, conflicts, embeddings = reference_seed_pins(
+        S, W, B, G, H, _embedding_cell, _op_term)
     reference_close_pins(S, W, B, pinned, conflicts)
-    return pinned, conflicts
+    return pinned, conflicts, embeddings
+
+
+def unary_unit_map(monoid):
+    """The monoid theory with a unary u and u(x1) = x1, on the group Z/3
+    as one object with u the identity functor and u's cell "1", over
+    terminal-plain with u at the identity element, mapped identically
+    onto its strict copy (u's cell "0") with psi_u "1". The identity
+    element's representative is |, so u's embedding cell is "1", not an
+    identity."""
+    mult = lambda g, f: str((int(g) + int(f)) % 3)
+    base = FiniteCategory.from_monoid(("0", "1", "2"), "0", mult)
+    unit_law = Equation(1, parse_term("u(x1)"), parse_term("x1"))
+    theory = Presentation(
+        "UnaryUnit", "plain", Signature((("m", 2), ("e", 0), ("u", 1))),
+        monoid.equations + (unit_law,))
+    generators = {
+        "m": Functor(base, base, 2, {key_of(("o", "o")): "o"},
+                     {key_of((f, g)): mult(f, g)
+                      for f in "012" for g in "012"}, name="m"),
+        "e": Functor(base, base, 0, {"": "o"}, {"": "0"}, name="e"),
+        "u": Functor(base, base, 1, {key_of(("o",)): "o"},
+                     {key_of((f,)): f for f in "012"}, name="u")}
+
+    def instance(u_cell, **interpretation):
+        return WeakPCategoryData(base, theory, generators, {
+            0: {("o",) * 3: "0"}, 1: {("o",): "0"}, 2: {("o",): "0"},
+            3: {("o",): u_cell}}, **interpretation)
+
+    W = instance("1", target=TerminalPlainOperad(),
+                 assignment={"m": 2, "e": 0, "u": 1})
+    psi = {"m": {("o", "o"): "0"}, "e": {(): "0"}, "u": {("o",): "1"}}
+    return WeakPFunctorData(W, instance("0"), Functor.identity_functor(base),
+                            psi)
 
 
 def _uniqueness_inputs(z3_instance, z4_instance, monoid):
@@ -462,17 +449,20 @@ def _uniqueness_inputs(z3_instance, z4_instance, monoid):
     inputs["skewed onto Z/3"] = (skewed, WeakPFunctorData(
         skewed, group, functor, {"m": {("o", "o"): "1"}, "e": {(): "0"}}),
         48)
+    G = unary_unit_map(monoid)
+    inputs["unary unit"] = (G.source, G, 48)
     return inputs
 
 
 @pytest.mark.parametrize("label", [
     "identity", "collapse", "doubling", "not weak", "z4 identity",
-    "z4 collapse", "skewed collapse", "skewed onto Z/3"])
+    "z4 collapse", "skewed collapse", "skewed onto Z/3", "unary unit"])
 def test_uniqueness_closure_matches_reference(label, z3_instance,
                                               z4_instance, monoid):
-    """The pins forced through the unit embeddings equal, as dicts, the
-    seed pins closed by the oracle, with the same (no) conflicts, and
-    agree with H on every arrow."""
+    """The pins forced through the target-side embedding images equal,
+    as dicts, the seed pins closed by the oracle, with no conflicts, and
+    agree with H on every arrow; every strict-side unit embedding of the
+    oracle has the identity base arrow."""
     W, G, arrows = _uniqueness_inputs(z3_instance, z4_instance,
                                       monoid)[label]
     # a fresh view, so the composite table the oracle derives is freed
@@ -480,13 +470,55 @@ def test_uniqueness_closure_matches_reference(label, z3_instance,
     H = _induced_map(S, G.target, G, CheckReport())
     assert H is not None
     report = CheckReport()
-    pinned, conflicts = _uniqueness(S, W, G.target, G, H, report)
-    want_pinned, want_conflicts = _reference_pins(S, W, G.target, G, H)
+    pinned = _uniqueness(S, W, G.target, G, H, report)
+    want_pinned, conflicts, embeddings = _reference_pins(S, W, G.target, G,
+                                                         H)
     assert pinned == want_pinned
-    assert conflicts == want_conflicts == []
+    assert conflicts == []
+    assert len(embeddings) == len(S.objects)
+    assert all(W.base.is_identity(iota.base) for iota in embeddings.values())
     assert report.checked == {"uniqueness pins": arrows,
                               "uniqueness agreement": arrows}
     assert report.ok, report.lines()
+
+
+def test_unary_unit_embedding_cell_is_not_an_identity(monoid):
+    """u's element is the identity, represented by |, so u's embedding
+    cell is its equation's cell "1", and the universal property holds
+    with every arrow pinned."""
+    G = unary_unit_map(monoid)
+    W = G.source
+    S = strictify(W)
+    assert W.interpretation.assignment["u"] == S.operad.identity()
+    assert S.repr_term(S.operad.identity()) == parse_term("x1")
+    cell = _embedding_cell(S, "u", ("o",))
+    assert cell.src == cell.dst and cell.base == "1"
+    assert not W.base.is_identity(cell.base)
+    report = universal_property_check(W, G.target, G)
+    assert report.ok, report.lines()
+    assert report.checked["uniqueness pins"] == 48
+
+
+def test_uniqueness_makes_no_strict_action(z3_instance, monoid,
+                                           monkeypatch):
+    """The embedding images are forced on the target side alone: the
+    uniqueness step acts on no strict arrow and builds no embedding
+    cell."""
+    S = StrictPCategory(z3_instance)
+    G = _maps(z3_instance, monoid)["identity"]
+    H = _induced_map(S, G.target, G, CheckReport())
+    calls = []
+    act_arr = StrictPCategory.act_arr
+    monkeypatch.setattr(StrictPCategory, "act_arr", lambda *args: (
+        calls.append("act_arr") or act_arr(*args)))
+    # the package's strictify is the function, so look the module up
+    monkeypatch.setattr(
+        importlib.import_module("operad_workbench.strictify"),
+        "_embedding_cell", lambda *args: (
+            calls.append("_embedding_cell") or _embedding_cell(*args)))
+    report = CheckReport()
+    assert len(_uniqueness(S, z3_instance, G.target, G, H, report)) == 1600
+    assert report.ok and calls == []
 
 
 def test_uniqueness_names_a_disagreeing_induced_map(z3_instance, monoid):
