@@ -4,8 +4,7 @@ weakened categorical structures, and their strictification."""
 
 from .finmaps import (FinFunction, FinMapError, block_compose,
                       block_permutation, comb_compose, compose, direct_sum,
-                      fn, identity, inverse, perm, perm_identity,
-                      perm_inverse, select)
+                      fn, identity, inverse, perm, select)
 from .terms import (App, Equation, GENERAL, LINEAR, Presentation,
                     PresentationError, STRONGLY_REGULAR, Signature, Term,
                     TermError, Var, classify_equation, classify_presentation,
@@ -14,9 +13,8 @@ from .terms import (App, Equation, GENERAL, LINEAR, Presentation,
                     parse_presentation, parse_term, substitute, support,
                     term_size, var_seq)
 from .trees import (FPTree, Leaf, Node, PermutedTree, Tree, TreeError,
-                    compose_fp, compose_permuted, enumerate_fp_trees,
-                    enumerate_permuted_trees, enumerate_trees,
-                    format_fp_tree, format_object, format_permuted_tree,
+                    compose_fp, enumerate_fp_trees, enumerate_permuted_trees,
+                    enumerate_trees, format_fp_tree, format_object,
                     format_tree, graft, parse_fp_tree, parse_permuted_tree,
                     parse_tree, to_object, to_term, to_term_alpha, to_tree,
                     tree_arity, tree_size)

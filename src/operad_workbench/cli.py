@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .finmaps import FinMapError, block_compose, format_perm, parse_perm
+from .finmaps import FinMapError, block_compose, format_fn, parse_perm
 from .operads import (Interpretation, OperadError, builtin_operad,
                       default_assignment)
 from .strictify import (StrictifyError, check_equivalence, check_strictness,
@@ -280,7 +280,7 @@ def cmd_perm(args) -> int:
             f"block composition of a permutation of {sigma.cod} needs "
             f"{sigma.cod} inner permutations, got {len(taus)}")
     result = block_compose(sigma, taus)
-    payload = {"result": format_perm(result)}
+    payload = {"result": format_fn(result)}
     _emit(args, payload, [payload["result"]])
     return 0
 

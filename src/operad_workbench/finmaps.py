@@ -100,13 +100,6 @@ def inverse(p: FinFunction) -> FinFunction:
     return FinFunction(p.dom, p.dom, tuple(table))
 
 
-perm_inverse = inverse
-
-
-def perm_identity(n: int) -> FinFunction:
-    return identity(n)
-
-
 def select(f: FinFunction, items: Sequence) -> tuple:
     """Relabelling action on tuples: result[i] = items[f(i) - 1], len(items) = cod."""
     if len(items) != f.cod:
@@ -222,7 +215,3 @@ def format_fn(f: FinFunction) -> str:
     if f.cod == default_cod:
         return f"[{body}]"
     return f"[{body}->{f.cod}]"
-
-
-def format_perm(p: FinFunction) -> str:
-    return "[" + ",".join(str(v) for v in p.table) + "]"

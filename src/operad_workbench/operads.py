@@ -24,8 +24,8 @@ from typing import Callable, Mapping, Sequence
 
 from .finmaps import (FinFunction, block_compose, block_permutation,
                       comb_compose, compose, direct_sum, fn as make_fn,
-                      format_fn, format_perm, identity, inverse, parse_perm,
-                      perm, perm_identity, select)
+                      format_fn, identity, inverse, parse_perm, perm,
+                      select)
 from .terms import (FLAVOR_RANK, Equation, Presentation, Signature, Term,
                     _compositions, format_term)
 from .trees import (FPTree, LEAF, Leaf, Node, PermutedTree, act_fn_tree,
@@ -89,6 +89,8 @@ class Operad:
         if f.dom != self.arity_of(p):
             raise OperadError(
                 f"action domain {f.dom} does not match arity {self.arity_of(p)}")
+        if self.flavor == "symmetric" and not f.is_bijection:
+            raise OperadError(f"{self.name} only acts by permutations")
 
 
 class TerminalPlainOperad(Operad):
@@ -131,8 +133,6 @@ class TerminalSymmetricOperad(TerminalPlainOperad):
 
     def act_fn(self, f, p):
         self._check_act(f, p)
-        if not f.is_bijection:
-            raise OperadError(f"{self.name} only acts by permutations")
         return p
 
 
@@ -156,8 +156,6 @@ class InitialOperad(Operad):
 
     def act_fn(self, f, p):
         self._check_act(f, p)
-        if not f.is_bijection:
-            raise OperadError(f"{self.name} only acts by permutations")
         return 1
 
     def enumerate_elements(self, arity, bound):
@@ -185,7 +183,7 @@ class SymmetryOperad(Operad):
     name = "symmetries"
 
     def identity(self):
-        return perm_identity(1)
+        return identity(1)
 
     def arity_of(self, p) -> int:
         return p.dom
@@ -196,8 +194,6 @@ class SymmetryOperad(Operad):
 
     def act_fn(self, f, p):
         self._check_act(f, p)
-        if not f.is_bijection:
-            raise OperadError(f"{self.name} only acts by permutations")
         return compose(p, inverse(f))
 
     def enumerate_elements(self, arity, bound):
@@ -215,7 +211,7 @@ class SymmetryOperad(Operad):
             raise OperadError(str(exc)) from exc
 
     def format_element(self, p):
-        return format_perm(p)
+        return format_fn(p)
 
 
 class CommMonoidFPOperad(Operad):
@@ -679,8 +675,6 @@ class FreeOperad(Operad):
         if self.flavor == "plain":
             return super().act_fn(f, p)
         self._check_act(f, p)
-        if self.flavor == "symmetric" and not f.is_bijection:
-            raise OperadError(f"{self.name} only acts by permutations")
         return act_fn_tree(f, p)
 
     def enumerate_elements(self, arity, bound):
@@ -883,16 +877,18 @@ def _heads(pools: Mapping[int, list], ks: Sequence[int]) -> list | None:
 
 _AXIOM_ARITY = 2
 _AXIOM_CAP = 4000
+_AXIOM_ELEMENTS = 4
 
 
-def operad_axiom_check(operad: Operad, element_bound: int = 4) -> CheckReport:
+def operad_axiom_check(operad: Operad) -> CheckReport:
     """Systematically probe the operad laws on small enumerated elements.
 
     Walks units, associativity, action functoriality, both equivariance
-    shapes, and (for fp flavor) the combined substitution law, on
-    elements of arity up to 2, stopping each law after 4000 instances.
+    shapes, and (for fp flavor) the combined substitution law, on the
+    first four elements of each arity up to 2, stopping each law after
+    4000 instances.
     """
-    pools = {n: operad.enumerate_elements(n, element_bound)
+    pools = {n: operad.enumerate_elements(n, _AXIOM_ELEMENTS)
              for n in range(_AXIOM_ARITY + 1)}
     report = CheckReport()
     checked = report.checked
@@ -1021,7 +1017,7 @@ def default_assignment(presentation: Presentation, operad: Operad
                     f"the initial operad has no element of arity {k}")
             out[op] = 1
         elif isinstance(operad, SymmetryOperad):
-            out[op] = perm_identity(k)
+            out[op] = identity(k)
         elif isinstance(operad, CommMonoidFPOperad):
             out[op] = (1,) * k
         elif isinstance(operad, IntPolyFPOperad):

@@ -241,15 +241,21 @@ class Presentation:
         for eq in self.equations:
             validate_term(eq.lhs, self.signature)
             validate_term(eq.rhs, self.signature)
-            cls = classify_equation(eq)
-            if self.flavor == "plain" and cls != STRONGLY_REGULAR:
-                raise PresentationError(
-                    f"plain flavor requires strongly regular equations, "
-                    f"got {format_equation(eq)} ({cls})")
-            if self.flavor == "symmetric" and cls == GENERAL:
-                raise PresentationError(
-                    f"symmetric flavor requires linear equations, "
-                    f"got {format_equation(eq)} ({cls})")
+            _check_flavor(self.flavor, eq)
+
+
+def _check_flavor(flavor: str, eq: Equation):
+    """Refuse an equation the flavor cannot carry: plain theories take
+    only strongly regular equations, symmetric ones only linear ones."""
+    cls = classify_equation(eq)
+    if flavor == "plain" and cls != STRONGLY_REGULAR:
+        raise PresentationError(
+            f"plain flavor requires strongly regular equations, "
+            f"got {format_equation(eq)} ({cls})")
+    if flavor == "symmetric" and cls == GENERAL:
+        raise PresentationError(
+            f"symmetric flavor requires linear equations, "
+            f"got {format_equation(eq)} ({cls})")
 
 
 def classify_presentation(p: Presentation) -> str:
@@ -378,7 +384,9 @@ def parse_presentation(text: str) -> Presentation:
     Layout: a `theory <Name>` line, a `flavor plain|symmetric|fp` line,
     an `ops:` section of `name : arity` lines, and an optional `eqs:`
     section of `[@n:] lhs = rhs` lines. Lines starting with `#` are
-    comments. Equation arity defaults to the maximal variable index.
+    comments, and a line whose first word is `theory` or `flavor` is a
+    header line wherever it stands. Equation arity defaults to the
+    maximal variable index.
     """
     name = None
     flavor = None
@@ -395,13 +403,14 @@ def parse_presentation(text: str) -> Presentation:
         def fail(message: str):
             raise PresentationError(f"line {lineno}: {message}")
 
-        if line.startswith("theory"):
-            name = line[len("theory"):].strip()
+        keyword, rest = (line.split(None, 1) + [""])[:2]
+        if keyword == "theory":
+            name = rest
             if not name:
                 fail("theory needs a name")
             continue
-        if line.startswith("flavor"):
-            flavor = line[len("flavor"):].strip()
+        if keyword == "flavor":
+            flavor = rest
             if flavor not in FLAVORS:
                 fail(f"unknown flavor {flavor!r}")
             continue
@@ -451,7 +460,8 @@ def parse_presentation(text: str) -> Presentation:
             if arity is None:
                 arity = max(max_var(lhs), max_var(rhs))
             equations.append(Equation(arity, lhs, rhs))
-        except TermError as exc:
+            _check_flavor(flavor, equations[-1])
+        except (TermError, PresentationError) as exc:
             raise PresentationError(f"line {lineno}: {exc}") from exc
     return Presentation(name, flavor, signature, tuple(equations))
 
@@ -625,9 +635,8 @@ class SaturationResult:
             return None
         return self._elementary_path(i1, i2, self.unions)
 
-    def explain_many(self, t1: Term, t2: Term, limit: int = 4
-                     ) -> list[list[RewriteStep]]:
-        """Up to limit distinct rewrite chains from t1 to t2, shortest
+    def explain_many(self, t1: Term, t2: Term) -> list[list[RewriteStep]]:
+        """Up to three distinct rewrite chains from t1 to t2, shortest
         first, ties broken by step serialization. Chains follow simple
         paths in the merge graph at most four links longer than the
         shortest; an empty list means the terms are not merged."""
@@ -642,7 +651,7 @@ class SaturationResult:
         on_path = {i1}
 
         def walk(u: int):
-            if len(found) >= 4 * limit + 16:
+            if len(found) >= 28:
                 return
             if u == i2:
                 found.append(list(path))
@@ -672,7 +681,7 @@ class SaturationResult:
         out: list[list[RewriteStep]] = []
         seen: set[tuple[RewriteStep, ...]] = set()
         for links in found:
-            if len(out) >= limit:
+            if len(out) >= 3:
                 break
             steps = [step for link in links for step in self._expand(*link)]
             if tuple(steps) not in seen:

@@ -138,9 +138,6 @@ def compose_fp(outer: FPTree, inner: Sequence[FPTree]) -> FPTree:
     return type(outer)(combined, graft(outer.tree, select(outer.fn, trees)))
 
 
-compose_permuted = compose_fp
-
-
 def act_fn_tree(g: FinFunction, ft: FPTree) -> FPTree:
     return type(ft)(compose(g, ft.fn), ft.tree)
 
@@ -210,11 +207,6 @@ def format_object(obj: Tree | FPTree) -> str:
     if isinstance(obj, FPTree):
         return format_fp_tree(obj)
     return format_tree(obj)
-
-
-# a permutation's codomain is its largest entry, so format_fn never
-# prints one with an explicit codomain
-format_permuted_tree = format_fp_tree
 
 
 _PREFIX_RE = re.compile(r"^\s*(\[[^\]]*\])\s*(.*)$", re.DOTALL)
@@ -342,13 +334,13 @@ def enumerate_permuted_trees(signature: Signature, arity: int, max_size: int
     return sorted(out, key=_pair_order)
 
 
-def enumerate_fp_trees(signature: Signature, arity: int, max_size: int,
-                       max_leaves: int | None = None) -> list[FPTree]:
-    """All relabelled trees of the arity with at most max_size nodes and
-    max_leaves leaves (default max_size), sorted by (size, text)."""
+def enumerate_fp_trees(signature: Signature, arity: int, max_size: int
+                       ) -> list[FPTree]:
+    """All relabelled trees of the arity with at most max_size nodes,
+    sorted by (size, text)."""
     trees_of = _trees_by_leaves(signature, max_size)
     out = []
-    for leaves in range(0, (max_leaves if max_leaves is not None else max_size) + 1):
+    for leaves in range(max_size + 1):
         trees = trees_of(leaves)
         if not trees:
             continue

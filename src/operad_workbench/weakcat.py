@@ -452,10 +452,8 @@ class WeakPCategoryData:
     def compile_path(self, steps: Sequence[RewriteStep],
                      operands: tuple[str, ...], at_object: str) -> str:
         return self.base.compose_chain(
-            [self._compile_step(s, operands) for s in steps], at_object)
-
-    def _compile_step(self, step: RewriteStep, operands: tuple[str, ...]) -> str:
-        return self._compile_at(step.source, step, step.position, operands)
+            [self._compile_at(s.source, s, s.position, operands)
+             for s in steps], at_object)
 
     def _compile_at(self, term: Term, step: RewriteStep,
                     position: tuple[int, ...], operands: tuple[str, ...]) -> str:
@@ -507,7 +505,7 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
                 if pairs >= 40:
                     break
                 term_b = W._as_term(other)
-                chains = sat.explain_many(term_a, term_b, limit=3)
+                chains = sat.explain_many(term_a, term_b)
                 if len(chains) < 2:
                     continue
                 pairs += 1

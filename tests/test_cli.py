@@ -296,6 +296,9 @@ OPS = "theory T\nflavor plain\nops:\n  f : 1\n"
     (OPS + "eqs:\n  @1: f(x2) = x1\n",
      "line 6: variable x2 exceeds equation arity 1"),
     (OPS.replace("plain", "odd"), "line 2: unknown flavor 'odd'"),
+    (OPS + "eqs:\n  @2: f(x1) = f(x2)\n",
+     "line 6: plain flavor requires strongly regular equations, "
+     "got @2: f(x1) = f(x2) (general)"),
     (OPS + "eqs:\n  f(x1) = g(x1)\n",
      "line 6: unknown operation 'g' at column 6 in 'g(x1)'")])
 def test_theory_file_faults_name_their_line(capsys, tmp_path, text,

@@ -128,7 +128,7 @@ def test_clone_roundtrip_end_clone():
 
 def test_fp_from_clone_is_an_operad():
     operad = FPFromClone(EndClone(2))
-    report = operad_axiom_check(operad, element_bound=3)
+    report = operad_axiom_check(operad)
     assert report.ok, report.lines()
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from operad_workbench.finmaps import (FinFunction, FinMapError,
                                       block_compose, block_permutation,
                                       comb_compose, compose, direct_sum,
-                                      fn, format_fn, format_perm, identity,
+                                      fn, format_fn, identity,
                                       inverse, parse_fn, parse_perm, perm,
                                       select)
 from oracles import oracle_block_compose, oracle_comb_compose
@@ -97,7 +97,7 @@ def test_select_contravariance(data):
 
 def test_parse_format_roundtrips():
     for text in ("[2,1,3]", "[1]", "[]"):
-        assert format_perm(parse_perm(text)) == text
+        assert format_fn(parse_perm(text)) == text
     f = parse_fn("[2,1,2 -> 3]")
     assert (f.dom, f.cod, f.table) == (3, 3, (2, 1, 2))
     assert parse_fn(format_fn(f)) == f

@@ -45,7 +45,11 @@ THEORY = (EXAMPLES / "monoid.th").read_text(encoding="utf-8")
 THEORIES = [THEORY, THEORY.replace("m : 2", "m : -1"),
             THEORY.replace("flavor plain", "flavor fp"),
             "theory T\nflavor plain\nops:\n  x1 : 1\n",
-            "theory T\nflavor plain\nops:\n  f : 1\neqs:\n  @1: f(x2) = x1\n"]
+            "theory T\nflavor plain\nops:\n  f : 1\neqs:\n  @1: f(x2) = x1\n",
+            "theory T\nflavor plain\nops:\n  theory_x : 1\n",
+            "theory T\nflavor plain\nops:\n  flavored : 1\n",
+            "theory T\nflavor plain\nops:\n  m : 2\neqs:\n"
+            "  @1: m(x1,x1) = x1\n"]
 END_ELEMENTS = ["2:[1,2,2,1]", "0:[2]", "1:[1,2]", "21:[1]", "100000:[1]",
                 "1000000000:[1]", "-1:[1]", "-1:[]", "-3:[1,2]"]
 VECTORS = ["[1,2,0]", "[]", "[0]", "[-1]", "[1,,2]"]
@@ -87,8 +91,10 @@ def test_parsers_raise_only_their_documented_error(name, data):
     text = data.draw(near(samples, alphabet), label="text")
     try:
         parse(text)
-    except error:
-        pass
+    except error as exc:
+        if error is PresentationError:
+            assert str(exc).startswith("line ") or str(exc) in (
+                "missing theory line", "missing flavor line"), str(exc)
 
 
 def test_oversized_end_arity_is_refused_without_its_power():

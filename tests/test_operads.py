@@ -7,13 +7,12 @@ import random
 import pytest
 from conftest import comm_monoid_fp_context, random_poly
 
-from operad_workbench.finmaps import (compose, fn, identity, inverse, perm,
-                                      perm_identity)
+from operad_workbench.finmaps import compose, fn, identity, inverse, perm
 from operad_workbench.operads import (CheckReport, CommMonoidFPOperad,
                                       EndOperad, FiniteOp, FreeOperad,
-                                      Interpretation, IntPolyFPOperad,
-                                      OperadError, SymmetryOperad,
-                                      TerminalPlainOperad,
+                                      InitialOperad, Interpretation,
+                                      IntPolyFPOperad, OperadError,
+                                      SymmetryOperad, TerminalPlainOperad,
                                       TerminalSymmetricOperad,
                                       builtin_operad, default_assignment,
                                       eval_tree, format_poly,
@@ -75,7 +74,7 @@ def test_parse_element_raises_only_operad_error(name, junk, monoid):
 
 @pytest.mark.parametrize("flavor", ["plain", "symmetric", "fp"])
 def test_free_operad_axiom_suite(flavor):
-    report = operad_axiom_check(FreeOperad(SIG, flavor), element_bound=3)
+    report = operad_axiom_check(FreeOperad(SIG, flavor))
     assert report.ok, report.lines()
 
 
@@ -330,7 +329,7 @@ def test_default_assignments(monoid, comm_monoid):
     assert default_assignment(monoid, TerminalPlainOperad()) \
         == {"m": 2, "e": 0}
     assert default_assignment(comm_monoid, SymmetryOperad()) \
-        == {"m": perm_identity(2), "e": perm_identity(0)}
+        == {"m": identity(2), "e": identity(0)}
     assert default_assignment(comm_monoid, CommMonoidFPOperad()) \
         == {"m": (1, 1), "e": ()}
     free = FreeOperad(SIG, "plain")
@@ -343,6 +342,19 @@ def test_builtin_lookup_errors():
     with pytest.raises(OperadError):
         builtin_operad("free")
     assert builtin_operad("end-3").name == "end-3"
+
+
+@pytest.mark.parametrize("operad", [
+    TerminalSymmetricOperad(), InitialOperad(), SymmetryOperad(),
+    FreeOperad(SIG, "symmetric")], ids=lambda operad: operad.name)
+def test_symmetric_operads_act_only_by_permutations(operad):
+    p = operad.identity()
+    with pytest.raises(OperadError,
+                       match=f"^{operad.name} only acts by permutations$"):
+        operad.act_fn(fn((1,), cod=2), p)
+    with pytest.raises(OperadError,
+                       match="^action domain 2 does not match arity 1$"):
+        operad.act_fn(fn((1, 1), cod=1), p)
 
 
 def test_terminal_symmetric_rejects_non_bijections():

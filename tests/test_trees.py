@@ -8,7 +8,7 @@ from conftest import perfbench_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operad_workbench.finmaps import (FinFunction, compose, fn, format_perm,
+from operad_workbench.finmaps import (FinFunction, compose, fn, format_fn,
                                       identity, perm, select)
 from operad_workbench.operads import FreeOperad, OperadError
 from operad_workbench.terms import (Signature, enumerate_terms, format_term,
@@ -16,11 +16,10 @@ from operad_workbench.terms import (Signature, enumerate_terms, format_term,
                                     term_size)
 from operad_workbench.trees import (FPTree, LEAF, Leaf, Node, PermutedTree,
                                     TreeError, act_fn_tree, compose_fp,
-                                    compose_permuted, enumerate_fp_trees,
+                                    enumerate_fp_trees,
                                     enumerate_permuted_trees, enumerate_trees,
-                                    format_fp_tree, format_object,
-                                    format_permuted_tree, format_tree, graft,
-                                    parse_fp_tree, parse_permuted_tree,
+                                    format_fp_tree, format_object, format_tree,
+                                    graft, parse_fp_tree, parse_permuted_tree,
                                     parse_tree, shape, to_object, to_term,
                                     to_term_alpha, to_tree, tree_arity,
                                     tree_size)
@@ -47,7 +46,7 @@ def test_parse_format_roundtrip():
         assert format_tree(tr(text)) == text
     pt = parse_permuted_tree("[2,1] m(|,|)", SIG)
     assert pt == PermutedTree(perm((2, 1)), tr("m(|,|)"))
-    assert format_permuted_tree(pt) == "[2,1] m(|,|)"
+    assert format_fp_tree(pt) == "[2,1] m(|,|)"
     ft = parse_fp_tree("[1,1 -> 1] m(|,|)", SIG)
     assert ft == FPTree(fn((1, 1), cod=1), tr("m(|,|)"))
     # an inferable codomain is elided when printing
@@ -107,8 +106,8 @@ def permuted_pool(max_size=3, arities=(0, 1, 2)):
 def test_compose_permuted_unit_laws():
     for pt in permuted_pool():
         n = pt.arity
-        assert compose_permuted(pt, [UNIT] * n) == pt
-        assert compose_permuted(UNIT, [pt]) == pt
+        assert compose_fp(pt, [UNIT] * n) == pt
+        assert compose_fp(UNIT, [pt]) == pt
 
 
 def test_compose_permuted_associativity():
@@ -117,18 +116,18 @@ def test_compose_permuted_associativity():
     inners = [pt for pt in pool if pt.arity <= 1]
     for x in outers:
         for ys in itertools.product(inners, repeat=2):
-            mid = compose_permuted(x, list(ys))
+            mid = compose_fp(x, list(ys))
             total = mid.arity
             for zs in itertools.product(inners[:4], repeat=total):
-                lhs = compose_permuted(mid, list(zs))
+                lhs = compose_fp(mid, list(zs))
                 chunks = []
                 at = 0
                 for y in ys:
                     k = y.arity
                     chunks.append(list(zs[at:at + k]))
                     at += k
-                rhs = compose_permuted(
-                    x, [compose_permuted(y, c) for y, c in zip(ys, chunks)])
+                rhs = compose_fp(
+                    x, [compose_fp(y, c) for y, c in zip(ys, chunks)])
                 assert lhs == rhs
 
 
@@ -138,7 +137,7 @@ def test_compose_permuted_tracks_terms():
     x = parse_permuted_tree("[2,1] m(|,|)", SIG)
     y1 = parse_permuted_tree("[1,2] m(|,m(|,e))", SIG)
     y2 = UNIT
-    composite = compose_permuted(x, [y1, y2])
+    composite = compose_fp(x, [y1, y2])
     assert to_term(composite) == parse_term("m(x3,m(x1,m(x2,e)))")
 
 
@@ -175,7 +174,7 @@ def test_term_tree_roundtrip_small():
         for term in enumerate_terms(SIG, arity, 5):
             pair = to_tree(term, arity)
             assert to_term(pair) == term
-        for pair in enumerate_fp_trees(SIG, arity, 5, max_leaves=5):
+        for pair in enumerate_fp_trees(SIG, arity, 5):
             term = to_term(pair)
             assert to_tree(term, arity) == pair
 
@@ -216,7 +215,7 @@ def test_enumerations_are_sorted_and_well_formed():
     assert sizes == sorted(sizes)
     pts = enumerate_permuted_trees(SIG, 2, 5)
     assert len(pts) == 2 * len(trees)
-    fps = enumerate_fp_trees(SIG, 1, 3, max_leaves=2)
+    fps = enumerate_fp_trees(SIG, 1, 3)
     assert all(ft.arity == 1 for ft in fps)
 
 
@@ -279,7 +278,7 @@ def _reference_permuted_trees(signature, arity, max_size):
         for table in itertools.permutations(range(1, arity + 1)):
             out.append(PermutedTree(perm(table), tree))
     return sorted(out, key=lambda pt: (
-        tree_size(pt.tree), f"{format_perm(pt.fn)} {format_tree(pt.tree)}"))
+        tree_size(pt.tree), f"{format_fn(pt.fn)} {format_tree(pt.tree)}"))
 
 
 def _reference_fp_trees(signature, arity, max_size, max_leaves=None):
@@ -306,12 +305,11 @@ def test_enumerators_match_the_reference_and_the_counts(request, theory):
         permuted = enumerate_permuted_trees(signature, arity, 7)
         assert permuted == _reference_permuted_trees(signature, arity, 7)
         assert len(permuted) == REFS.count_trees(ops, arity, 7, permuted=True)
-        for max_leaves in (None, 3):
-            fps = enumerate_fp_trees(signature, arity, 5, max_leaves)
-            assert fps == _reference_fp_trees(signature, arity, 5, max_leaves)
-            assert len(fps) == sum(
-                REFS.count_trees(ops, leaves, 5) * arity ** leaves
-                for leaves in range((max_leaves or 5) + 1))
+        fps = enumerate_fp_trees(signature, arity, 5)
+        assert fps == _reference_fp_trees(signature, arity, 5)
+        assert len(fps) == sum(
+            REFS.count_trees(ops, leaves, 5) * arity ** leaves
+            for leaves in range(6))
 
 
 def test_permuted_trees_are_bijective_relabelled_trees():
