@@ -385,8 +385,8 @@ def parse_presentation(text: str) -> Presentation:
     an `ops:` section of `name : arity` lines, and an optional `eqs:`
     section of `[@n:] lhs = rhs` lines. Lines starting with `#` are
     comments, and a line whose first word is `theory` or `flavor` is a
-    header line wherever it stands. Equation arity defaults to the
-    maximal variable index.
+    header line wherever it stands; each header may appear only once.
+    Equation arity defaults to the maximal variable index.
     """
     name = None
     flavor = None
@@ -405,11 +405,15 @@ def parse_presentation(text: str) -> Presentation:
 
         keyword, rest = (line.split(None, 1) + [""])[:2]
         if keyword == "theory":
+            if name is not None:
+                fail("repeated theory line")
             name = rest
             if not name:
                 fail("theory needs a name")
             continue
         if keyword == "flavor":
+            if flavor is not None:
+                fail("repeated flavor line")
             flavor = rest
             if flavor not in FLAVORS:
                 fail(f"unknown flavor {flavor!r}")
@@ -475,36 +479,58 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def enumerate_terms(signature: Signature, arity: int, max_size: int
-                    ) -> list[Term]:
-    """All terms with support inside 1..arity and at most max_size nodes.
+def enumerate_terms(signature: Signature, arity: int, max_size: int,
+                    linear: bool = False) -> list[Term]:
+    """All terms with support inside 1..arity and at most max_size nodes;
+    with linear, only those in which each variable occurs at most once.
 
-    Sorted by (size, text) for determinism. Every compound term is built
-    from the list's own smaller terms, as shared objects.
+    Sorted by (size, text) for determinism, so the linear terms come in
+    the same relative order as in the full list. Every compound term is
+    built from the list's own smaller terms, as shared objects. Under
+    linear each term's variables are kept as a bitmask, and a tuple of
+    children whose masks overlap is skipped before its term is built.
     """
     out: list[Term] = []
     texts: list[str] = []
+    # under linear, bit v of masks[i] says whether x_v occurs in out[i]
+    masks: list[int] = []
     # the terms of size s are out[bounds[s - 1]:bounds[s]]
     bounds = [0]
     for s in range(1, max_size + 1):
-        found: list[tuple[str, Term]] = []
+        found: list[tuple[str, Term, int]] = []
         if s == 1:
-            found.extend((f"x{i}", Var(i)) for i in range(1, arity + 1))
-            found.extend((op, App(op, ())) for op, k in signature.ops if k == 0)
+            found.extend((f"x{i}", Var(i), 1 << i) for i in range(1, arity + 1))
+            found.extend((op, App(op, ()), 0) for op, k in signature.ops if k == 0)
         else:
             for op, k in signature.ops:
                 if k == 0 or k > s - 1:
                     continue
                 for split in _compositions(s - 1, k):
                     pools = [range(bounds[part - 1], bounds[part]) for part in split]
-                    for kids in itertools.product(*pools):
+                    if linear:
+                        kid_tuples = _disjoint_tuples(pools, masks)
+                    else:
+                        kid_tuples = ((kids, 0) for kids in itertools.product(*pools))
+                    for kids, mask in kid_tuples:
                         found.append((f"{op}({','.join(texts[c] for c in kids)})",
-                                      App(op, tuple(out[c] for c in kids))))
+                                      App(op, tuple(out[c] for c in kids)), mask))
         found.sort(key=lambda entry: entry[0])
-        texts.extend(text for text, _ in found)
-        out.extend(term for _, term in found)
+        texts.extend(text for text, _, _ in found)
+        out.extend(term for _, term, _ in found)
+        masks.extend(mask for _, _, mask in found)
         bounds.append(len(out))
     return out
+
+
+def _disjoint_tuples(pools: Sequence[range], masks: Sequence[int]
+                     ) -> list[tuple[tuple[int, ...], int]]:
+    """The tuples of itertools.product(*pools) whose members' masks are
+    pairwise disjoint, in that order, each with the union of its masks."""
+    tuples: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for pool in pools:
+        tuples = [(kids + (c,), used | masks[c])
+                  for kids, used in tuples for c in pool if not used & masks[c]]
+    return tuples
 
 
 def _compositions(total: int, parts: int, least: int = 1
@@ -759,16 +785,37 @@ MAX_STEPS = 500_000
 
 def closure_saturate(signature: Signature, equations: Sequence[Equation],
                      arity: int, max_term_size: int,
-                     max_steps: int = MAX_STEPS) -> SaturationResult:
-    """Bounded equality closure over all terms of one arity.
+                     max_steps: int = MAX_STEPS,
+                     linear: bool = False) -> SaturationResult:
+    """Bounded equality closure over all terms of one arity, or with
+    linear over the terms in which each variable occurs at most once.
 
     Seeds every equation instance whose two sides fit inside the size
     bound, then closes under one-level congruence and transitivity to a
     fixpoint (or until max_steps unions have been attempted). Sound with
     respect to the unrestricted closure; complete only up to the bounds.
+
+    linear needs every equation linear, and refuses any other with a
+    TermError. A linear equation has each of x1..xn once on each side,
+    so every axiom instance and every congruence step keeps the multiset
+    of variables, and the linear terms are a union of the full closure's
+    classes, closed under subterms. Seeding and congruence walk the ids
+    in (size, text) order, so the unions among linear terms come in the
+    same relative order: same, explain and explain_many give the full
+    closure's answers on linear terms, from a much smaller universe.
+    Only the step budget differs, since the full closure spends it on
+    terms the linear one never builds.
     """
-    sat = SaturationResult(enumerate_terms(signature, arity, max_term_size))
-    budget = _seed_instances(sat, tuple(equations), max_term_size, max_steps)
+    if linear:
+        for eq in equations:
+            if classify_equation(eq) == GENERAL:
+                raise TermError(
+                    f"linear saturation needs linear equations, "
+                    f"got {format_equation(eq)}")
+    sat = SaturationResult(enumerate_terms(signature, arity, max_term_size,
+                                           linear))
+    budget = _seed_instances(sat, tuple(equations), max_term_size, max_steps,
+                             linear)
     if budget > 0:
         budget = _congruence_fixpoint(sat, budget)
     sat.exhausted = budget <= 0
@@ -776,8 +823,18 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
 
 
 def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
-                    max_term_size: int, budget: int) -> int:
+                    max_term_size: int, budget: int, linear: bool) -> int:
     sizes = sat.sizes
+    # under linear, bit v of masks[i] says whether x_v occurs in term i
+    # (a linear term's children share no variable, so their masks sum to
+    # its own): a binding whose terms share a variable has no linear
+    # instance, so it is skipped before it is built or charged to the
+    # budget
+    masks = [0] * len(sizes)
+    if linear:
+        for i, (head, kids) in enumerate(sat.nodes):
+            masks[i] = 1 << head if isinstance(head, int) else \
+                sum(masks[k] for k in kids)
     for eq_index, eq in enumerate(equations):
         occurring = sorted(support(eq.lhs) | support(eq.rhs))
         base_l = term_size(eq.lhs)
@@ -785,8 +842,8 @@ def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
         occ_l = {v: _occurrences(eq.lhs, v) for v in occurring}
         occ_r = {v: _occurrences(eq.rhs, v) for v in occurring}
 
-        def assign(i: int, size_l: int, size_r: int, binding: dict[int, int],
-                   budget: int) -> int:
+        def assign(i: int, size_l: int, size_r: int, used: int,
+                   binding: dict[int, int], budget: int) -> int:
             if budget <= 0:
                 return budget
             if i == len(occurring):
@@ -805,14 +862,17 @@ def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
                 # ids are size-sorted, so the first overflow persists
                 if new_l > max_term_size or new_r > max_term_size:
                     break
+                if used & masks[t]:
+                    continue
                 binding[v] = t
-                budget = assign(i + 1, new_l, new_r, binding, budget)
+                budget = assign(i + 1, new_l, new_r, used | masks[t], binding,
+                                budget)
                 del binding[v]
                 if budget <= 0:
                     return budget
             return budget
 
-        budget = assign(0, base_l, base_r, {}, budget)
+        budget = assign(0, base_l, base_r, 0, {}, budget)
         if budget <= 0:
             return budget
     return budget

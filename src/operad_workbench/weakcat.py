@@ -414,7 +414,9 @@ class WeakPCategoryData:
                      operands: Sequence[str]) -> str | None:
         """The base arrow h(t1)(operands) -> h(t2)(operands) compiled
         along the shortest rewrite path, or None when no path fits the
-        budgets. Raises when the trees are provably unrelated."""
+        budgets; the context saturates only the terms that repeat no
+        variable, so a term that repeats one gets None too. Raises when
+        the trees are provably unrelated."""
         term1, term2 = self._as_term(t1), self._as_term(t2)
         operands = tuple(operands)
         key = (term1, term2, operands)

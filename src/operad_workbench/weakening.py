@@ -122,11 +122,13 @@ class WeakeningContext:
         return self.interpretation.eval_tree(t)
 
     def saturation(self, arity: int) -> SaturationResult:
-        """The closure of one arity, built on first use."""
+        """The closure of one arity, built on first use, over the linear
+        terms only: plain and symmetric equations are linear and every
+        object term is linear, so no object's class ever leaves them."""
         if arity not in self._saturations:
             self._saturations[arity] = closure_saturate(
                 self.presentation.signature, self.presentation.equations,
-                arity, self.max_term_size, self.max_steps)
+                arity, self.max_term_size, self.max_steps, linear=True)
         return self._saturations[arity]
 
     def two_cell(self, t1: WeakObject, t2: WeakObject) -> Decision:

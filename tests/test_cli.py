@@ -300,7 +300,10 @@ OPS = "theory T\nflavor plain\nops:\n  f : 1\n"
      "line 6: plain flavor requires strongly regular equations, "
      "got @2: f(x1) = f(x2) (general)"),
     (OPS + "eqs:\n  f(x1) = g(x1)\n",
-     "line 6: unknown operation 'g' at column 6 in 'g(x1)'")])
+     "line 6: unknown operation 'g' at column 6 in 'g(x1)'"),
+    ("theory A\nflavor plain\nops:\n  m : 2\ntheory B\nflavor fp\neqs:\n"
+     "  @1: m(x1,x1) = x1\n", "line 5: repeated theory line"),
+    (OPS + "flavor symmetric\n", "line 5: repeated flavor line")])
 def test_theory_file_faults_name_their_line(capsys, tmp_path, text,
                                             message):
     with pytest.raises(PresentationError) as info:

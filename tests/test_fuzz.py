@@ -49,7 +49,9 @@ THEORIES = [THEORY, THEORY.replace("m : 2", "m : -1"),
             "theory T\nflavor plain\nops:\n  theory_x : 1\n",
             "theory T\nflavor plain\nops:\n  flavored : 1\n",
             "theory T\nflavor plain\nops:\n  m : 2\neqs:\n"
-            "  @1: m(x1,x1) = x1\n"]
+            "  @1: m(x1,x1) = x1\n",
+            "theory A\nflavor plain\nops:\n  m : 2\ntheory B\nflavor fp\n"
+            "eqs:\n  @1: m(x1,x1) = x1\n"]
 END_ELEMENTS = ["2:[1,2,2,1]", "0:[2]", "1:[1,2]", "21:[1]", "100000:[1]",
                 "1000000000:[1]", "-1:[1]", "-1:[]", "-3:[1,2]"]
 VECTORS = ["[1,2,0]", "[]", "[0]", "[-1]", "[1,,2]"]

@@ -112,13 +112,33 @@ def test_equation_arity_guard():
         Equation(1, t("m(x1,x2)"), t("x1"))
 
 
+def _oracle_vars(u) -> list[int]:
+    if u[0] == "var":
+        return [u[1]]
+    return [v for child in u[2] for v in _oracle_vars(child)]
+
+
+def _is_linear(term) -> bool:
+    seq = var_seq(term)
+    return len(set(seq)) == len(seq)
+
+
 def test_enumerate_terms_matches_brute_oracle():
-    ops = {"m": 2, "e": 0}
-    for arity in range(0, 3):
-        for size in range(0, 6):
-            got = {to_oracle(u) for u in enumerate_terms(SIG, arity, size)}
-            want = set(enumerate_terms_brute(ops, arity, size))
-            assert got == want, (arity, size)
+    for ops, arity, size in itertools.product(
+            ({"m": 2, "e": 0}, {"f": 3, "g": 1, "e": 0}), range(4), range(7)):
+        sig = Signature.of(ops)
+        full = enumerate_terms(sig, arity, size)
+        want = set(enumerate_terms_brute(ops, arity, size))
+        assert {to_oracle(u) for u in full} == want, (ops, arity, size)
+        linear = enumerate_terms(sig, arity, size, linear=True)
+        distinct = [u for u in want
+                    if len(set(_oracle_vars(u))) == len(_oracle_vars(u))]
+        assert sorted(to_oracle(u) for u in linear) == sorted(distinct)
+        # the (size, text) order, so the linear terms keep their
+        # relative order from the full list
+        keys = [(term_size(u), format_term(u)) for u in linear]
+        assert keys == sorted(keys)
+        assert linear == [u for u in full if _is_linear(u)]
 
 
 def test_positions_and_replacement():
@@ -222,6 +242,20 @@ def test_explain_replays_on_sampled_classes(monoid):
     # the length follows the union order; the chain passes through
     # m(e,m(e,m(x1,x2))) twice, so a shorter explanation lowers this pin
     assert len(chain) == 8
+
+
+@pytest.mark.parametrize("arity, lhs, rhs", [(1, "m(x1,x1)", "x1"),
+                                             (2, "m(x1,x2)", "x1"),
+                                             (2, "m(x2,e)", "m(e,x2)")])
+def test_linear_saturation_refuses_general_equations(monoid, arity, lhs, rhs):
+    general = Equation(arity, t(lhs), t(rhs))
+    assert classify_equation(general) == GENERAL
+    equations = monoid.equations + (general,)
+    with pytest.raises(TermError, match="linear saturation needs linear"):
+        closure_saturate(monoid.signature, equations, arity=1,
+                         max_term_size=5, linear=True)
+    # the full universe takes any equation
+    closure_saturate(monoid.signature, equations, arity=1, max_term_size=5)
 
 
 def test_closure_reports_budget_exhaustion(monoid):
