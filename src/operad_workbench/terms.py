@@ -10,7 +10,6 @@ depends on it.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -480,19 +479,25 @@ def format_presentation(p: Presentation) -> str:
 
 
 def enumerate_terms(signature: Signature, arity: int, max_size: int,
-                    linear: bool = False) -> list[Term]:
-    """All terms with support inside 1..arity and at most max_size nodes;
-    with linear, only those in which each variable occurs at most once.
+                    flavor: str = "fp") -> list[Term]:
+    """All terms with support inside 1..arity and at most max_size nodes,
+    or the share of them a flavor's closure needs (see closure_saturate):
+    under "symmetric" the linear terms, in which each variable occurs at
+    most once, and under "plain" the runs, whose variables read x_i,
+    x_{i+1}, ..., x_j from left to right, or are none.
 
-    Sorted by (size, text) for determinism, so the linear terms come in
+    Sorted by (size, text) for determinism, so a flavor's terms come in
     the same relative order as in the full list. Every compound term is
-    built from the list's own smaller terms, as shared objects. Under
-    linear each term's variables are kept as a bitmask, and a tuple of
-    children whose masks overlap is skipped before its term is built.
+    built from the list's own smaller terms, as shared objects, which
+    misses nothing, since the linear terms and the runs are both closed
+    under subterms. Each term's variables are kept as a bitmask, and a
+    tuple of children that the flavor's test refuses is skipped before
+    its term is built.
     """
+    fits = _FITS[flavor]
     out: list[Term] = []
     texts: list[str] = []
-    # under linear, bit v of masks[i] says whether x_v occurs in out[i]
+    # bit v of masks[i] says whether x_v occurs in out[i]
     masks: list[int] = []
     # the terms of size s are out[bounds[s - 1]:bounds[s]]
     bounds = [0]
@@ -507,11 +512,7 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
                     continue
                 for split in _compositions(s - 1, k):
                     pools = [range(bounds[part - 1], bounds[part]) for part in split]
-                    if linear:
-                        kid_tuples = _disjoint_tuples(pools, masks)
-                    else:
-                        kid_tuples = ((kids, 0) for kids in itertools.product(*pools))
-                    for kids, mask in kid_tuples:
+                    for kids, mask in _fitting_tuples(pools, masks, fits):
                         found.append((f"{op}({','.join(texts[c] for c in kids)})",
                                       App(op, tuple(out[c] for c in kids)), mask))
         found.sort(key=lambda entry: entry[0])
@@ -522,14 +523,28 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
     return out
 
 
-def _disjoint_tuples(pools: Sequence[range], masks: Sequence[int]
-                     ) -> list[tuple[tuple[int, ...], int]]:
-    """The tuples of itertools.product(*pools) whose members' masks are
-    pairwise disjoint, in that order, each with the union of its masks."""
+# fits(used, mask) says whether a term whose variables are the bitmask
+# mask may come next after terms whose variables are used, as a node's
+# next child or the next variable's binding: linear terms share no
+# variable, and a run starts just after the run so far ends
+_FITS: dict[str, Callable[[int, int], bool]] = {
+    "fp": lambda used, mask: True,
+    "symmetric": lambda used, mask: not used & mask,
+    "plain": lambda used, mask: (not mask or not used
+                                 or mask & -mask == 1 << used.bit_length()),
+}
+
+
+def _fitting_tuples(pools: Sequence[range], masks: Sequence[int],
+                    fits: Callable[[int, int], bool]
+                    ) -> list[tuple[tuple[int, ...], int]]:
+    """The tuples of itertools.product(*pools) whose every member fits
+    after the members before it, in that order, each with the union of
+    its masks."""
     tuples: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for pool in pools:
         tuples = [(kids + (c,), used | masks[c])
-                  for kids, used in tuples for c in pool if not used & masks[c]]
+                  for kids, used in tuples for c in pool if fits(used, masks[c])]
     return tuples
 
 
@@ -786,36 +801,39 @@ MAX_STEPS = 500_000
 def closure_saturate(signature: Signature, equations: Sequence[Equation],
                      arity: int, max_term_size: int,
                      max_steps: int = MAX_STEPS,
-                     linear: bool = False) -> SaturationResult:
-    """Bounded equality closure over all terms of one arity, or with
-    linear over the terms in which each variable occurs at most once.
+                     flavor: str = "fp") -> SaturationResult:
+    """Bounded equality closure over the terms of one arity that the
+    flavor's universe holds: all of them under "fp", the linear ones
+    under "symmetric", the runs under "plain" (see enumerate_terms).
 
     Seeds every equation instance whose two sides fit inside the size
     bound, then closes under one-level congruence and transitivity to a
     fixpoint (or until max_steps unions have been attempted). Sound with
     respect to the unrestricted closure; complete only up to the bounds.
 
-    linear needs every equation linear, and refuses any other with a
-    TermError. A linear equation has each of x1..xn once on each side,
-    so every axiom instance and every congruence step keeps the multiset
-    of variables, and the linear terms are a union of the full closure's
-    classes, closed under subterms. Seeding and congruence walk the ids
-    in (size, text) order, so the unions among linear terms come in the
-    same relative order: same, explain and explain_many give the full
-    closure's answers on linear terms, from a much smaller universe.
-    Only the step budget differs, since the full closure spends it on
-    terms the linear one never builds.
+    An equation the flavor cannot carry is refused as a theory of that
+    flavor refuses it. A linear equation has each of x1..xn once on each
+    side, so every axiom instance and every congruence step keeps the
+    multiset of variables; a strongly regular one has them in order, so
+    every step keeps the whole variable sequence. Either way the
+    flavor's universe is closed under subterms and is a union of the
+    full closure's classes: an instance whose binding breaks linearity
+    (or does not abut runs) has sides outside the universe, and a
+    congruence bucket never mixes terms inside and outside it, since
+    its members' children lie in the same classes. Seeding and
+    congruence walk the ids in (size, text) order, so the unions within
+    the universe come in the same relative order: same, explain and
+    explain_many give the full closure's answers there, from a much
+    smaller universe. Only the step budget differs, since the full
+    closure spends it on terms and bindings the smaller one never builds.
     """
-    if linear:
-        for eq in equations:
-            if classify_equation(eq) == GENERAL:
-                raise TermError(
-                    f"linear saturation needs linear equations, "
-                    f"got {format_equation(eq)}")
+    fits = _FITS[flavor]
+    for eq in equations:
+        _check_flavor(flavor, eq)
     sat = SaturationResult(enumerate_terms(signature, arity, max_term_size,
-                                           linear))
+                                           flavor))
     budget = _seed_instances(sat, tuple(equations), max_term_size, max_steps,
-                             linear)
+                             fits)
     if budget > 0:
         budget = _congruence_fixpoint(sat, budget)
     sat.exhausted = budget <= 0
@@ -823,18 +841,19 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
 
 
 def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
-                    max_term_size: int, budget: int, linear: bool) -> int:
+                    max_term_size: int, budget: int,
+                    fits: Callable[[int, int], bool]) -> int:
     sizes = sat.sizes
-    # under linear, bit v of masks[i] says whether x_v occurs in term i
-    # (a linear term's children share no variable, so their masks sum to
-    # its own): a binding whose terms share a variable has no linear
-    # instance, so it is skipped before it is built or charged to the
-    # budget
-    masks = [0] * len(sizes)
-    if linear:
-        for i, (head, kids) in enumerate(sat.nodes):
-            masks[i] = 1 << head if isinstance(head, int) else \
-                sum(masks[k] for k in kids)
+    # bit v of masks[i] says whether x_v occurs in term i; x1, x2, ...
+    # are bound in order, and a binding term that does not fit after the
+    # ones before it leaves no instance in the universe, so it is
+    # skipped before it is built or charged to the budget
+    masks: list[int] = []
+    for head, kids in sat.nodes:
+        mask = 1 << head if isinstance(head, int) else 0
+        for k in kids:
+            mask |= masks[k]
+        masks.append(mask)
     for eq_index, eq in enumerate(equations):
         occurring = sorted(support(eq.lhs) | support(eq.rhs))
         base_l = term_size(eq.lhs)
@@ -862,7 +881,7 @@ def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
                 # ids are size-sorted, so the first overflow persists
                 if new_l > max_term_size or new_r > max_term_size:
                     break
-                if used & masks[t]:
+                if not fits(used, masks[t]):
                     continue
                 binding[v] = t
                 budget = assign(i + 1, new_l, new_r, used | masks[t], binding,

@@ -414,9 +414,12 @@ class WeakPCategoryData:
                      operands: Sequence[str]) -> str | None:
         """The base arrow h(t1)(operands) -> h(t2)(operands) compiled
         along the shortest rewrite path, or None when no path fits the
-        budgets; the context saturates only the terms that repeat no
-        variable, so a term that repeats one gets None too. Raises when
-        the trees are provably unrelated."""
+        budgets. The context saturates only its flavor's universe, the
+        runs of a plain theory or the linear terms of a symmetric one,
+        so a term outside it gets None too: one that repeats a variable,
+        or under a plain theory one whose variables are out of order,
+        such as m(x2,x1). Raises when the trees are provably
+        unrelated."""
         term1, term2 = self._as_term(t1), self._as_term(t2)
         operands = tuple(operands)
         key = (term1, term2, operands)

@@ -122,13 +122,19 @@ class WeakeningContext:
         return self.interpretation.eval_tree(t)
 
     def saturation(self, arity: int) -> SaturationResult:
-        """The closure of one arity, built on first use, over the linear
-        terms only: plain and symmetric equations are linear and every
-        object term is linear, so no object's class ever leaves them."""
+        """The closure of one arity, built on first use, over the
+        flavor's universe: the runs for a plain theory, the linear terms
+        for a symmetric one. Symmetric equations keep a term's variables
+        and plain ones keep them in order, and every object term is
+        linear, a plain one a run (its leaves are x1..xn in order), so no
+        object's class ever leaves that universe. The flavor picks it,
+        not the equations' class: a symmetric theory whose equations are
+        all strongly regular still has permuted objects, which are not
+        runs."""
         if arity not in self._saturations:
             self._saturations[arity] = closure_saturate(
                 self.presentation.signature, self.presentation.equations,
-                arity, self.max_term_size, self.max_steps, linear=True)
+                arity, self.max_term_size, self.max_steps, self.flavor)
         return self._saturations[arity]
 
     def two_cell(self, t1: WeakObject, t2: WeakObject) -> Decision:

@@ -50,6 +50,17 @@ def from_oracle(t) -> Term:
     return App(t[1], tuple(from_oracle(c) for c in t[2]))
 
 
+def is_linear(seq) -> bool:
+    """Whether a variable sequence repeats no variable."""
+    return len(set(seq)) == len(seq)
+
+
+def is_run(seq) -> bool:
+    """Whether a variable sequence reads x_i, x_{i+1}, ..., x_j, or is
+    empty."""
+    return list(seq) == list(range(seq[0], seq[0] + len(seq))) if seq else True
+
+
 @pytest.fixture(scope="session")
 def monoid():
     return load_theory("monoid.th")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_oracle, replay_chain, to_oracle
+from conftest import (from_oracle, is_linear, is_run, replay_chain,
+                      to_oracle)
 from operad_workbench.finmaps import fn
 from operad_workbench.terms import (App, Equation, GENERAL, LINEAR,
                                     Presentation, PresentationError,
@@ -118,9 +119,8 @@ def _oracle_vars(u) -> list[int]:
     return [v for child in u[2] for v in _oracle_vars(child)]
 
 
-def _is_linear(term) -> bool:
-    seq = var_seq(term)
-    return len(set(seq)) == len(seq)
+def _size_text(u):
+    return term_size(u), format_term(u)
 
 
 def test_enumerate_terms_matches_brute_oracle():
@@ -130,15 +130,19 @@ def test_enumerate_terms_matches_brute_oracle():
         full = enumerate_terms(sig, arity, size)
         want = set(enumerate_terms_brute(ops, arity, size))
         assert {to_oracle(u) for u in full} == want, (ops, arity, size)
-        linear = enumerate_terms(sig, arity, size, linear=True)
-        distinct = [u for u in want
-                    if len(set(_oracle_vars(u))) == len(_oracle_vars(u))]
+        linear = enumerate_terms(sig, arity, size, flavor="symmetric")
+        distinct = [u for u in want if is_linear(_oracle_vars(u))]
         assert sorted(to_oracle(u) for u in linear) == sorted(distinct)
         # the (size, text) order, so the linear terms keep their
         # relative order from the full list
-        keys = [(term_size(u), format_term(u)) for u in linear]
+        keys = [_size_text(u) for u in linear]
         assert keys == sorted(keys)
-        assert linear == [u for u in full if _is_linear(u)]
+        assert linear == [u for u in full if is_linear(var_seq(u))]
+        # the runs: x_i..x_j in order, or no variable at all
+        runs = enumerate_terms(sig, arity, size, flavor="plain")
+        assert runs == sorted((from_oracle(u) for u in want
+                               if is_run(_oracle_vars(u))), key=_size_text)
+        assert runs == [u for u in linear if is_run(var_seq(u))]
 
 
 def test_positions_and_replacement():
@@ -251,11 +255,28 @@ def test_linear_saturation_refuses_general_equations(monoid, arity, lhs, rhs):
     general = Equation(arity, t(lhs), t(rhs))
     assert classify_equation(general) == GENERAL
     equations = monoid.equations + (general,)
-    with pytest.raises(TermError, match="linear saturation needs linear"):
+    with pytest.raises(PresentationError,
+                       match="symmetric flavor requires linear equations"):
         closure_saturate(monoid.signature, equations, arity=1,
-                         max_term_size=5, linear=True)
+                         max_term_size=5, flavor="symmetric")
+    with pytest.raises(PresentationError,
+                       match="plain flavor requires strongly regular"):
+        closure_saturate(monoid.signature, equations, arity=1,
+                         max_term_size=5, flavor="plain")
     # the full universe takes any equation
     closure_saturate(monoid.signature, equations, arity=1, max_term_size=5)
+
+
+def test_run_saturation_refuses_permuting_equations(monoid):
+    swap = Equation(2, t("m(x1,x2)"), t("m(x2,x1)"))
+    assert classify_equation(swap) == LINEAR
+    equations = monoid.equations + (swap,)
+    with pytest.raises(PresentationError,
+                       match="plain flavor requires strongly regular"):
+        closure_saturate(monoid.signature, equations, arity=2,
+                         max_term_size=5, flavor="plain")
+    closure_saturate(monoid.signature, equations, arity=2, max_term_size=5,
+                     flavor="symmetric")
 
 
 def test_closure_reports_budget_exhaustion(monoid):

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from conftest import comm_monoid_fp_context, replay_chain
+from conftest import (comm_monoid_fp_context, is_linear, is_run,
+                      replay_chain)
 from operad_workbench.operads import (Interpretation, TerminalPlainOperad,
                                       TerminalSymmetricOperad,
                                       builtin_operad, default_assignment)
 from operad_workbench.terms import (Presentation, closure_saturate,
-                                    parse_term, var_seq)
+                                    format_term, parse_term, var_seq)
 from operad_workbench.trees import (PermutedTree, graft, parse_permuted_tree,
                                     parse_tree, to_tree, tree_size)
 from operad_workbench.weakening import (FP_REJECTION, WeakeningContext,
@@ -126,9 +127,9 @@ def test_each_arity_is_saturated_once(monoid, monkeypatch):
     enumerated = []
     enumerate_terms = terms.enumerate_terms
 
-    def counting(signature, arity, max_size, linear=False):
+    def counting(signature, arity, max_size, flavor="fp"):
         enumerated.append(arity)
-        return enumerate_terms(signature, arity, max_size, linear)
+        return enumerate_terms(signature, arity, max_size, flavor)
 
     monkeypatch.setattr(terms, "enumerate_terms", counting)
     ctx = WeakeningContext(monoid)
@@ -204,40 +205,93 @@ DIFFERENTIAL = {"monoid": (9, 9, 9, 7), "comm_monoid": (9, 9, 9, 7),
                 "pointed_abcd": (9, 9, 9, 7), "trivial": (9, 9, 9, 7)}
 
 
+def _assert_restriction(small, big, keep, rng):
+    """small is big cut to the terms whose variable sequence keep
+    accepts: the same partition in the same order, so same agrees on
+    every pair; the same explain on every merged pair, or on 100 seeded
+    ones past 3,000; and the same explain_many on every 20th of those."""
+    assert not big.exhausted and not small.exhausted
+    assert small.terms == [u for u in big.terms if keep(var_seq(u))]
+    kept = set(small.terms)
+    # a class holds kept terms only or none
+    classes = [batch for batch in big.classes() if batch[0] in kept]
+    assert small.classes() == classes
+    if sum(len(batch) ** 2 for batch in classes) <= 3000:
+        pairs = [(a, b) for batch in classes for a in batch for b in batch]
+    else:
+        picks = [rng.choice(classes) for _ in range(100)]
+        pairs = [(rng.choice(batch), rng.choice(batch)) for batch in picks]
+    for a, b in pairs:
+        assert small.explain(a, b) == big.explain(a, b), (a, b)
+    for a, b in pairs[::20]:
+        assert small.explain_many(a, b) == big.explain_many(a, b), (a, b)
+
+
 @pytest.mark.parametrize("name", DIFFERENTIAL)
 def test_linear_saturation_matches_the_full_one(name, request):
-    """The context's linear closure against the full one on linear
-    terms: the same partition in the same order, so same agrees on every
-    pair; the same explain on every merged pair, or on 100 seeded ones
-    past 3,000; the same explain_many on every 20th of those; and the
-    same closure-mode classes."""
+    """The linear closure against the full one on linear terms (see
+    _assert_restriction), and the context's closure-mode classes against
+    the full closure's."""
     pres = request.getfixturevalue(name)
     rng = random.Random(name)
     for arity, size in enumerate(DIFFERENTIAL[name]):
         full = closure_saturate(pres.signature, pres.equations, arity, size)
         linear = closure_saturate(pres.signature, pres.equations, arity,
-                                  size, linear=True)
-        assert not full.exhausted and not linear.exhausted
-        assert linear.terms == [u for u in full.terms
-                                if len(set(var_seq(u))) == len(var_seq(u))]
-        kept = set(linear.terms)
-        # a class holds linear terms only or none
-        classes = [batch for batch in full.classes() if batch[0] in kept]
-        assert linear.classes() == classes
-        if sum(len(batch) ** 2 for batch in classes) <= 3000:
-            pairs = [(a, b) for batch in classes for a in batch for b in batch]
-        else:
-            picks = [rng.choice(classes) for _ in range(100)]
-            pairs = [(rng.choice(batch), rng.choice(batch)) for batch in picks]
-        for a, b in pairs:
-            assert linear.explain(a, b) == full.explain(a, b), (a, b)
-        for a, b in pairs[::20]:
-            assert linear.explain_many(a, b) == full.explain_many(a, b), (a, b)
+                                  size, flavor="symmetric")
+        _assert_restriction(linear, full, is_linear, rng)
         ctx = WeakeningContext(pres, max_term_size=size)
         full_ctx = WeakeningContext(pres, max_term_size=size)
         full_ctx._saturations[arity] = full
         assert ctx.enumerate_classes(arity, size) \
             == full_ctx.enumerate_classes(arity, size)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in DIFFERENTIAL if name != "comm_monoid"])
+def test_run_saturation_matches_the_linear_one(name, request):
+    """A plain theory's run closure against its linear closure on the
+    runs, the terms whose variables read x_i..x_j in order (see
+    _assert_restriction)."""
+    pres = request.getfixturevalue(name)
+    assert pres.flavor == "plain"
+    rng = random.Random(name)
+    for arity, size in enumerate(DIFFERENTIAL[name]):
+        linear = closure_saturate(pres.signature, pres.equations, arity,
+                                  size, flavor="symmetric")
+        runs = closure_saturate(pres.signature, pres.equations, arity, size,
+                                flavor="plain")
+        if not linear.terms:
+            # trivial at arity 0: no constant and no variable
+            assert (name, arity) == ("trivial", 0) and not runs.terms
+            continue
+        _assert_restriction(runs, linear, is_run, rng)
+
+
+def test_symmetric_flavor_saturates_permuted_objects(monoid):
+    """The flavor picks the universe, not the equations' class: a
+    symmetric theory with only strongly regular equations still has
+    permuted objects, which are linear terms but not runs."""
+    sym_monoid = Presentation("SymMonoid", "symmetric", monoid.signature,
+                              monoid.equations)
+    ctx = WeakeningContext(sym_monoid, max_term_size=7)
+    sig = monoid.signature
+    a = parse_permuted_tree("[2,1,3] m(m(|,|),|)", sig)
+    b = parse_permuted_tree("[2,1,3] m(|,m(|,|))", sig)
+    assert [format_term(ctx.object_term(x)) for x in (a, b)] \
+        == ["m(m(x2,x1),x3)", "m(x2,m(x1,x3))"]
+    decision = ctx.two_cell(a, b)
+    assert decision.answer == "yes", decision.reason
+    assert len(decision.trace) == 1
+    replay_chain(monoid.equations, decision.trace,
+                 ctx.object_term(a), ctx.object_term(b))
+    # no commutativity, so the swap stays apart
+    swapped = parse_permuted_tree("[2,1] m(|,|)", sig)
+    decision = ctx.two_cell(swapped, parse_tree("m(|,|)", sig))
+    assert decision.answer == "unknown"
+    assert decision.reason == "not merged within size 7"
+    # the run universe would not even hold the permuted objects
+    runs = closure_saturate(sig, monoid.equations, 3, 7, flavor="plain")
+    assert not runs.in_universe(ctx.object_term(a))
 
 
 @pytest.mark.parametrize("name", ["monoid", "comm_monoid"])
