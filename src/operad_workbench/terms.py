@@ -578,12 +578,15 @@ _CONG = "cong"
 class SaturationResult:
     """Bounded equality closure of one arity: union-find with a merge
     graph over the bounded term universe, hash-consed on term ids, plus
-    merge explanations. A term's id is its position in the universe;
-    nodes[i] is (op, child ids) for an App and (index, ()) for a Var,
-    node_index inverts nodes, and sizes[i] is the term's size. parent[i]
-    is i's union-find parent and edges[i] lists (neighbour id, reason,
-    stamp) for every union that touched i, where the stamp counts the
-    unions before it. exhausted says the step budget ran out."""
+    merge explanations: explain chains one member to another, and
+    class_edges lists a whole class's edges as rewrite chains. A term's
+    id is its position in the universe; nodes[i] is (op, child ids) for
+    an App and (index, ()) for a Var, node_index inverts nodes, and
+    sizes[i] is the term's size. parent[i] is i's union-find parent and
+    edges[i] lists (neighbour id, reason, stamp) for every union that
+    touched i, where the stamp counts the unions before it; no pair is
+    joined twice for the same reason. exhausted says the step budget ran
+    out."""
 
     def __init__(self, universe: list[Term]):
         self.terms = universe
@@ -670,64 +673,45 @@ class SaturationResult:
         return list(grouped.values())
 
     def explain(self, t1: Term, t2: Term) -> list[RewriteStep] | None:
-        """A chain of elementary rewrites from t1 to t2, or None if unmerged."""
+        """A chain of elementary rewrites from t1 to t2 that visits no
+        term twice, or None if unmerged."""
         i1, i2 = self._ids(t1, t2)
         if self._find(i1) != self._find(i2):
             return None
-        return self._elementary_path(i1, i2, self.unions)
+        # a congruence link expands its children's paths one after the
+        # other, so the chain can come back to a term; cut each such loop
+        chain: list[RewriteStep] = []
+        reached = {t1: 0}
+        for step in self._elementary_path(i1, i2, self.unions):
+            back = reached.get(step.target)
+            if back is None:
+                chain.append(step)
+                reached[step.target] = len(chain)
+                continue
+            for dropped in chain[back:]:
+                del reached[dropped.target]
+            del chain[back:]
+        return chain
 
-    def explain_many(self, t1: Term, t2: Term) -> list[list[RewriteStep]]:
-        """Up to three distinct rewrite chains from t1 to t2, shortest
-        first, ties broken by step serialization. Chains follow simple
-        paths in the merge graph at most four links longer than the
-        shortest; an empty list means the terms are not merged."""
-        i1, i2 = self._ids(t1, t2)
-        if self._find(i1) != self._find(i2):
-            return []
-        if i1 == i2:
-            return [[]]
-        cap = len(self._bfs(i1, i2, self.unions)) + 4
-        found: list[list[tuple[int, int, tuple, int]]] = []
-        path: list[tuple[int, int, tuple, int]] = []
-        on_path = {i1}
-
-        def walk(u: int):
-            if len(found) >= 28:
-                return
-            if u == i2:
-                found.append(list(path))
-                return
-            if len(path) >= cap:
-                return
-            # repeated unions leave parallel duplicate edges; visit each
-            # distinct (target, reason) once, at its oldest stamp
-            distinct: dict[tuple[int, tuple], int] = {}
+    def class_edges(self, t: Term) -> list[tuple[Term, Term, list[RewriteStep]]]:
+        """Every merge edge of t's class once, as (u, v, steps) in
+        breadth-first order from t: u is t or the v of an earlier edge,
+        and the steps rewrite u into v."""
+        (start,) = self._ids(t)
+        order = [start]
+        reached = {start}
+        listed: set[int] = set()
+        out = []
+        for u in order:
             for v, reason, stamp in self.edges[u]:
-                distinct.setdefault((v, reason), stamp)
-            for (v, reason), stamp in distinct.items():
-                if v in on_path:
+                if stamp in listed:
                     continue
-                on_path.add(v)
-                path.append((u, v, reason, stamp))
-                walk(v)
-                path.pop()
-                on_path.discard(v)
-
-        walk(i1)
-        terms = self.terms
-        found.sort(key=lambda links: (
-            len(links),
-            [format_term(terms[a]) + "/" + format_term(terms[b]) for a, b, _, _ in links]))
-        # distinct link paths can expand to the same steps; keep the first
-        out: list[list[RewriteStep]] = []
-        seen: set[tuple[RewriteStep, ...]] = set()
-        for links in found:
-            if len(out) >= 3:
-                break
-            steps = [step for link in links for step in self._expand(*link)]
-            if tuple(steps) not in seen:
-                seen.add(tuple(steps))
-                out.append(steps)
+                listed.add(stamp)
+                out.append((self.terms[u], self.terms[v],
+                            self._expand(u, v, reason, stamp)))
+                if v not in reached:
+                    reached.add(v)
+                    order.append(v)
         return out
 
     def _elementary_path(self, i1: int, i2: int, before: int
@@ -808,7 +792,9 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
 
     Seeds every equation instance whose two sides fit inside the size
     bound, then closes under one-level congruence and transitivity to a
-    fixpoint (or until max_steps unions have been attempted). Sound with
+    fixpoint (or until max_steps unions have been attempted). Each
+    congruence pair is united once, even when already merged, so the
+    merge graph holds each recorded rewrite exactly once. Sound with
     respect to the unrestricted closure; complete only up to the bounds.
 
     An equation the flavor cannot carry is refused as a theory of that
@@ -823,7 +809,7 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
     its members' children lie in the same classes. Seeding and
     congruence walk the ids in (size, text) order, so the unions within
     the universe come in the same relative order: same, explain and
-    explain_many give the full closure's answers there, from a much
+    class_edges give the full closure's answers there, from a much
     smaller universe. Only the step budget differs, since the full
     closure spends it on terms and bindings the smaller one never builds.
     """
@@ -908,6 +894,9 @@ def _congruence_fixpoint(sat: SaturationResult, budget: int) -> int:
     # means the children are pairwise merged, so the terms merge too
     compound = [(i, op, kids) for i, (op, kids) in enumerate(sat.nodes) if kids]
     find = sat._find
+    # the (anchor, member) pairs already united: a later round meets
+    # them again and skips them, uncharged, instead of recording twice
+    joined: set[tuple[int, int]] = set()
     changed = True
     while changed and budget > 0:
         changed = False
@@ -915,10 +904,11 @@ def _congruence_fixpoint(sat: SaturationResult, budget: int) -> int:
         for t, op, kids in compound:
             key = (op, tuple([find(k) for k in kids]))
             anchor = buckets.setdefault(key, t)
-            if anchor == t:
+            if anchor == t or (anchor, t) in joined:
                 continue
-            # union even when already merged: the redundant edge keeps
-            # alternative rewrite paths available to explain_many
+            joined.add((anchor, t))
+            # union even when already merged, once: the edge can shorten
+            # explain's paths and closes a cycle for coherence_check
             budget -= 1
             if sat._union(anchor, t, (_CONG,)):
                 changed = True

@@ -432,3 +432,91 @@ def reference_close_pins(S, W, B, pinned, conflicts):
                 elif pinned[comp] != value:
                     conflicts.append(
                         f"forced composition mismatch at {comp!r}")
+
+
+def _format_term(t):
+    args = getattr(t, "args", None)
+    if args is None:
+        return f"x{t.index}"
+    return f"{t.op}({','.join(map(_format_term, args))})" if args else t.op
+
+
+def _probe_chains(sat, t1, t2):
+    """Up to three distinct rewrite chains from t1 to t2 over the merge
+    graph of the closure sat, shortest first, ties broken by the text
+    of their links: the expansions of the simple paths at most four
+    links longer than the shortest, from a walk that stops at 28."""
+    i1, i2 = sat._ids(t1, t2)
+    if sat._find(i1) != sat._find(i2):
+        return []
+    if i1 == i2:
+        return [[]]
+    cap = len(sat._bfs(i1, i2, sat.unions)) + 4
+    found, path, on_path = [], [], {i1}
+
+    def walk(u):
+        if len(found) >= 28:
+            return
+        if u == i2:
+            found.append(list(path))
+            return
+        if len(path) >= cap:
+            return
+        # parallel edges count once, at their oldest stamp
+        distinct = {}
+        for v, reason, stamp in sat.edges[u]:
+            distinct.setdefault((v, reason), stamp)
+        for (v, reason), stamp in distinct.items():
+            if v in on_path:
+                continue
+            on_path.add(v)
+            path.append((u, v, reason, stamp))
+            walk(v)
+            path.pop()
+            on_path.discard(v)
+
+    walk(i1)
+    found.sort(key=lambda links: (
+        len(links), [_format_term(sat.terms[a]) + "/" + _format_term(sat.terms[b])
+                     for a, b, _, _ in links]))
+    out, seen = [], set()
+    for links in found:
+        if len(out) >= 3:
+            break
+        steps = tuple(step for link in links for step in sat._expand(*link))
+        if steps not in seen:
+            seen.add(steps)
+            out.append(list(steps))
+    return out
+
+
+def coherence_probe_oracle(W):
+    """The sampled coherence probe that once certified a weak instance W,
+    kept as an oracle: per arity 0-3, the first member of each class
+    against each other member, for at most 40 pairs with two or more
+    chains (_probe_chains), every chain compiled at the first 27 operand
+    tuples; the chains of a pair must all compile to one arrow. Returns
+    the probes made and the failing (first member, member, operands)."""
+    checked, failing = 0, []
+    for arity in range(4):
+        sat = W.context.saturation(arity)
+        pool = list(itertools.islice(
+            itertools.product(W.base.objects, repeat=arity), 27))
+        pairs = 0
+        for cls in W.context.enumerate_classes(arity, W.max_term_size):
+            term_a = W._as_term(cls.members[0])
+            for other in cls.members[1:]:
+                if pairs >= 40:
+                    break
+                term_b = W._as_term(other)
+                chains = _probe_chains(sat, term_a, term_b)
+                if len(chains) < 2:
+                    continue
+                pairs += 1
+                for operands in pool:
+                    at = W.h_obj(term_a, operands)
+                    checked += 1
+                    if len({W.compile_path(steps, operands, at)
+                            for steps in chains}) > 1:
+                        failing.append((term_a, term_b, operands))
+    return checked, failing

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (from_oracle, is_linear, is_run, replay_chain,
-                      to_oracle)
+from conftest import (EXAMPLES, from_oracle, is_linear, is_run,
+                      replay_chain, to_oracle)
 from operad_workbench.finmaps import fn
 from operad_workbench.terms import (App, Equation, GENERAL, LINEAR,
                                     Presentation, PresentationError,
@@ -194,17 +194,38 @@ def test_closure_matches_naive_oracle(monoid, comm_monoid, pointed):
                     to_oracle(b) in oracle_classes[to_oracle(a)]), (a, b)
 
 
-def test_explain_many_yields_distinct_replayable_chains(monoid):
-    sat = monoid_saturation(monoid, arity=3)
-    a, b = t("m(m(x1,x2),x3)"), t("m(x1,m(x2,x3))")
-    chains = sat.explain_many(a, b)
-    assert len(chains) >= 2
-    for chain in chains:
-        replay_chain(monoid.equations, chain, a, b)
-    assert len(chains[0]) == min(len(c) for c in chains)
-    serialized = {tuple((s.source, s.target, s.eq_index, s.forward,
-                         s.position) for s in chain) for chain in chains}
-    assert len(serialized) == len(chains)
+def test_class_edges_span_the_class_once(monoid, comm_monoid):
+    for pres, arity in ((monoid, 3), (comm_monoid, 2), (monoid, 0)):
+        sat = closure_saturate(pres.signature, pres.equations,
+                               arity=arity, max_term_size=7)
+        ids = {u: i for i, u in enumerate(sat.terms)}
+        for batch in sat.classes():
+            start = batch[-1]
+            edges = sat.class_edges(start)
+            stamps = {stamp for u in batch
+                      for _, _, stamp in sat.edges[ids[u]]}
+            assert len(edges) == len(stamps)
+            reached = [start]
+            for u, v, steps in edges:
+                assert u in reached
+                replay_chain(pres.equations, steps, u, v)
+                if v not in reached:
+                    reached.append(v)
+            assert sorted(reached, key=ids.get) == batch
+
+
+def test_no_merge_edge_is_recorded_twice():
+    # the congruence rounds meet each (anchor, member) pair again after
+    # its first union; no pair may be joined twice for the same reason
+    for path in sorted(EXAMPLES.glob("*.th")):
+        pres = parse_presentation(path.read_text())
+        for arity, size in enumerate((7, 7, 7, 6)):
+            sat = closure_saturate(pres.signature, pres.equations, arity,
+                                   size, flavor=pres.flavor)
+            joins = {(min(a, b), max(a, b), reason)
+                     for a, edges in enumerate(sat.edges)
+                     for b, reason, _ in edges}
+            assert len(joins) == sat.unions, (path.name, arity)
 
 
 def test_anchor_is_constant_on_every_class(monoid, comm_monoid):
@@ -239,13 +260,16 @@ def test_explain_replays_on_sampled_classes(monoid):
     for batch in sample:
         members = rng.sample(batch, min(len(batch), 10))
         for a, b in itertools.product(members, repeat=2):
-            replay_chain(monoid.equations, sat.explain(a, b), a, b)
+            chain = sat.explain(a, b)
+            replay_chain(monoid.equations, chain, a, b)
+            visited = [a] + [step.target for step in chain]
+            assert len(set(visited)) == len(visited), (a, b)
     a, b = t("m(e,m(m(x1,e),m(x2,e)))"), t("m(e,m(m(x1,m(x2,e)),e))")
     chain = sat.explain(a, b)
     replay_chain(monoid.equations, chain, a, b)
-    # the length follows the union order; the chain passes through
-    # m(e,m(e,m(x1,x2))) twice, so a shorter explanation lowers this pin
-    assert len(chain) == 8
+    # the merge path expands to 8 steps through m(e,m(e,m(x1,x2))) twice;
+    # cutting the loops leaves 2
+    assert len(chain) == 2
 
 
 @pytest.mark.parametrize("arity, lhs, rhs", [(1, "m(x1,x1)", "x1"),

@@ -9,7 +9,7 @@ from conftest import (EXAMPLES, ROOT, identity_weak_functor,
                       skewed_group_instance, zmod)
 
 from operad_workbench.strictify import strictify
-from operad_workbench.terms import parse_term
+from operad_workbench.terms import format_term, parse_term
 from operad_workbench.trees import parse_tree
 from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
                                       WeakPCategoryData, WeakcatError,
@@ -17,6 +17,7 @@ from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
                                       coherence_check,
                                       indiscrete_monoid_instance, key_of,
                                       load_weakcat, save_weakcat, unkey)
+from oracles import coherence_probe_oracle
 
 
 def test_finite_category_validation():
@@ -276,15 +277,20 @@ def test_cell_key_format(monoid):
 def test_coherence_check_passes_on_z3(z3_instance):
     report = coherence_check(z3_instance)
     assert report.ok, report.lines()
-    assert any("path independence" in line for line in report.lines())
+    assert any("edge coherence" in line for line in report.lines())
+
+
+def bundled_instance():
+    return load_weakcat((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                        .read_text(encoding="utf-8"))
 
 
 def test_coherence_counts_are_pinned(z3_instance, z4_instance):
-    bundled = load_weakcat((EXAMPLES / "indiscrete_monoid_weakcat.json")
-                           .read_text(encoding="utf-8"))
-    for W, count in ((z3_instance, 81), (z4_instance, 131), (bundled, 81)):
+    # one instance per edge off the spanning tree, per operand tuple
+    for W, count in ((z3_instance, 52), (z4_instance, 80),
+                     (bundled_instance(), 52)):
         report = coherence_check(W)
-        assert report.checked == {"path independence": count}
+        assert report.checked == {"edge coherence": count}
         assert report.ok, report.lines()
 
 
@@ -293,6 +299,29 @@ def test_skewed_associator_validates_but_is_incoherent(monoid):
     assert not W.is_strict()
     report = coherence_check(W)
     assert not report.ok
+    # one object, so one operand tuple per arity: 7 of 14 cycles fail
+    assert report.checked == {"edge coherence": 14}
+    assert len(report.failures) == 7
+
+
+def test_coherence_agrees_with_the_sampled_probe(monoid, z3_instance,
+                                                  z4_instance):
+    """The old probe compared up to three merge-graph chains per class
+    pair; every pair it finds failing lies in a class where the edge
+    check fails, and both give the same verdict."""
+    # (instance, probes made, probes failing), as coherence_check once
+    # counted them
+    pinned = ((z3_instance, 81, 0), (z4_instance, 131, 0),
+              (bundled_instance(), 81, 0),
+              (skewed_group_instance(monoid), 17, 12))
+    for W, probes, fails in pinned:
+        checked, failing = coherence_probe_oracle(W)
+        assert (checked, len(failing)) == (probes, fails)
+        report = coherence_check(W)
+        assert report.ok == (not failing)
+        for first, _, _ in failing:
+            assert any(f" in the class of {format_term(first)} at " in line
+                       for line in report.failures), first
 
 
 def test_identity_weak_functor_checks(z3_instance):

@@ -198,8 +198,9 @@ def test_two_cell_and_classes_on_pointed(pointed):
 # per theory, the size bound at arities 0-3: 9 up to arity 2 and 7
 # above. unbiased_monoid keeps 7 and 6, since its unary and ternary
 # operations put 24,722 terms in its full arity-1 universe at size 9,
-# where a single class of 6,844 linear terms makes each explain_many
-# take seconds
+# where class_edges on the largest class (8,348 terms, 25,905 edges)
+# took 110 s in a process that peaked at 700 MB, and 21 s on the
+# class's 5,434 linear terms
 DIFFERENTIAL = {"monoid": (9, 9, 9, 7), "comm_monoid": (9, 9, 9, 7),
                 "unbiased_monoid": (7, 7, 7, 6), "pointed": (9, 9, 9, 7),
                 "pointed_abcd": (9, 9, 9, 7), "trivial": (9, 9, 9, 7)}
@@ -209,7 +210,9 @@ def _assert_restriction(small, big, keep, rng):
     """small is big cut to the terms whose variable sequence keep
     accepts: the same partition in the same order, so same agrees on
     every pair; the same explain on every merged pair, or on 100 seeded
-    ones past 3,000; and the same explain_many on every 20th of those."""
+    ones past 3,000; and the same class_edges from the first term of
+    every 20th of those, once per class (the stamps differ, the terms
+    and steps not)."""
     assert not big.exhausted and not small.exhausted
     assert small.terms == [u for u in big.terms if keep(var_seq(u))]
     kept = set(small.terms)
@@ -223,8 +226,11 @@ def _assert_restriction(small, big, keep, rng):
         pairs = [(rng.choice(batch), rng.choice(batch)) for batch in picks]
     for a, b in pairs:
         assert small.explain(a, b) == big.explain(a, b), (a, b)
-    for a, b in pairs[::20]:
-        assert small.explain_many(a, b) == big.explain_many(a, b), (a, b)
+    starts: dict = {}
+    for a, _ in pairs[::20]:
+        starts.setdefault(small.anchor(a), a)
+    for a in starts.values():
+        assert small.class_edges(a) == big.class_edges(a), a
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
