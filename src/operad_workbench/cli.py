@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .finmaps import FinMapError, block_compose, format_fn, parse_perm
 from .operads import (Interpretation, OperadError, builtin_operad,
-                      default_assignment)
+                      default_assignment, validate_interpretation)
 from .strictify import (StrictifyError, check_equivalence, check_strictness,
                         strictify)
 from .terms import (MAX_STEPS, MAX_TERM_SIZE, PresentationError, TermError,
@@ -133,14 +133,23 @@ def _load_presentation(path: Path):
 
 
 def _context(args, presentation) -> WeakeningContext:
+    """The context of decide and classes. A target whose stock
+    assignment breaks an equation would decide in another theory, so it
+    is refused, naming the first such equation; the fp flavor is
+    refused first, by the context itself."""
     interpretation = None
     if args.target is not None:
         operad = builtin_operad(args.target, presentation)
         interpretation = Interpretation(
             presentation, operad, default_assignment(presentation, operad))
-    return WeakeningContext(presentation, interpretation,
-                            max_term_size=args.max_size,
-                            max_steps=args.steps)
+    ctx = WeakeningContext(presentation, interpretation,
+                           max_term_size=args.max_size, max_steps=args.steps)
+    if interpretation is not None:
+        report = validate_interpretation(interpretation)
+        if not report.ok:
+            raise OperadError(f"target {args.target} breaks the theory: "
+                              f"{report.lines()[0]}")
+    return ctx
 
 
 def cmd_classify(args) -> int:

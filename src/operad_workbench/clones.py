@@ -43,9 +43,6 @@ class Clone:
     def arity_of(self, p) -> int:
         raise NotImplementedError
 
-    def elements_equal(self, p, q) -> bool:
-        return p == q
-
     def _context_of(self, p, qs: Sequence, context: int | None) -> int:
         if len(qs) != self.arity_of(p):
             raise CloneError(
@@ -99,9 +96,6 @@ class CloneFromFP(Clone):
     def arity_of(self, p) -> int:
         return self.operad.arity_of(p)
 
-    def elements_equal(self, p, q) -> bool:
-        return self.operad.elements_equal(p, q)
-
 
 class FPFromClone(Operad):
     """The finite-product operad carried by a clone.
@@ -143,9 +137,6 @@ class FPFromClone(Operad):
         n = self.clone.arity_of(p)
         projections = [self.clone.proj(f(i), f.cod) for i in range(1, n + 1)]
         return self.clone.ccompose(p, projections, context=f.cod)
-
-    def elements_equal(self, p, q) -> bool:
-        return self.clone.elements_equal(p, q)
 
     def enumerate_elements(self, arity, bound):
         inner = getattr(self.clone, "enumerate_elements", None)
@@ -205,13 +196,13 @@ def clone_axiom_check(clone: Clone, pools: dict[int, list]) -> CheckReport:
                 for qs in _tuples(pools.get(m, []), n, cap=64):
                     got = clone.ccompose(clone.proj(i, n), list(qs))
                     report.check("projection-selects",
-                                 clone.elements_equal(got, qs[i - 1]),
+                                 got == qs[i - 1],
                                  lambda: f"proj({i},{n}) over arity {m}")
     for n in range(1, _CLONE_ARITY + 1):
         for p in pools.get(n, []):
             spread = [clone.proj(i, n) for i in range(1, n + 1)]
             report.check("identity-substitution",
-                         clone.elements_equal(clone.ccompose(p, spread), p),
+                         clone.ccompose(p, spread) == p,
                          lambda: f"arity {n}")
     for n in range(1, 3):
         for m in range(1, 3):
@@ -224,7 +215,7 @@ def clone_axiom_check(clone: Clone, pools: dict[int, list]) -> CheckReport:
                             two = clone.ccompose(
                                 p, [clone.ccompose(q, list(rs)) for q in qs])
                             report.check("substitution-associative",
-                                         clone.elements_equal(one, two),
+                                         one == two,
                                          lambda: f"arities {n},{m},{k}")
     return report
 
@@ -249,7 +240,7 @@ def roundtrip_check(operad: Operad, pools: dict[int, list],
     report = CheckReport()
 
     report.check("identity",
-                 operad.elements_equal(back.identity(), operad.identity()),
+                 back.identity() == operad.identity(),
                  lambda: "identity element")
 
     for n in range(max_arity + 1):
@@ -265,7 +256,7 @@ def roundtrip_check(operad: Operad, pools: dict[int, list],
                     routed = back.compose(p, list(qs))
                     report.check(
                         "compose",
-                        operad.elements_equal(direct, routed),
+                        direct == routed,
                         lambda: f"{operad.format_element(p)} with "
                         + ", ".join(operad.format_element(q) for q in qs))
 
@@ -278,7 +269,7 @@ def roundtrip_check(operad: Operad, pools: dict[int, list],
                     routed = back.act_fn(f, p)
                     report.check(
                         "action",
-                        operad.elements_equal(direct, routed),
+                        direct == routed,
                         lambda: f"{operad.format_element(p)} by {f}")
 
     return report
@@ -293,7 +284,7 @@ def clone_roundtrip_check(clone: Clone, pools: dict[int, list]
     for n in range(1, _CLONE_ARITY + 1):
         for i in range(1, n + 1):
             report.check("projection",
-                         clone.elements_equal(back.proj(i, n), clone.proj(i, n)),
+                         back.proj(i, n) == clone.proj(i, n),
                          lambda: f"proj({i},{n})")
     for n in range(1, _CLONE_ARITY + 1):
         for m in range(1, _CLONE_ARITY + 1):
@@ -302,6 +293,6 @@ def clone_roundtrip_check(clone: Clone, pools: dict[int, list]
                     direct = clone.ccompose(p, list(qs))
                     routed = back.ccompose(p, list(qs))
                     report.check("substitution",
-                                 clone.elements_equal(direct, routed),
+                                 direct == routed,
                                  lambda: f"arities {n} over {m}")
     return report

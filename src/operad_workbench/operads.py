@@ -67,9 +67,6 @@ class Operad:
     def act_fn(self, f: FinFunction, p):
         raise OperadError(f"{self.name} has no finite-function action")
 
-    def elements_equal(self, p, q) -> bool:
-        return p == q
-
     def enumerate_elements(self, arity: int, bound: int) -> list:
         """At most bound elements of the arity, in a fixed canonical order."""
         raise NotImplementedError
@@ -774,7 +771,7 @@ def validate_interpretation(interp: Interpretation) -> InterpretationReport:
     for eq in interp.presentation.equations:
         lhs = interp.eval_term(eq.lhs, eq.arity)
         rhs = interp.eval_term(eq.rhs, eq.arity)
-        if not interp.operad.elements_equal(lhs, rhs):
+        if lhs != rhs:
             failures.append((eq, interp.operad.format_element(lhs),
                              interp.operad.format_element(rhs)))
     return InterpretationReport(failures)
@@ -816,22 +813,21 @@ def unit_instance_ok(operad: Operad, p) -> bool:
     n = operad.arity_of(p)
     left = operad.compose(operad.identity(), [p])
     right = operad.compose(p, [operad.identity()] * n)
-    return operad.elements_equal(left, p) and operad.elements_equal(right, p)
+    return left == p and right == p
 
 
 def assoc_instance_ok(operad: Operad, p, qs: Sequence, rss: Sequence[Sequence]) -> bool:
     flat = [r for rs in rss for r in rs]
     one_shot = operad.compose(operad.compose(p, qs), flat)
     nested = operad.compose(p, [operad.compose(q, rs) for q, rs in zip(qs, rss)])
-    return operad.elements_equal(one_shot, nested)
+    return one_shot == nested
 
 
 def act_functorial_ok(operad: Operad, g: FinFunction, f: FinFunction, p) -> bool:
     stepwise = operad.act_fn(g, operad.act_fn(f, p))
     joined = operad.act_fn(compose(g, f), p)
-    identity_ok = operad.elements_equal(
-        operad.act_fn(identity(operad.arity_of(p)), p), p)
-    return identity_ok and operad.elements_equal(stepwise, joined)
+    identity_ok = operad.act_fn(identity(operad.arity_of(p)), p) == p
+    return identity_ok and stepwise == joined
 
 
 def equivariance_outer_ok(operad: Operad, sigma: FinFunction, p,
@@ -843,7 +839,7 @@ def equivariance_outer_ok(operad: Operad, sigma: FinFunction, p,
     routed = select(sigma, tuple(rs))
     bp = block_permutation(sigma, sizes)
     right = operad.act_perm(bp, operad.compose(p, list(routed)))
-    return operad.elements_equal(left, right)
+    return left == right
 
 
 def equivariance_inner_ok(operad: Operad, p, gs: Sequence[FinFunction],
@@ -852,7 +848,7 @@ def equivariance_inner_ok(operad: Operad, p, gs: Sequence[FinFunction],
     direct sum."""
     left = operad.compose(p, [operad.act_fn(g, r) for g, r in zip(gs, rs)])
     right = operad.act_fn(direct_sum(list(gs)), operad.compose(p, list(rs)))
-    return operad.elements_equal(left, right)
+    return left == right
 
 
 def combing_ok(operad: Operad, f: FinFunction, p, gs: Sequence[FinFunction],
@@ -864,7 +860,7 @@ def combing_ok(operad: Operad, f: FinFunction, p, gs: Sequence[FinFunction],
     routed = select(f, tuple(qs))
     right = operad.act_fn(comb_compose(f, list(gs)),
                           operad.compose(p, list(routed)))
-    return operad.elements_equal(left, right)
+    return left == right
 
 
 def _heads(pools: Mapping[int, list], ks: Sequence[int]) -> list | None:
@@ -876,7 +872,6 @@ def _heads(pools: Mapping[int, list], ks: Sequence[int]) -> list | None:
 
 
 _AXIOM_ARITY = 2
-_AXIOM_CAP = 4000
 _AXIOM_ELEMENTS = 4
 
 
@@ -885,26 +880,21 @@ def operad_axiom_check(operad: Operad) -> CheckReport:
 
     Walks units, associativity, action functoriality, both equivariance
     shapes, and (for fp flavor) the combined substitution law, on the
-    first four elements of each arity up to 2, stopping each law after
-    4000 instances.
+    first four elements of each arity up to 2. Pools that small keep
+    each law to about a hundred instances, so none is capped.
     """
     pools = {n: operad.enumerate_elements(n, _AXIOM_ELEMENTS)
              for n in range(_AXIOM_ARITY + 1)}
     report = CheckReport()
-    checked = report.checked
 
-    for n, pool in pools.items():
+    for pool in pools.values():
         for p in pool:
-            if checked.get("unit", 0) >= _AXIOM_CAP:
-                break
             report.check("unit", unit_instance_ok(operad, p),
                          lambda: operad.format_element(p))
 
     for n in range(_AXIOM_ARITY + 1):
         for p in pools[n]:
             for ks in itertools.product(range(_AXIOM_ARITY + 1), repeat=n):
-                if checked.get("associativity", 0) >= _AXIOM_CAP:
-                    break
                 qs = _heads(pools, ks)
                 if qs is None:
                     continue
@@ -919,8 +909,6 @@ def operad_axiom_check(operad: Operad) -> CheckReport:
             for p in pools[n]:
                 for t1 in tables:
                     for t2 in tables:
-                        if checked.get("action", 0) >= _AXIOM_CAP:
-                            break
                         report.check(
                             "action",
                             act_functorial_ok(operad, perm(t1), perm(t2), p),
@@ -928,8 +916,6 @@ def operad_axiom_check(operad: Operad) -> CheckReport:
                 for t in tables:
                     for ks in itertools.product(range(_AXIOM_ARITY + 1),
                                                 repeat=n):
-                        if checked.get("equivariance-outer", 0) >= _AXIOM_CAP:
-                            break
                         rs = _heads(pools, ks)
                         if rs is None:
                             continue
@@ -949,10 +935,9 @@ def operad_axiom_check(operad: Operad) -> CheckReport:
                         gs = [make_fn((1,) * k, 1) for k in ks]
                     else:
                         gs = [perm(tuple(range(k, 0, -1))) for k in ks]
-                    if checked.get("equivariance-inner", 0) < _AXIOM_CAP:
-                        report.check("equivariance-inner",
-                                     equivariance_inner_ok(operad, p, gs, rs),
-                                     lambda: operad.format_element(p))
+                    report.check("equivariance-inner",
+                                 equivariance_inner_ok(operad, p, gs, rs),
+                                 lambda: operad.format_element(p))
 
     if operad.flavor == "fp":
         fns = [make_fn(table, c)
@@ -963,8 +948,6 @@ def operad_axiom_check(operad: Operad) -> CheckReport:
         for f in fns:
             for p in pools.get(f.dom, []):
                 for gs_tables in itertools.product(inner_shapes, repeat=f.cod):
-                    if checked.get("combined-substitution", 0) >= _AXIOM_CAP:
-                        break
                     qs = _heads(pools, [len(t) for t in gs_tables])
                     if qs is None:
                         continue

@@ -29,8 +29,7 @@ from typing import Sequence
 from .operads import CheckReport, FreeOperad
 from .terms import App, Term, Var, format_term
 from .trees import Leaf, Node, tree_arity, tree_size
-from .weakcat import (Arrow, FiniteCategory, Functor, WeakPCategoryData,
-                      WeakPFunctorData, WeakcatError, check_weak_functor)
+from .weakcat import WeakPCategoryData, WeakPFunctorData, check_weak_functor
 
 
 class StrictifyError(ValueError):
@@ -57,6 +56,9 @@ class StArrow:
     src: StObject
     dst: StObject
     base: str
+
+    def key(self) -> tuple:
+        return (self.src.key(), self.dst.key(), self.base)
 
 
 def _op_term(op: str, arity: int) -> Term:
@@ -102,9 +104,6 @@ class StrictPCategory:
         self._arr_memo: dict[tuple, object] = {}
         self._delta_memo: dict[tuple, object] = {}
         self._cell_memo: dict[tuple, object] = {}
-        self._fc: FiniteCategory | None = None
-        self._fc_obj_ids: dict[tuple, str] = {}
-        self._fc_arrow_ids: dict[tuple, str] = {}
 
     def _scan_representatives(self, arity: int):
         # objects come in (size, text) order, so the first tree to reach
@@ -215,7 +214,7 @@ class StrictPCategory:
         return self.W.derive_delta(start, grafted, operands)
 
     def act_arr(self, q, fs: Sequence[StArrow]) -> StArrow:
-        key = (q, tuple((f.src.key(), f.dst.key(), f.base) for f in fs))
+        key = (q, tuple(f.key() for f in fs))
         return self._memo(self._arr_memo, key, lambda: self._act_arr(q, fs))
 
     def _act_arr(self, q, fs: Sequence[StArrow]) -> StArrow:
@@ -250,66 +249,12 @@ class StrictPCategory:
                 out.append(idents[i])
         return out
 
-    def as_finite_category(self) -> tuple[FiniteCategory, dict, dict]:
-        """A plain category view with generated ids; returns the maps
-        from object keys and (src, dst, base) triples to those ids."""
-        if self._fc is None:
-            base = self.W.base
-            sids = [f"s{i}" for i in range(len(self.objects))]
-            # ids[i][j] maps each base arrow between the action values of
-            # objects i and j to the id of the strict arrow it tags
-            ids = [[{b: f"{sx}.{sy}.{b}"
-                     for b in base.hom(x.h_value, y.h_value)}
-                    for y, sy in zip(self.objects, sids)]
-                   for x, sx in zip(self.objects, sids)]
-            arrows = [Arrow(aid, sids[i], sids[j])
-                      for i, row in enumerate(ids)
-                      for j, cell in enumerate(row) for aid in cell.values()]
-            # g.f depends on f only through its base arrow fb, so each
-            # object lists, per base arrow fb into its value, the arrows
-            # g out of it (in arrow order) with the base composite gb.fb
-            base_compose = base._compose
-            into: dict[str, list[str]] = {}
-            for b, a in base.arrows.items():
-                into.setdefault(a.dst, []).append(b)
-            after = []
-            for y, row in zip(self.objects, ids):
-                out = [(gid, k, gb) for k, cell in enumerate(row)
-                       for gb, gid in cell.items()]
-                after.append({fb: [(gid, k, base_compose[(gb, fb)])
-                                   for gid, k, gb in out]
-                              for fb in into.get(y.h_value, ())})
-            composable = [(gid, fid, row[k][c])
-                          for row in ids
-                          for cell, by_base in zip(row, after)
-                          for fb, fid in cell.items()
-                          for gid, k, c in by_base[fb]]
-            identities = {sids[i]: ids[i][i][base.identity(x.h_value)]
-                          for i, x in enumerate(self.objects)}
-            # composition is inherited from the validated base, so the
-            # exhaustive table check is skipped; the pair walks read the
-            # triples, and the composite table is derived only if asked
-            self._fc = FiniteCategory._trusted(
-                sids, arrows, identities, composable)
-            self._fc_obj_ids = {x.key(): sx
-                                for x, sx in zip(self.objects, sids)}
-            self._fc_arrow_ids = {
-                (x.key(), y.key(), b): aid
-                for x, row in zip(self.objects, ids)
-                for y, cell in zip(self.objects, row)
-                for b, aid in cell.items()}
-        return self._fc, self._fc_obj_ids, self._fc_arrow_ids
-
-    def arrow_id(self, f: StArrow) -> str:
-        self.as_finite_category()
-        return self._fc_arrow_ids[(f.src.key(), f.dst.key(), f.base)]
-
 
 def strictify(W: WeakPCategoryData, arity_bound: int = 3,
               element_bound: int = 20) -> StrictPCategory:
     """W's one strict view for these bounds, built on first use and kept
-    on W, so that the checks run on W share its memo tables and its
-    category view. StrictPCategory(W) builds a fresh one."""
+    on W, so that the checks run on W share its memo tables.
+    StrictPCategory(W) builds a fresh one."""
     key = (arity_bound, element_bound)
     S = W._strict_views.get(key)
     if S is None:
@@ -519,8 +464,8 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData) -> CheckReport:
 def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
                              G: WeakPFunctorData) -> CheckReport:
     """Builds the strict map H out of the strict category induced by a
-    weak map G into a strict target, checks that H is a strict functor
-    restricting to G, and certifies uniqueness: every arrow image of a
+    weak map G into a strict target, checks that H is strict and
+    restricts to G, and certifies uniqueness: every arrow image of a
     strict map restricting to G is forced by factoring the arrow through
     the unit embeddings of its endpoints. The strict action is probed at
     six sampled arrows. A G that check_weak_functor fails is refused, as
@@ -541,7 +486,7 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
     H = _induced_map(S, B, G, report)
     if H is None:
         return report
-    _, obj_ids, _ = S.as_finite_category()
+    h_obj, h_arr = H
     unit = S.operad.identity()
 
     pool = S.sample_arrows(24)[:6]
@@ -553,9 +498,9 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
                 image = S.act_obj(op_elem, xs)
             except StrictifyError:
                 continue
-            lhs = H.obj([obj_ids[image.key()]])
+            lhs = h_obj[image.key()]
             rhs = B.h_obj(_op_term(op, arity),
-                          tuple(H.obj([obj_ids[x.key()]]) for x in xs))
+                          tuple(h_obj[x.key()] for x in xs))
             report.note("strict action on objects")
             if lhs != rhs:
                 report.fail(f"induced map is not strict on objects at {op!r}")
@@ -564,28 +509,28 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
                 image = S.act_arr(op_elem, fs)
             except StrictifyError:
                 continue
-            lhs = H.arr([S.arrow_id(image)])
+            lhs = h_arr[image.key()]
             rhs = B.h_arr(_op_term(op, arity),
-                          tuple(H.arr([S.arrow_id(f)]) for f in fs))
+                          tuple(h_arr[f.key()] for f in fs))
             report.note("strict action on arrows")
             if lhs != rhs:
                 report.fail(f"induced map is not strict on arrows at {op!r}")
 
     for a in W.base.objects:
         report.note("restriction on objects")
-        if H.obj([obj_ids[S.obj(unit, (a,)).key()]]) != G.functor.obj([a]):
+        if h_obj[S.obj(unit, (a,)).key()] != G.functor.obj([a]):
             report.fail(f"restriction misses the object image at {a!r}")
     for b, arrow in W.base.arrows.items():
         st = StArrow(S.obj(unit, (arrow.src,)), S.obj(unit, (arrow.dst,)), b)
         report.note("restriction on arrows")
-        if H.arr([S.arrow_id(st)]) != G.functor.arr([b]):
+        if h_arr[st.key()] != G.functor.arr([b]):
             report.fail(f"restriction misses the arrow image at {b!r}")
     for op, arity in W.presentation.signature.ops:
         for operands in product(W.base.objects, repeat=arity):
             cell = _embedding_cell(S, op, operands)
             want = G.psi_component(_op_term(op, arity), operands)
             report.note("restriction coherence")
-            if H.arr([S.arrow_id(cell)]) != want:
+            if h_arr[cell.key()] != want:
                 report.fail(
                     f"restriction coherence fails at {op!r} {operands}")
 
@@ -594,42 +539,42 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
 
 
 def _induced_map(S: StrictPCategory, B: WeakPCategoryData,
-                 G: WeakPFunctorData, report: CheckReport) -> Functor | None:
-    """The functor H out of the strict category induced by G: each
-    object goes to the target action at G's operand images, each arrow
-    to its G image conjugated by the coherence images gamma of its
-    endpoints. None, with the failure on the report, when a gamma is
-    not invertible or H is not a functor."""
-    st_fc, obj_ids, arrow_ids = S.as_finite_category()
-    gammas: dict[tuple, str] = {}
+                 G: WeakPFunctorData, report: CheckReport
+                 ) -> tuple[dict, dict] | None:
+    """The strict map H induced by G, as two tables keyed like the
+    strict view: each object key goes to the target action at G's
+    operand images, and each arrow key (src key, dst key, base) to
+    gamma_y . G(base) . gamma_x^-1, where gamma_x, G's coherence image at
+    x's representative, runs G(x's value) -> H(x). None, with the
+    failure on the report, when a gamma is not invertible.
 
-    def gamma(key: tuple) -> str:
-        found = gammas.get(key)
-        if found is None:
-            found = G.psi_component(S.repr_term(key[0]), key[1])
-            gammas[key] = found
-        return found
-
-    obj_table = {}
+    H is a functor by construction, so no composable pair is walked:
+    the strict category takes identities and composites on the base
+    arrows, G is a functor, and the gammas cancel in between, so
+    H(g.f) = gamma_z . G(g_b) . G(f_b) . gamma_x^-1 = H(g) . H(f), and
+    H(id_x) = gamma_x . G(id) . gamma_x^-1 is the identity."""
+    h_obj, conjugate = {}, {}
     for x in S.objects:
-        obj_table[obj_ids[x.key()]] = B.h_obj(
-            S.repr_term(x.element), [G.functor.obj([a]) for a in x.operands])
-    arr_table = {}
-    for (x_key, y_key, base), aid in arrow_ids.items():
-        inv = B.base.inverse(gamma(x_key))
+        term = S.repr_term(x.element)
+        h_obj[x.key()] = B.h_obj(term,
+                                 [G.functor.obj([a]) for a in x.operands])
+        gamma = G.psi_component(term, x.operands)
+        inv = B.base.inverse(gamma)
         if inv is None:
-            report.fail(f"coherence image at ({x_key[0]}, {x_key[1]}) "
+            report.fail(f"coherence image at ({x.element}, {x.operands}) "
                         f"is not invertible")
             return None
-        arr_table[aid] = B.base.compose(
-            gamma(y_key), B.base.compose(G.functor.arr([base]), inv))
-    try:
-        H = Functor(st_fc, B.base, 1, obj_table, arr_table, name="induced")
-    except WeakcatError as exc:
-        report.fail(f"induced map is not a functor: {exc}")
-        return None
-    report.note("functoriality")
-    return H
+        conjugate[x.key()] = (gamma, inv)
+    compose = B.base.compose
+    h_arr = {}
+    for x in S.objects:
+        inv = conjugate[x.key()][1]
+        for y in S.objects:
+            gamma = conjugate[y.key()][0]
+            for b in S.W.base.hom(x.h_value, y.h_value):
+                h_arr[(x.key(), y.key(), b)] = compose(
+                    gamma, compose(G.functor.arr([b]), inv))
+    return h_obj, h_arr
 
 
 def _embedding_cell(S: StrictPCategory, op: str,
@@ -651,8 +596,8 @@ def _embedding_cell(S: StrictPCategory, op: str,
 
 
 def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
-                B: WeakPCategoryData, G: WeakPFunctorData, H: Functor,
-                report: CheckReport) -> dict[str, str]:
+                B: WeakPCategoryData, G: WeakPFunctorData,
+                H: tuple[dict, dict], report: CheckReport) -> dict[tuple, str]:
     """Any strict map restricting to G agrees with the pins on every
     arrow. An arrow x -> y with base b factors as iota_y^-1 . b . iota_x
     through the unit embeddings iota into the identity pairs over the
@@ -668,8 +613,9 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
     same: strictness fixes the step's at B's action on the child images
     and the restriction fixes the cell's at psi_op, so iota_val[x] =
     psi_op^-1 . B.h(op)(iota_val[x1]...), the identity at unit pairs.
-    Pins consistent with H mean H is the only candidate. Returns them."""
-    _, obj_ids, arrow_ids = S.as_finite_category()
+    Pins consistent with H mean H is the only candidate. Returns them,
+    keyed like H's arrow table."""
+    h_obj, h_arr = H
     unit = S.operad.identity()
     compose = B.base.compose
     # in representative size order, so child images are available first
@@ -677,7 +623,7 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
     for x in sorted(S.objects,
                     key=lambda x: tree_size(S.repr_tree(x.element))):
         if x.element == unit:
-            iota_val[x.key()] = B.base.identity(H.obj([obj_ids[x.key()]]))
+            iota_val[x.key()] = B.base.identity(h_obj[x.key()])
             continue
         t = S.repr_tree(x.element)
         children = []
@@ -697,11 +643,11 @@ def _uniqueness(S: StrictPCategory, W: WeakPCategoryData,
         iota_val[x.key()] = compose(
             psi_inv, B.h_arr(term, [iota_val[c.key()] for c in children]))
     back = {key: B.base.inverse(val) for key, val in iota_val.items()}
-    pinned = {aid: compose(back[y_key],
-                           compose(G.functor.arr([base]), iota_val[x_key]))
-              for (x_key, y_key, base), aid in arrow_ids.items()}
+    pinned = {(x_key, y_key, base): compose(
+                  back[y_key], compose(G.functor.arr([base]), iota_val[x_key]))
+              for x_key, y_key, base in h_arr}
     report.note("uniqueness pins", len(pinned))
-    mismatched = [a for a, v in pinned.items() if H.arr([a]) != v]
+    mismatched = [a for a, v in pinned.items() if h_arr[a] != v]
     report.note("uniqueness agreement", len(pinned) - len(mismatched))
     for a in mismatched[:3]:
         report.fail(f"forced value disagrees with the induced map at {a!r}")

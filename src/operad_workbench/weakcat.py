@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -56,8 +55,7 @@ class FiniteCategory:
 
     def __init__(self, objects: Sequence[str], arrows: Sequence[Arrow],
                  identities: Mapping[str, str],
-                 compose_table: Mapping[tuple[str, str], str] | None,
-                 composable: list[tuple[str, str, str | None]] | None = None):
+                 compose_table: Mapping[tuple[str, str], str]):
         self.objects = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
             raise WeakcatError("duplicate object ids")
@@ -73,8 +71,7 @@ class FiniteCategory:
                 raise WeakcatError(f"arrow {a.id!r} has unknown endpoints")
             self.arrows[a.id] = a
         self.identities = dict(identities)
-        if compose_table is not None:
-            self._compose = dict(compose_table)
+        self._compose = dict(compose_table)
         self._inverses: dict[str, str | None] = {}
         self._hom: dict[tuple[str, str], list[str]] = {}
         for a in self.arrows.values():
@@ -82,39 +79,15 @@ class FiniteCategory:
         self._from: dict[str, list[str]] = {}
         for a in self.arrows.values():
             self._from.setdefault(a.src, []).append(a.id)
-        self._composable = composable
-        # composable triples are given only for a category built from an
-        # already validated one; user supplied tables keep the full check
-        if composable is None:
-            self._validate()
-
-    @classmethod
-    def _trusted(cls, objects: Sequence[str], arrows: Sequence[Arrow],
-                 identities: Mapping[str, str],
-                 composable: list[tuple[str, str, str]]) -> FiniteCategory:
-        """An unchecked category given by its composable triples, in the
-        order of the composable property; its composite table is derived
-        from them on first use."""
-        return cls(objects, arrows, identities, None, composable)
-
-    @cached_property
-    def _compose(self) -> dict[tuple[str, str], str]:
-        # reached only by a trusted category: a table given at
-        # construction shadows this property
-        return {(g, f): gf for g, f, gf in self._composable}
-
-    @property
-    def composable(self) -> list[tuple[str, str, str | None]]:
-        """Every composable pair (g, f) with its composite g.f, built
-        once: f in arrow order, then g in the order of the arrows out of
-        f's target. The composite is None where the table lacks it, which
-        validation refuses."""
-        if self._composable is None:
-            table = self._compose
-            self._composable = [(g, f, table.get((g, f)))
-                                for f, a in self.arrows.items()
-                                for g in self._from.get(a.dst, ())]
-        return self._composable
+        # every composable pair (g, f) with its composite g.f: f in arrow
+        # order, then g in the order of the arrows out of f's target; the
+        # composite is None where the table lacks it, which validation
+        # refuses
+        self.composable: list[tuple[str, str, str | None]] = [
+            (g, f, self._compose.get((g, f)))
+            for f, a in self.arrows.items()
+            for g in self._from.get(a.dst, ())]
+        self._validate()
 
     def _validate(self):
         for obj in self.objects:
@@ -156,35 +129,35 @@ class FiniteCategory:
         except KeyError:
             raise WeakcatError(f"arrows {g!r} and {f!r} are not composable")
 
-    def compose_chain(self, arrow_ids: Sequence[str], at_object: str) -> str:
+    def compose_chain(self, chain: Sequence[str], at_object: str) -> str:
         """Compose a chain listed first-to-last; empty chain gives the
         identity at the given object."""
         out = self.identity(at_object)
-        for a in arrow_ids:
+        for a in chain:
             out = self.compose(a, out)
         return out
 
     def hom(self, src: str, dst: str) -> list[str]:
         return list(self._hom.get((src, dst), ()))
 
-    def inverse(self, arrow_id: str) -> str | None:
-        if arrow_id not in self._inverses:
-            a = self.arrows[arrow_id]
+    def inverse(self, arrow: str) -> str | None:
+        if arrow not in self._inverses:
+            a = self.arrows[arrow]
             found = None
             for b in self.hom(a.dst, a.src):
-                if self.compose(b, arrow_id) == self.identity(a.src) \
-                        and self.compose(arrow_id, b) == self.identity(a.dst):
+                if self.compose(b, arrow) == self.identity(a.src) \
+                        and self.compose(arrow, b) == self.identity(a.dst):
                     found = b
                     break
-            self._inverses[arrow_id] = found
-        return self._inverses[arrow_id]
+            self._inverses[arrow] = found
+        return self._inverses[arrow]
 
-    def is_iso(self, arrow_id: str) -> bool:
-        return self.inverse(arrow_id) is not None
+    def is_iso(self, arrow: str) -> bool:
+        return self.inverse(arrow) is not None
 
-    def is_identity(self, arrow_id: str) -> bool:
-        a = self.arrows[arrow_id]
-        return a.src == a.dst and self.identities[a.src] == arrow_id
+    def is_identity(self, arrow: str) -> bool:
+        a = self.arrows[arrow]
+        return a.src == a.dst and self.identities[a.src] == arrow
 
     @classmethod
     def indiscrete(cls, objects: Sequence[str]) -> FiniteCategory:
@@ -271,15 +244,6 @@ class Functor:
             idents = key_of([dom.identities[o] for o in objs])
             if arr_map[idents] != cod.identities[obj_map[key_of(objs)]]:
                 raise WeakcatError(f"{label}: identities not preserved at {objs}")
-        if k == 1:
-            # a one-arrow key is the arrow id itself; the images of a
-            # composable pair compose, their endpoints being checked
-            table = cod._compose
-            for g, f, gf in dom.composable:
-                if arr_map[gf] != table[(arr_map[g], arr_map[f])]:
-                    raise WeakcatError(f"{label}: composition not "
-                                       f"preserved at {((g, f),)}")
-            return
         for triples in product(dom.composable, repeat=k):
             g, f, gf = map(key_of, zip(*triples)) if k else ("", "", "")
             if arr_map[gf] != cod.compose(arr_map[g], arr_map[f]):
@@ -359,19 +323,19 @@ class WeakPCategoryData:
                         fam: Mapping[tuple[str, ...], str]):
         name = cell_key(eq)
         for operands in product(self.base.objects, repeat=eq.arity):
-            arrow_id = fam.get(operands)
-            if arrow_id is None:
+            arrow = fam.get(operands)
+            if arrow is None:
                 raise WeakcatError(f"delta {name!r} missing component at {operands}")
-            if arrow_id not in self.base.arrows:
-                raise WeakcatError(f"delta {name!r} uses unknown arrow {arrow_id!r}")
-            a = self.base.arrows[arrow_id]
+            if arrow not in self.base.arrows:
+                raise WeakcatError(f"delta {name!r} uses unknown arrow {arrow!r}")
+            a = self.base.arrows[arrow]
             want_src = self.h_obj(eq.lhs, operands)
             want_dst = self.h_obj(eq.rhs, operands)
             if a.src != want_src or a.dst != want_dst:
                 raise WeakcatError(
                     f"delta {name!r} at {operands} should run "
                     f"{want_src!r} -> {want_dst!r}, got {a.src!r} -> {a.dst!r}")
-            if not self.base.is_iso(arrow_id):
+            if not self.base.is_iso(arrow):
                 raise WeakcatError(f"delta {name!r} at {operands} is not invertible")
         for fs in product(self.base.arrows, repeat=eq.arity):
             srcs = tuple(self.base.arrows[f].src for f in fs)
@@ -406,9 +370,9 @@ class WeakPCategoryData:
         return self.context.object_term(t)
 
     def is_strict(self) -> bool:
-        return all(self.base.is_identity(arrow_id)
+        return all(self.base.is_identity(arrow)
                    for fam in self.deltas.values()
-                   for arrow_id in fam.values())
+                   for arrow in fam.values())
 
     # compiled 2-cell images
     def derive_delta(self, t1: Term | WeakObject, t2: Term | WeakObject,
@@ -452,8 +416,7 @@ class WeakPCategoryData:
             return "unknown"
         e1 = self.interpretation.eval_term(term1, arity)
         e2 = self.interpretation.eval_term(term2, arity)
-        operad = self.interpretation.operad
-        return "unknown" if operad.elements_equal(e1, e2) else "no"
+        return "unknown" if e1 == e2 else "no"
 
     def compile_path(self, steps: Sequence[RewriteStep],
                      operands: tuple[str, ...], at_object: str) -> str:

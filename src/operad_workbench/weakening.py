@@ -146,7 +146,7 @@ class WeakeningContext:
         if self.evaluable:
             e1 = self.eval_object(t1)
             e2 = self.eval_object(t2)
-            if self.interpretation.operad.elements_equal(e1, e2):
+            if e1 == e2:
                 return Decision(
                     "yes", "both evaluate to "
                     + self.interpretation.operad.format_element(e1))

@@ -334,38 +334,37 @@ def reference_seed_pins(S, W, B, G, H, embedding_cell, op_term):
     the unit embedding of every object of the strict view S into the
     identity pair over its value, built by recursion over representative
     trees from strictness steps and inverted embedding cells on the
-    strict side, each pinned with its forced image. Returns the pins,
-    the conflicts, and the embeddings by object key."""
-    st_fc, obj_ids, arrow_ids = S.as_finite_category()
+    strict side, each pinned with its forced image. H is the pair of the
+    induced map's object and arrow tables. Pins are keyed by (src key,
+    dst key, base). Returns the pins, the conflicts, and the embeddings
+    by object key."""
+    h_obj, _ = H
     unit = S.operad.identity()
     pinned, conflicts = {}, []
 
-    def pin(arrow_id, value):
-        old = pinned.get(arrow_id)
+    def pin(arrow, value):
+        old = pinned.get(arrow)
         if old is None:
-            pinned[arrow_id] = value
+            pinned[arrow] = value
         elif old != value:
-            conflicts.append(f"conflicting forced values at {arrow_id!r}")
+            conflicts.append(f"conflicting forced values at {arrow!r}")
 
-    def arrow_id(f):
-        return arrow_ids[(f.src.key(), f.dst.key(), f.base)]
-
-    for x in st_fc.objects:
-        pin(st_fc.identity(x), B.base.identity(H.obj([x])))
+    for x in S.objects:
+        pin(S.identity(x).key(), B.base.identity(h_obj[x.key()]))
     for b, arrow in W.base.arrows.items():
-        pin(arrow_ids[(S.obj(unit, (arrow.src,)).key(),
-                       S.obj(unit, (arrow.dst,)).key(), b)],
+        pin((S.obj(unit, (arrow.src,)).key(),
+             S.obj(unit, (arrow.dst,)).key(), b),
             G.functor.arr([b]))
     for op, arity in W.presentation.signature.ops:
         for operands in itertools.product(W.base.objects, repeat=arity):
-            pin(arrow_id(embedding_cell(S, op, operands)),
+            pin(embedding_cell(S, op, operands).key(),
                 G.psi_component(op_term(op, arity), operands))
     iota_st, iota_val = {}, {}
     for x in sorted(S.objects,
                     key=lambda x: _tree_nodes(S.repr_tree(x.element))):
         if x.element == unit:
             iota_st[x.key()] = S.identity(x)
-            iota_val[x.key()] = B.base.identity(H.obj([obj_ids[x.key()]]))
+            iota_val[x.key()] = B.base.identity(h_obj[x.key()])
             continue
         t = S.repr_tree(x.element)
         children, at = [], 0
@@ -378,54 +377,56 @@ def reference_seed_pins(S, W, B, G, H, embedding_cell, op_term):
                             [iota_st[c.key()] for c in children])
         step_val = B.h_arr(op_term(t.op, len(children)),
                            [iota_val[c.key()] for c in children])
-        pin(arrow_id(step_st), step_val)
+        pin(step_st.key(), step_val)
         cell_st = embedding_cell(S, t.op, tuple(c.h_value for c in children))
-        cell_val = pinned[arrow_id(cell_st)]
+        cell_val = pinned[cell_st.key()]
         iota_st[x.key()] = S.compose(S.inverse(cell_st), step_st)
         iota_val[x.key()] = B.base.compose(B.base.inverse(cell_val),
                                            step_val)
-        pin(arrow_id(iota_st[x.key()]), iota_val[x.key()])
+        pin(iota_st[x.key()].key(), iota_val[x.key()])
     return pinned, conflicts, iota_st
 
 
 def reference_close_pins(S, W, B, pinned, conflicts):
     """The forced-value closure that once certified the uniqueness of an
-    induced strict map, kept verbatim as an oracle: close the pins on the
-    arrows of the strict view S under inverses (in the base W.base and
-    the target B.base) and under composition, in rounds until a round
-    pins nothing new or a conflict appears. Works on pins and conflicts
-    in place."""
-    st_fc = S.as_finite_category()[0]
+    induced strict map, kept as an oracle: close the pins on the arrows
+    (src key, dst key, base) of the strict view S under inverses (in the
+    base W.base and the target B.base) and under composition, which
+    composes the base arrows, in rounds until a round pins nothing new
+    or a conflict appears. Works on pins and conflicts in place."""
 
-    def pin(arrow_id, value):
-        old = pinned.get(arrow_id)
+    def pin(arrow, value):
+        old = pinned.get(arrow)
         if old is None:
-            pinned[arrow_id] = value
+            pinned[arrow] = value
         elif old != value:
-            conflicts.append(f"conflicting forced values at {arrow_id!r}")
+            conflicts.append(f"conflicting forced values at {arrow!r}")
 
-    triple = {aid: key for key, aid in S._fc_arrow_ids.items()}
+    # the arrows out of each object, in the order the view lists them
+    out_of = {x.key(): [(x.key(), y.key(), b) for y in S.objects
+                        for b in W.base.hom(x.h_value, y.h_value)]
+              for x in S.objects}
     changed = True
     while changed and not conflicts:
         changed = False
-        for aid in list(pinned):
-            x_key, y_key, base = triple[aid]
+        for arrow in list(pinned):
+            x_key, y_key, base = arrow
             inv_base = W.base.inverse(base)
-            inv_val = B.base.inverse(pinned[aid])
+            inv_val = B.base.inverse(pinned[arrow])
             if inv_base is None or inv_val is None:
                 continue
-            inv_id = S._fc_arrow_ids[(y_key, x_key, inv_base)]
-            if inv_id not in pinned:
-                pin(inv_id, inv_val)
+            inv = (y_key, x_key, inv_base)
+            if inv not in pinned:
+                pin(inv, inv_val)
                 changed = True
-        for f in st_fc.arrows.values():
-            if f.id not in pinned:
+        for f in (f for fs in out_of.values() for f in fs):
+            if f not in pinned:
                 continue
-            for g in st_fc._from.get(f.dst, ()):
+            for g in out_of[f[1]]:
                 if g not in pinned:
                     continue
-                comp = st_fc.compose(g, f.id)
-                value = B.base.compose(pinned[g], pinned[f.id])
+                comp = (f[0], g[1], W.base.compose(g[2], f[2]))
+                value = B.base.compose(pinned[g], pinned[f])
                 if comp not in pinned:
                     pin(comp, value)
                     changed = True

@@ -86,6 +86,9 @@ def test_eval_fp_target(capsys):
                        "--arity", "2", "m(x2,m(x1,e))")
     assert code == 0
     assert out.strip() == "[1,1]"
+    code, out, _ = run(capsys, "eval", MONOID, "--target", "int-poly-fp",
+                       "m(x1,m(x2,x3))")
+    assert (code, out) == (0, "x3 + x2 + x1\n")
 
 
 def test_eval_terminal_target_json(capsys):
@@ -109,6 +112,31 @@ def test_decide_target_mode(capsys):
                        "m(x1,x2)", "m(x2,x1)")
     assert code == 0
     assert "both evaluate to" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", MONOID, "--target", "initial", "m(x1,x2)"),
+     "the initial operad has no element of arity 2"),
+    (("decide", MONOID, "--target", "end-2", "m(e,x1)", "x1"),
+     "target end-2 breaks the theory: fails m(e,x1) = x1 @1: "
+     "1:[1,1] != 1:[1,2]"),
+    (("classes", MONOID, "--target", "end-2", "--arity", "1",
+      "--max-size", "3"),
+     "target end-2 breaks the theory: fails m(e,x1) = x1 @1: "
+     "1:[1,1] != 1:[1,2]"),
+    (("decide", MONOID, "--target", "free", "m(e,x1)", "x1"),
+     "target free breaks the theory: fails m(m(x1,x2),x3) = "
+     "m(x1,m(x2,x3)) @3: m(m(|,|),|) != m(|,m(|,|))"),
+    (("classes", COMM, "--target", "symmetries", "--arity", "2"),
+     "target symmetries breaks the theory: fails m(x1,x2) = m(x2,x1) "
+     "@2: [1,2] != [2,1]")])
+def test_targets_that_cannot_carry_the_theory_exit_3(capsys, argv,
+                                                     message):
+    """A target without a stock element of some arity, or whose stock
+    assignment breaks an equation, is refused with exit 3; decided in
+    such a target, m(e,x1) and x1 were once told apart."""
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+    assert run(capsys, "decide", MONOID, "m(e,x1)", "x1")[0] == 0
 
 
 def test_decide_no_on_arity_mismatch(capsys):
@@ -390,10 +418,21 @@ def test_oversized_end_evaluation_composes_nothing(capsys, monkeypatch):
     (("term-info", MONOID, "--arity", str(_MAX_NESTING + 1)), 0),
     (("eval", MONOID, "--target", "free"), 0),
     (("eval", COMM, "--target", "comm-monoid-fp", "--json"), 0),
-    (("decide", MONOID, "--target", "free"), 0),
-    (("decide", COMM, "--target", "symmetries"), 0),
-    (("decide", MONOID, "--max-size", "1"), 2)])
-def test_terms_at_the_nesting_limit_are_handled(capsys, argv, expected):
+    (("decide", MONOID, "--target", "symmetries"), 0),
+    (("decide", COMM, "--target", "comm-monoid-fp"), 0),
+    (("decide", MONOID, "--max-size", "1"), 2),
+    (("decide", "magma", "--target", "free"), 0)])
+def test_terms_at_the_nesting_limit_are_handled(capsys, tmp_path, argv,
+                                                expected):
+    """Each decide case takes a target that satisfies its theory. The
+    free target satisfies no equation, so its decide case, the deepest
+    (free evaluation plus comparison), runs on a magma: one binary
+    operation and no equations."""
+    if argv[1] == "magma":
+        magma = tmp_path / "magma.th"
+        magma.write_text("theory Magma\nflavor plain\nops:\n  m : 2\n",
+                         encoding="utf-8")
+        argv = (argv[0], str(magma), *argv[2:])
     term = _nested(_MAX_NESTING)
     operands = (term, term) if argv[0] == "decide" else (term,)
     code, out, err = run(capsys, *argv, *operands)

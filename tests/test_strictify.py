@@ -1,7 +1,6 @@
 """Strictification: object enumeration, the strict action, the
 comparison back to the input, and the induced-map universal property."""
 
-import copy
 import importlib
 import itertools
 
@@ -89,18 +88,6 @@ def test_sample_arrows_cross_objects(z3_strict):
     arrows = z3_strict.sample_arrows(6)
     assert any(f.src != f.dst for f in arrows)
     assert any(f.src == f.dst for f in arrows)
-
-
-def test_as_finite_category(z3_strict):
-    fc, obj_ids, arrow_ids = z3_strict.as_finite_category()
-    assert len(fc.objects) == len(z3_strict.objects)
-    assert len(fc.arrows) == sum(len(z3_strict.hom(x, y))
-                                 for x in z3_strict.objects
-                                 for y in z3_strict.objects)
-    x = z3_strict.obj(0, ())
-    assert fc.is_identity(fc.identity(obj_ids[x.key()]))
-    f = z3_strict.hom(x, z3_strict.obj(1, ("2",)))[0]
-    assert z3_strict.arrow_id(f) in fc.arrows
 
 
 def test_strictness_and_equivalence_on_z3(z3_strict, z3_instance):
@@ -314,7 +301,7 @@ def test_universal_property_refuses_a_map_that_is_not_weak(z3_instance,
 
 
 UNIVERSAL_COUNTS = {
-    "functoriality": 1, "strict action on objects": 143,
+    "strict action on objects": 143,
     "strict action on arrows": 17, "restriction on objects": 3,
     "restriction on arrows": 9, "restriction coherence": 10,
     "uniqueness pins": 1600, "uniqueness agreement": 1600}
@@ -349,13 +336,13 @@ def test_strictify_returns_one_view_per_bounds(monoid):
 
 def test_checks_on_one_input_build_its_category_once(monoid, monkeypatch):
     """The strictness, comparison and three universal-property checks
-    on one input share its strict view: the category view is built
-    once, and every count stays pinned."""
+    on one input share its strict view: the view is built once, and
+    every count stays pinned."""
     W = indiscrete_monoid_instance(monoid, *zmod(3))
     built = []
-    trusted = FiniteCategory._trusted
-    monkeypatch.setattr(FiniteCategory, "_trusted", classmethod(
-        lambda cls, *args: built.append(args) or trusted(*args)))
+    init = StrictPCategory.__init__
+    monkeypatch.setattr(StrictPCategory, "__init__", lambda self, *args: (
+        built.append(args) or init(self, *args)))
     S = strictify(W)
     assert check_strictness(S).checked == STRICTNESS_COUNTS
     assert check_equivalence(S, W).checked == EQUIVALENCE_COUNTS[3]
@@ -365,23 +352,26 @@ def test_checks_on_one_input_build_its_category_once(monoid, monkeypatch):
         report = universal_property_check(W, G.target, G)
         assert (report.checked, report.failures) == (UNIVERSAL_COUNTS, [])
     assert len(built) == 1
-    assert strictify(W) is S and S._fc is not None
+    assert strictify(W) is S
 
 
-def test_uniqueness_reads_no_composite_table(z3_instance, monoid):
-    """Uniqueness composes in the base categories only; the strict
-    view's composite table is derived only when compose asks for it."""
+def test_uniqueness_reads_no_composite_table(z3_instance, monoid,
+                                            monkeypatch):
+    """Uniqueness composes in the base categories only: it neither
+    composes nor inverts an arrow of the strict category."""
     S = StrictPCategory(z3_instance)
-    st_fc = S.as_finite_category()[0]
     G = _maps(z3_instance, monoid)["doubling"]
     H = _induced_map(S, G.target, G, CheckReport())
+    calls = []
+    for name in ("compose", "inverse"):
+        method = getattr(StrictPCategory, name)
+        monkeypatch.setattr(StrictPCategory, name,
+                            lambda *args, name=name, method=method: (
+                                calls.append(name) or method(*args)))
     report = CheckReport()
     pinned = _uniqueness(S, z3_instance, G.target, G, H, report)
     assert len(pinned) == 1600 and report.ok
-    assert "_compose" not in vars(st_fc)
-    g, f, gf = st_fc.composable[-1]
-    assert st_fc.compose(g, f) == gf
-    assert len(vars(st_fc)["_compose"]) == len(st_fc.composable) == 64000
+    assert calls == []
 
 
 def _reference_pins(S, W, B, G, H):
@@ -465,7 +455,6 @@ def test_uniqueness_closure_matches_reference(label, z3_instance,
     oracle has the identity base arrow."""
     W, G, arrows = _uniqueness_inputs(z3_instance, z4_instance,
                                       monoid)[label]
-    # a fresh view, so the composite table the oracle derives is freed
     S = StrictPCategory(W)
     H = _induced_map(S, G.target, G, CheckReport())
     assert H is not None
@@ -526,16 +515,46 @@ def test_uniqueness_names_a_disagreeing_induced_map(z3_instance, monoid):
     W = z3_instance
     G = _maps(W, monoid)["identity"]
     S = strictify(W)
-    H = _induced_map(S, W, G, CheckReport())
-    st_fc = S.as_finite_category()[0]
-    changed = next(a for a in st_fc.arrows
-                   if not W.base.is_identity(H.arr([a])))
-    broken = copy.copy(H)
-    broken.arr_map = {**H.arr_map, changed: W.base.identity(
-        H.obj([st_fc.arrows[changed].src]))}
+    h_obj, h_arr = _induced_map(S, W, G, CheckReport())
+    changed = next(a for a, image in h_arr.items()
+                   if not W.base.is_identity(image))
+    broken = (h_obj, {**h_arr, changed: W.base.identity(h_obj[changed[0]])})
     report = CheckReport()
     _uniqueness(S, W, W, G, broken, report)
     assert report.checked == {"uniqueness pins": 1600,
                               "uniqueness agreement": 1599}
     assert report.failures == [
         f"forced value disagrees with the induced map at {changed!r}"]
+
+
+@pytest.mark.parametrize("label, pairs", [
+    ("identity", 64000), ("collapse", 64000), ("doubling", 64000),
+    ("z4 identity", 614125), ("skewed collapse", 576),
+    ("skewed onto Z/3", 576)])
+def test_induced_map_is_a_functor(label, pairs, z3_instance, z4_instance,
+                                  monoid):
+    """H runs each arrow between the images of its endpoints and
+    preserves identities and every composable pair of the strict
+    category: the construction argument of _induced_map, checked here
+    once rather than on every call."""
+    W, G, arrows = _uniqueness_inputs(z3_instance, z4_instance,
+                                      monoid)[label]
+    S = strictify(W)
+    h_obj, h_arr = _induced_map(S, G.target, G, CheckReport())
+    B = G.target.base
+    homs = {(x.key(), y.key()): S.hom(x, y)
+            for x in S.objects for y in S.objects}
+    assert len(h_arr) == sum(map(len, homs.values())) == arrows
+    for x in S.objects:
+        assert h_arr[S.identity(x).key()] == B.identity(h_obj[x.key()])
+    walked = 0
+    for (x_key, y_key), fs in homs.items():
+        for f in fs:
+            image = B.arrows[h_arr[f.key()]]
+            assert (image.src, image.dst) == (h_obj[x_key], h_obj[y_key])
+            for z in S.objects:
+                for g in homs[(y_key, z.key())]:
+                    walked += 1
+                    assert h_arr[S.compose(g, f).key()] \
+                        == B.compose(h_arr[g.key()], h_arr[f.key()])
+    assert walked == pairs

@@ -108,6 +108,14 @@ def test_header_keywords_match_only_the_whole_first_word(op):
     assert p.signature.ops == (("m", 2), (op, 1))
 
 
+def test_equation_without_an_arity_takes_its_largest_variable():
+    p = parse_presentation(
+        "theory T\nflavor plain\nops:\n  m : 2\n  e : 0\neqs:\n"
+        "  m(m(x1,x2),x3) = m(x1,m(x2,x3))\n  m(e,x1) = x1\n"
+        "  m(e,e) = e\n  @2: m(x1,x2) = m(x1,m(e,x2))\n")
+    assert [eq.arity for eq in p.equations] == [3, 1, 0, 2]
+
+
 def test_equation_arity_guard():
     with pytest.raises(TermError):
         Equation(1, t("m(x1,x2)"), t("x1"))

@@ -52,6 +52,11 @@ def test_parse_format_roundtrip():
     # an inferable codomain is elided when printing
     assert format_fp_tree(ft) == "[1,1] m(|,|)"
     assert parse_fp_tree(format_fp_tree(ft), SIG) == ft
+    # without a prefix the function is the identity
+    assert parse_permuted_tree("m(|,|)", SIG) \
+        == PermutedTree(perm((1, 2)), tr("m(|,|)"))
+    assert parse_fp_tree("m(e,|)", SIG) == FPTree(fn((1,), cod=1),
+                                                 tr("m(e,|)"))
     with pytest.raises(TreeError):
         parse_tree("m(|)", SIG)
     with pytest.raises(TreeError, match="^nesting deeper than 200 at column"):

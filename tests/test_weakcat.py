@@ -8,7 +8,7 @@ import pytest
 from conftest import (EXAMPLES, ROOT, identity_weak_functor,
                       skewed_group_instance, zmod)
 
-from operad_workbench.strictify import strictify
+from operad_workbench.operads import builtin_operad, default_assignment
 from operad_workbench.terms import format_term, parse_term
 from operad_workbench.trees import parse_tree
 from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
@@ -127,49 +127,23 @@ def test_functor_validation_errors_at_each_arity(k):
         assert message.endswith("at (('1', '1'),)")
 
 
-def _nested_composable(cat, composite):
+def _nested_composable(cat):
     """The pair walk each consumer made for itself before categories
     listed their composable pairs: f in arrow order, then g over the
     arrows out of f's target."""
-    return [(g, f.id, composite(g, f.id))
+    return [(g, f.id, cat.compose(g, f.id))
             for f in cat.arrows.values()
             for g in cat._from.get(f.dst, ())]
 
 
-def _strict_view_composite(S):
-    """Composites of the strict view as its table used to be filled:
-    looked up by (src, dst, base) with the base composite."""
-    _, _, arrow_ids = S.as_finite_category()
-    triple = {aid: key for key, aid in arrow_ids.items()}
-
-    def composite(g, f):
-        fx, _, fb = triple[f]
-        _, gy, gb = triple[g]
-        return arrow_ids[(fx, gy, S.W.base.compose(gb, fb))]
-    return composite
-
-
 @pytest.mark.parametrize("name", [
-    "indiscrete", "from_monoid", "terminal", "skewed",
-    "strict z3", "strict z4", "strict bundled"])
+    "indiscrete", "from_monoid", "terminal", "skewed"])
 def test_composable_table_matches_nested_enumeration(name, monoid):
-    if name.startswith("strict"):
-        W = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
-             "z4": lambda: indiscrete_monoid_instance(monoid, *zmod(4)),
-             "bundled": lambda: load_weakcat(
-                 (EXAMPLES / "indiscrete_monoid_weakcat.json")
-                 .read_text(encoding="utf-8"))}[name.split()[1]]()
-        S = strictify(W)
-        cat = S.as_finite_category()[0]
-        composite = _strict_view_composite(S)
-    else:
-        cat = {"indiscrete": lambda: FiniteCategory.indiscrete(
-                   ("a", "b", "c")),
-               "from_monoid": lambda: FiniteCategory.from_monoid(*zmod(4)),
-               "terminal": FiniteCategory.terminal,
-               "skewed": lambda: skewed_group_instance(monoid).base}[name]()
-        composite = cat.compose
-    want = _nested_composable(cat, composite)
+    cat = {"indiscrete": lambda: FiniteCategory.indiscrete(("a", "b", "c")),
+           "from_monoid": lambda: FiniteCategory.from_monoid(*zmod(4)),
+           "terminal": FiniteCategory.terminal,
+           "skewed": lambda: skewed_group_instance(monoid).base}[name]()
+    want = _nested_composable(cat)
     assert cat.composable == want
     assert cat._compose == {(g, f): gf for g, f, gf in want}
 
@@ -190,7 +164,7 @@ def test_functor_reports_the_first_broken_pair_at_arity_1():
     table order (f in arrow order, then g), not the first by g."""
     group = FiniteCategory.from_monoid(*zmod(4))
     arr_map = {"0": "0", "1": "1", "2": "2", "3": "1"}
-    broken = [(g, f) for g, f, gf in _nested_composable(group, group.compose)
+    broken = [(g, f) for g, f, gf in _nested_composable(group)
               if arr_map[gf] != group.compose(arr_map[g], arr_map[f])]
     assert len(broken) > 1 and broken[0] == ("2", "1")
     assert min(broken) == ("1", "2")
@@ -245,6 +219,28 @@ def test_derive_delta_returns_none_when_unrelated(pointed_abcd):
         == "o>o"
     assert W.derive_delta(parse_tree("a", sig), parse_tree("b", sig), ()) \
         is None
+
+
+@pytest.mark.parametrize("target, separated", [
+    ("terminal-plain", False), ("free", True)])
+def test_derive_delta_refutes_what_the_target_separates(pointed_abcd,
+                                                       target, separated):
+    """Two unmerged constants: a target that tells them apart refutes
+    the 2-cell, one that identifies them leaves it undecided."""
+    base = FiniteCategory.terminal()
+    generators = {
+        op: Functor(base, base, 0, {"": "o"}, {"": "o>o"}, name=op)
+        for op in pointed_abcd.signature.names()}
+    operad = builtin_operad(target, pointed_abcd)
+    W = WeakPCategoryData(base, pointed_abcd, generators, {}, operad,
+                          default_assignment(pointed_abcd, operad))
+    a, b = parse_term("a", pointed_abcd.signature), \
+        parse_term("b", pointed_abcd.signature)
+    if separated:
+        with pytest.raises(WeakcatError, match="^no 2-cell between a and b$"):
+            W.derive_delta(a, b, ())
+    else:
+        assert W.derive_delta(a, b, ()) is None
 
 
 def test_delta_validation_errors(monoid):
