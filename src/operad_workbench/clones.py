@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .finmaps import FinFunction, fn as make_fn
 from .operads import (CheckReport, EndOperad, FiniteOp, Operad, OperadError,
-                      op_from_callable)
+                      _table_entries)
 
 
 class CloneError(ValueError):
@@ -147,7 +147,8 @@ class FPFromClone(Operad):
 
 class EndClone(Clone):
     """All finitary operations on a finite carrier, substituted into a
-    shared argument tuple."""
+    shared argument tuple. A substitution reads its entries from the
+    outer element's validated table, so each lies in the carrier."""
 
     def __init__(self, carrier: int):
         if carrier < 1:
@@ -158,7 +159,11 @@ class EndClone(Clone):
     def proj(self, i: int, n: int) -> FiniteOp:
         if not 1 <= i <= n:
             raise CloneError(f"projection index {i} out of range for arity {n}")
-        return op_from_callable(self.carrier, n, lambda *args: args[i - 1])
+        # each value repeats for every setting of the later arguments
+        c = self.carrier
+        _table_entries(c, n)
+        block = tuple(v for v in range(1, c + 1) for _ in range(c ** (n - i)))
+        return FiniteOp(c, n, block * c ** (i - 1))
 
     def ccompose(self, p: FiniteOp, qs: Sequence[FiniteOp],
                  context: int | None = None) -> FiniteOp:
@@ -167,11 +172,10 @@ class EndClone(Clone):
             raise CloneError("carrier mismatch")
         # every q reads the same argument tuple, so entry j of the result
         # is p.table at the mixed-radix index of the q.table[j] values
-        offsets = [0] * self.carrier ** m
-        for i, q in enumerate(qs):
-            stride = self.carrier ** (len(qs) - 1 - i)
-            offsets = [o + (v - 1) * stride for o, v in zip(offsets, q.table)]
-        return FiniteOp(self.carrier, m, tuple(p.table[o] for o in offsets))
+        index = [0] * _table_entries(self.carrier, m)
+        for q in qs:
+            index = [x * self.carrier + v - 1 for x, v in zip(index, q.table)]
+        return FiniteOp(self.carrier, m, tuple(map(p.table.__getitem__, index)))
 
     def arity_of(self, p: FiniteOp) -> int:
         return p.arity

@@ -493,7 +493,8 @@ class FiniteOp:
         if len(self.table) != entries:
             raise OperadError(
                 f"table needs {entries} entries, got {len(self.table)}")
-        if any(not 1 <= v <= self.carrier for v in self.table):
+        if self.table and not (1 <= min(self.table)
+                               and max(self.table) <= self.carrier):
             raise OperadError("table values must lie in the carrier")
 
     def __call__(self, args: Sequence[int]) -> int:
@@ -530,6 +531,16 @@ def _table_entries(carrier: int, arity: int) -> int:
     return entries
 
 
+def _gather(table: Sequence[int], columns: Sequence[list[int]]) -> tuple:
+    """table at every sum of one entry per column, the last column
+    varying fastest; the last column is added in the pass that reads."""
+    offsets = [0]
+    for column in columns[:-1]:
+        offsets = [o + x for o in offsets for x in column]
+    return tuple([table[o + x] for o in offsets for x in columns[-1]]
+                 if columns else table[:1])
+
+
 def op_from_callable(carrier: int, arity: int, fn: Callable) -> FiniteOp:
     _table_entries(carrier, arity)
     table = []
@@ -539,7 +550,9 @@ def op_from_callable(carrier: int, arity: int, fn: Callable) -> FiniteOp:
 
 
 class EndOperad(Operad):
-    """All finitary operations on a finite carrier, under substitution."""
+    """All finitary operations on a finite carrier, under substitution.
+    A composite or acted table is gathered from the outer element's
+    validated table, so each of its entries lies in the carrier."""
 
     flavor = "fp"
 
@@ -571,23 +584,25 @@ class EndOperad(Operad):
             raise OperadError("carrier mismatch")
         arity = sum(q.arity for q in qs)
         _table_entries(self.carrier, arity)
-        # the composite's argument tuple is the inner argument blocks side
-        # by side, so its table walks the product of the inner tables and
-        # reads p.table at the mixed-radix index of the inner values
-        offsets = [0]
-        for i, q in enumerate(qs):
-            stride = self.carrier ** (len(qs) - 1 - i)
-            offsets = [o + (v - 1) * stride for o in offsets for v in q.table]
-        return FiniteOp(self.carrier, arity,
-                        tuple(p.table[o] for o in offsets))
+        # the composite's arguments are the inner blocks side by side, so
+        # inner element i adds its value times p's stride i to the index
+        columns = []
+        stride = 1
+        for q in reversed(qs):
+            columns.append([(v - 1) * stride for v in q.table])
+            stride *= self.carrier
+        columns.reverse()
+        return FiniteOp(self.carrier, arity, _gather(p.table, columns))
 
     def act_fn(self, f, p):
         self._check_act(f, p)
         _table_entries(self.carrier, f.cod)
-        table = []
-        for args in itertools.product(range(1, self.carrier + 1), repeat=f.cod):
-            table.append(p(select(f, args)))
-        return FiniteOp(self.carrier, f.cod, tuple(table))
+        # argument j is p's argument i for each i in f's fiber over j
+        weights = [0] * f.cod
+        for i, j in enumerate(f.table):
+            weights[j - 1] += self.carrier ** (f.dom - 1 - i)
+        columns = [[v * w for v in range(self.carrier)] for w in weights]
+        return FiniteOp(self.carrier, f.cod, _gather(p.table, columns))
 
     def enumerate_elements(self, arity, bound):
         out = []
@@ -692,28 +707,36 @@ class FreeOperad(Operad):
         return self._format(p)
 
 
-def eval_tree(tree, assignment: Mapping[str, object], operad: Operad):
+def eval_tree(tree, assignment: Mapping[str, object], operad: Operad,
+              memo: dict | None = None):
     """Evaluate a tree in an operad, sending each node label through the
     assignment. Permuted and relabelled pairs evaluate their plain tree
     and then apply the action. A tree the operad's budget refuses is
-    refused before anything is composed."""
+    refused before anything is composed. A memo, when given, maps plain
+    subtrees to their values and is read and filled."""
     operad.admit_tree(tree)
-    return _eval_tree(tree, assignment, operad)
+    return _eval_tree(tree, assignment, operad, memo)
 
 
-def _eval_tree(tree, assignment: Mapping[str, object], operad: Operad):
-    if isinstance(tree, PermutedTree):
-        return operad.act_perm(tree.fn, _eval_tree(tree.tree, assignment,
-                                                   operad))
+def _eval_tree(tree, assignment: Mapping[str, object], operad: Operad,
+               memo: dict | None):
     if isinstance(tree, FPTree):
-        return operad.act_fn(tree.fn, _eval_tree(tree.tree, assignment,
-                                                 operad))
+        act = operad.act_perm if isinstance(tree, PermutedTree) \
+            else operad.act_fn
+        return act(tree.fn, _eval_tree(tree.tree, assignment, operad, memo))
+    if memo is not None and (value := memo.get(tree)) is not None:
+        return value
     if isinstance(tree, Leaf):
-        return operad.identity()
-    if tree.op not in assignment:
+        value = operad.identity()
+    elif tree.op not in assignment:
         raise OperadError(f"no assignment for operation {tree.op!r}")
-    children = [_eval_tree(c, assignment, operad) for c in tree.children]
-    return operad.compose(assignment[tree.op], children)
+    else:
+        value = operad.compose(
+            assignment[tree.op],
+            [_eval_tree(c, assignment, operad, memo) for c in tree.children])
+    if memo is not None:
+        memo[tree] = value
+    return value
 
 
 class Interpretation:
@@ -743,8 +766,8 @@ class Interpretation:
         function, evaluate the shape, then act."""
         return eval_tree(to_object(t, n), self.assignment, self.operad)
 
-    def eval_tree(self, tree):
-        return eval_tree(tree, self.assignment, self.operad)
+    def eval_tree(self, tree, memo: dict | None = None):
+        return eval_tree(tree, self.assignment, self.operad, memo)
 
 
 @dataclass

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .operads import CheckReport, Interpretation, Operad, builtin_operad
+from .operads import (CheckReport, Interpretation, Operad, builtin_operad,
+                      validate_interpretation)
 from .terms import (MAX_STEPS, MAX_TERM_SIZE, App, Equation, Presentation,
                     RewriteStep, Term, Var, format_term, parse_presentation,
                     format_presentation, support)
@@ -284,6 +285,10 @@ class WeakPCategoryData:
             if assignment is None:
                 raise WeakcatError("target operad given without an assignment")
             self.interpretation = Interpretation(presentation, target, assignment)
+            report = validate_interpretation(self.interpretation)
+            if not report.ok:
+                raise WeakcatError(f"target {target.name} breaks the theory: "
+                                   f"{report.lines()[0]}")
         self._delta_memo: dict = {}
         # strictify's views of this instance, one per pair of bounds
         self._strict_views: dict = {}

@@ -191,13 +191,15 @@ class WeakeningContext:
 
         The objects come in (size, text) order and each class is keyed
         at its first member, so the members of a class, and the classes
-        by their first members, come out in that order too."""
+        by their first members, come out in that order too. One memo for
+        the call evaluates each distinct plain subtree once."""
         objects = self.enumerate_objects(arity, max_size)
         if self.evaluable:
-            values = [self.eval_object(obj) for obj in objects]
+            memo: dict = {}
             buckets: dict = {}
-            for obj, value in zip(objects, values):
-                buckets.setdefault(value, []).append(obj)
+            for obj in objects:
+                buckets.setdefault(self.interpretation.eval_tree(obj, memo),
+                                   []).append(obj)
             return [WeakClass(arity, value, tuple(members))
                     for value, members in buckets.items()]
         sat = self.saturation(arity)

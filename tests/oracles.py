@@ -180,6 +180,64 @@ def end_act(carrier_size, f_table, f_cod, p):
     return EndTable(carrier_size, f_cod, fn)
 
 
+# The end-N engines the library used before its gather kernel, kept as a
+# differential oracle. They work on raw tables: an n-ary operation on
+# {1..c} is the tuple of its c^n values, arguments in mixed radix with
+# the last one fastest.
+
+def _table_index(carrier_size, args):
+    index = 0
+    for a in args:
+        index = index * carrier_size + (a - 1)
+    return index
+
+
+def end_compose_walk(carrier_size, p_table, q_tables):
+    """Composition by the two-pass walk: every offset into p_table over
+    the product of the inner tables, then one read per offset."""
+    offsets = [0]
+    for i, q_table in enumerate(q_tables):
+        stride = carrier_size ** (len(q_tables) - 1 - i)
+        offsets = [o + (v - 1) * stride for o in offsets for v in q_table]
+    return tuple(p_table[o] for o in offsets)
+
+
+def end_act_walk(carrier_size, f_table, f_cod, p_table):
+    """The relabelling action one entry at a time: p read at the
+    arguments that f selects from each argument tuple."""
+    return tuple(p_table[_table_index(carrier_size, select(f_table, args))]
+                 for args in itertools.product(range(1, carrier_size + 1),
+                                               repeat=f_cod))
+
+
+def end_ccompose_walk(carrier_size, p_table, q_tables, context):
+    """Clone substitution by the stride walk: entry j reads p_table at
+    the mixed-radix index of the q_tables' entries j."""
+    offsets = [0] * carrier_size ** context
+    for i, q_table in enumerate(q_tables):
+        stride = carrier_size ** (len(q_tables) - 1 - i)
+        offsets = [o + (v - 1) * stride for o, v in zip(offsets, q_table)]
+    return tuple(p_table[o] for o in offsets)
+
+
+def end_proj_walk(carrier_size, i, n):
+    """The i-th n-ary projection, one argument tuple at a time."""
+    return tuple(args[i - 1] for args in
+                 itertools.product(range(1, carrier_size + 1), repeat=n))
+
+
+def finite_op_refusal(carrier_size, arity, table):
+    """The refusal of a tabulated operation, entry by entry: the
+    message, or None for a valid table. Only for arities within the
+    table budget."""
+    entries = carrier_size ** arity
+    if len(table) != entries:
+        return f"table needs {entries} entries, got {len(table)}"
+    if any(not 1 <= v <= carrier_size for v in table):
+        return "table values must lie in the carrier"
+    return None
+
+
 def enumerate_terms_brute(ops, arity, max_size):
     """All terms over ops with support inside 1..arity and at most max_size nodes.
 

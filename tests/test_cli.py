@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 from types import SimpleNamespace
 
@@ -276,6 +277,26 @@ def test_strictify_bad_end_table_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "strictify", str(path))
     assert code == 3 and out == ""
     assert err == "error: bad table entry in '2:[1,x,2,1]'\n"
+
+
+def test_strictify_refuses_a_target_that_breaks_the_theory(capsys,
+                                                           tmp_path):
+    """The bundled instance under end-2 and its stock assignment: load
+    refuses it, and strictify exits 3 with the text decide gives."""
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    data["target"] = "end-2"
+    data["interp"] = {"m": "2:[1,1,2,2]", "e": "0:[1]"}
+    text = json.dumps(data)
+    message = ("target end-2 breaks the theory: fails m(e,x1) = x1 @1: "
+               "1:[1,1] != 1:[1,2]")
+    with pytest.raises(WeakcatError, match=f"^{re.escape(message)}$"):
+        load_weakcat(text)
+    path = tmp_path / "end2.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "strictify", str(path)) == (3, "", f"error: {message}\n")
+    assert run(capsys, "decide", MONOID, "--target", "end-2", "m(e,x1)",
+               "x1") == (3, "", f"error: {message}\n")
 
 
 def test_perm_block_compose(capsys):

@@ -12,8 +12,9 @@ from operad_workbench.clones import (Clone, CloneError, CloneFromFP,
                                      clone_axiom_check,
                                      clone_roundtrip_check, roundtrip_check)
 from operad_workbench.operads import (CommMonoidFPOperad, EndOperad,
-                                      FiniteOp, IntPolyFPOperad,
+                                      FiniteOp, IntPolyFPOperad, OperadError,
                                       op_from_callable, operad_axiom_check)
+from oracles import end_ccompose_walk, end_proj_walk
 
 COMM = CommMonoidFPOperad()
 
@@ -92,6 +93,63 @@ def test_end_clone_ccompose_matches_pointwise_substitution():
             assert got == want, (carrier, n, m)
     with pytest.raises(CloneError):
         EndClone(2).ccompose(FiniteOp(2, 1, (1, 2)), [FiniteOp(3, 1, (1, 2, 3))])
+
+
+def assert_ccompose_matches_walk(clone, p, qs, context):
+    got = clone.ccompose(p, qs, context=context)
+    assert got.arity == context
+    assert got.table == end_ccompose_walk(clone.carrier, p.table,
+                                          [q.table for q in qs], context)
+
+
+@pytest.mark.parametrize("carrier", [1, 2, 3])
+def test_end_clone_kernels_match_the_walks_on_every_small_element(carrier):
+    """Every element of arity 0-2 substitutes a cycle of same-arity
+    elements, over contexts 0-2 in turn, and every element is
+    substituted once into a unary and a binary outer element."""
+    clone = EndClone(carrier)
+    elements = {n: clone.enumerate_elements(n, carrier ** carrier ** n)
+                for n in range(3)}
+    inner = {m: itertools.cycle(elements[m]) for m in range(3)}
+    for n in range(3):
+        for k, p in enumerate(elements[n]):
+            m = k % 3
+            assert_ccompose_matches_walk(
+                clone, p, [next(inner[m]) for _ in range(n)], m)
+    for m in range(3):
+        for k, q in enumerate(elements[m]):
+            for outer in (elements[1], elements[2]):
+                p = outer[k % len(outer)]
+                assert_ccompose_matches_walk(clone, p, [q] * p.arity, m)
+
+
+def test_end_clone_kernels_match_the_walks_at_arity_3():
+    rng = random.Random(29)
+    for carrier in (1, 2, 3):
+        clone = EndClone(carrier)
+        for n in range(4):
+            for m in range(4):
+                for _ in range(3):
+                    p, *qs = [FiniteOp(carrier, a, tuple(
+                        rng.randint(1, carrier) for _ in range(carrier ** a)))
+                        for a in (n,) + (m,) * n]
+                    assert_ccompose_matches_walk(clone, p, qs, m)
+
+
+def test_end_clone_projections_match_the_walk():
+    for carrier in (1, 2, 3):
+        clone = EndClone(carrier)
+        for n in range(1, 6):
+            for i in range(1, n + 1):
+                got = clone.proj(i, n)
+                assert got.arity == n
+                assert got.table == end_proj_walk(carrier, i, n)
+    with pytest.raises(OperadError, match="^an operation of arity 21 on 2 "
+                       "elements needs 2\\^21 table entries"):
+        EndClone(2).proj(1, 21)
+    with pytest.raises(OperadError, match="^an operation of arity 21 on 2 "
+                       "elements needs 2\\^21 table entries"):
+        EndClone(2).ccompose(FiniteOp(2, 0, (1,)), [], context=21)
 
 
 def test_clone_axiom_suites():

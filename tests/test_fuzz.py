@@ -1,7 +1,8 @@
-"""Bounded fuzz of the parsers and the command line. Every parser raises
-only its own error type on any text, and the command line exits 0-3 on
-any argv whose size flags stay small, with 3 for malformed input, never
-with a traceback."""
+"""Bounded fuzz of the parsers, the command line and the end-N kernels.
+Every parser raises only its own error type on any text, the command
+line exits 0-3 on any argv whose size flags stay small, with 3 for
+malformed input, never with a traceback, and the end-N kernels agree
+with the per-entry walks of tests/oracles.py on random tables."""
 
 import contextlib
 import io
@@ -12,13 +13,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from operad_workbench.cli import main
-from operad_workbench.finmaps import FinMapError, parse_fn, parse_perm
-from operad_workbench.operads import (OperadError, builtin_operad,
-                                      parse_poly)
+from operad_workbench.clones import EndClone
+from operad_workbench.finmaps import FinMapError, fn, parse_fn, parse_perm
+from operad_workbench.operads import (EndOperad, FiniteOp, OperadError,
+                                      builtin_operad, parse_poly)
 from operad_workbench.terms import (PresentationError, Signature, TermError,
                                     parse_presentation, parse_term)
 from operad_workbench.trees import (TreeError, parse_fp_tree,
                                     parse_permuted_tree, parse_tree)
+from oracles import (end_act_walk, end_ccompose_walk, end_compose_walk,
+                     end_proj_walk)
 
 SIG = Signature((("m", 2), ("e", 0)))
 
@@ -201,3 +205,36 @@ def test_cli_exits_3_on_a_malformed_term(command, text):
     code, out, err = _run([command, str(EXAMPLES / "monoid.th"), *extra])
     assert code == 3 and out == ""
     assert err.startswith(("error:", "usage error:"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_end_kernels_match_the_walks_on_random_tables(data):
+    """On a carrier of at most 3 and arities of at most 3: a composite,
+    an action by any function, a substitution and a projection."""
+    carrier = data.draw(st.integers(1, 3), label="carrier")
+
+    def op(arity):
+        size = carrier ** arity
+        return FiniteOp(carrier, arity, tuple(data.draw(st.lists(
+            st.integers(1, carrier), min_size=size, max_size=size))))
+
+    n = data.draw(st.integers(0, 3), label="arity")
+    p = op(n)
+    qs = [op(k) for k in data.draw(st.lists(
+        st.integers(0, 3), min_size=n, max_size=n), label="inner arities")]
+    assert EndOperad(carrier).compose(p, qs).table == end_compose_walk(
+        carrier, p.table, [q.table for q in qs])
+    cod = data.draw(st.integers(1 if n else 0, 3), label="codomain")
+    f = fn(tuple(data.draw(st.lists(st.integers(1, max(cod, 1)),
+                                    min_size=n, max_size=n), label="f")), cod)
+    assert EndOperad(carrier).act_fn(f, p).table == end_act_walk(
+        carrier, f.table, f.cod, p.table)
+    m = data.draw(st.integers(0, 3), label="context")
+    rs = [op(m) for _ in range(n)]
+    assert EndClone(carrier).ccompose(p, rs, context=m).table \
+        == end_ccompose_walk(carrier, p.table, [r.table for r in rs], m)
+    if n:
+        i = data.draw(st.integers(1, n), label="projection")
+        assert EndClone(carrier).proj(i, n).table \
+            == end_proj_walk(carrier, i, n)

@@ -3,10 +3,12 @@ their oracles, and interpretation of presented theories."""
 
 import itertools
 import random
+import re
 
 import pytest
 from conftest import comm_monoid_fp_context, random_poly
 
+from operad_workbench import operads
 from operad_workbench.finmaps import compose, fn, identity, inverse, perm
 from operad_workbench.operads import (CheckReport, CommMonoidFPOperad,
                                       EndOperad, FiniteOp, FreeOperad,
@@ -20,7 +22,8 @@ from operad_workbench.operads import (CheckReport, CommMonoidFPOperad,
                                       parse_poly, validate_interpretation)
 from operad_workbench.terms import Signature, parse_term
 from operad_workbench.trees import LEAF, Node, graft, parse_tree
-from oracles import (EndTable, end_act, end_compose,
+from oracles import (EndTable, end_act, end_act_walk, end_compose,
+                     end_compose_walk, finite_op_refusal,
                      oracle_block_compose, oracle_monoid_vector_act,
                      oracle_monoid_vector_compose, poly_eval)
 
@@ -260,6 +263,137 @@ def test_end_tables_over_the_budget_are_refused_before_they_are_built():
 def test_negative_end_arities_are_refused_by_name(call):
     with pytest.raises(OperadError, match="^negative arity -1$"):
         call()
+
+
+def functions_out_of(dom, max_cod):
+    """Every finite function out of dom into a codomain of at most
+    max_cod: the non-injective, the non-surjective and, for dom 0, the
+    empty ones."""
+    return [fn(table, cod) for cod in range(max_cod + 1)
+            for table in itertools.product(range(1, cod + 1), repeat=dom)]
+
+
+def assert_compose_matches_walk(operad, p, qs):
+    got = operad.compose(p, qs)
+    assert got.arity == sum(q.arity for q in qs)
+    assert got.table == end_compose_walk(operad.carrier, p.table,
+                                         [q.table for q in qs])
+
+
+def assert_act_matches_walk(operad, f, p):
+    got = operad.act_fn(f, p)
+    assert got.arity == f.cod
+    assert got.table == end_act_walk(operad.carrier, f.table, f.cod, p.table)
+
+
+@pytest.mark.parametrize("carrier", [1, 2, 3])
+def test_end_kernels_match_the_walks_on_every_small_element(carrier):
+    """Every element of arity 0-2 is composed as the outer element, and
+    the inner elements cycle through all of them; every element is acted
+    on by one function of a cycle through all functions out of its arity
+    into arities 0-3, and every such function acts on the first and last
+    element."""
+    operad = EndOperad(carrier)
+    elements = {n: operad.enumerate_elements(n, carrier ** carrier ** n)
+                for n in range(3)}
+    inner = itertools.cycle([q for n in range(3) for q in elements[n]])
+    for n in range(3):
+        fns = functions_out_of(n, 3)
+        for k, p in enumerate(elements[n]):
+            assert_compose_matches_walk(operad, p,
+                                        [next(inner) for _ in range(n)])
+            assert_act_matches_walk(operad, fns[k % len(fns)], p)
+        for f in fns:
+            for p in (elements[n][0], elements[n][-1]):
+                assert_act_matches_walk(operad, f, p)
+
+
+def test_end_kernels_match_the_walks_at_arity_3():
+    """A seeded pool up to arity 3: every inner arity tuple of total at
+    most 6 under each ternary element, nullary outer and inner elements,
+    and every function out of arity 3."""
+    rng = random.Random(19)
+    for carrier in (1, 2, 3):
+        operad = EndOperad(carrier)
+        pool = {n: [random_end_op(rng, carrier, n) for _ in range(3)]
+                for n in range(4)}
+        for p in pool[0]:
+            assert_compose_matches_walk(operad, p, [])
+        for n in (1, 2, 3):
+            for ks in itertools.product(range(4), repeat=n):
+                if sum(ks) > 6:
+                    continue
+                for p in pool[n]:
+                    assert_compose_matches_walk(
+                        operad, p, [rng.choice(pool[k]) for k in ks])
+        for f in functions_out_of(3, 3):
+            for p in pool[3]:
+                assert_act_matches_walk(operad, f, p)
+        for f in functions_out_of(0, 3):
+            for p in pool[0]:
+                assert_act_matches_walk(operad, f, p)
+
+
+@pytest.mark.parametrize("carrier, arity, table, message", [
+    (2, 1, (0, 1), "table values must lie in the carrier"),
+    (3, 1, (1, 4, 2), "table values must lie in the carrier"),
+    (2, 2, (1, 2, 1), "table needs 4 entries, got 3"),
+    (2, 1, (), "table needs 2 entries, got 0")])
+def test_finite_op_refusals_keep_their_messages(carrier, arity, table,
+                                                message):
+    assert finite_op_refusal(carrier, arity, table) == message
+    with pytest.raises(OperadError, match=f"^{re.escape(message)}$"):
+        FiniteOp(carrier, arity, table)
+
+
+def test_finite_op_refuses_what_the_per_entry_check_refused():
+    """A seeded sweep of tables near the right length with values just
+    outside the carrier, including the empty carrier, against the
+    per-entry check's verdicts and messages."""
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(3000):
+        carrier = rng.randint(0, 3)
+        arity = rng.randint(0, 2)
+        length = max(0, carrier ** arity + rng.choice((-1, 0, 0, 0, 1)))
+        table = tuple(rng.randint(-1, carrier + 1) if rng.random() < 0.1
+                      else rng.randint(1, max(carrier, 1))
+                      for _ in range(length))
+        want = finite_op_refusal(carrier, arity, table)
+        try:
+            FiniteOp(carrier, arity, table)
+            got = None
+        except OperadError as exc:
+            got = str(exc)
+        assert got == want, (carrier, arity, table)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_end_tables_past_the_budget_are_refused_before_any_gather(
+        monkeypatch):
+    """Counted on a lowered budget, so no table past the real one is
+    ever allocated: a refused composite or action reaches no gather."""
+    gathered = []
+    gather = operads._gather
+    monkeypatch.setattr(operads, "_gather", lambda table, columns:
+                        gathered.append(len(columns))
+                        or gather(table, columns))
+    monkeypatch.setattr(operads, "_TABLE_ENTRIES", 16)
+    end2 = EndOperad(2)
+    p = FiniteOp(2, 2, (1, 2, 2, 1))
+    q = FiniteOp(2, 3, (1, 2) * 4)
+    for refused, arity in ((lambda: end2.compose(p, [q, q]), 6),
+                           (lambda: end2.act_fn(fn((1, 2), cod=5), p), 5)):
+        with pytest.raises(OperadError) as info:
+            refused()
+        assert str(info.value) == (
+            f"an operation of arity {arity} on 2 elements needs 2^{arity} "
+            f"table entries, over the budget of 16")
+    assert gathered == []
+    assert len(end2.compose(p, [q, end2.identity()]).table) == 16
+    assert len(end2.act_fn(fn((1, 4), cod=4), p).table) == 16
+    assert gathered == [2, 4]
 
 
 def test_free_operad_composes_by_grafting():

@@ -243,6 +243,30 @@ def test_derive_delta_refutes_what_the_target_separates(pointed_abcd,
         assert W.derive_delta(a, b, ()) is None
 
 
+END2_REFUSAL = ("target end-2 breaks the theory: fails m(e,x1) = x1 @1: "
+                "1:[1,1] != 1:[1,2]")
+
+
+def test_a_target_that_breaks_the_theory_is_refused(monoid, z3_instance,
+                                                    z4_instance):
+    """The Z/3 data under end-2 and its stock assignment (the first
+    projection, which is no unit) is refused naming the first failing
+    equation; the same data under terminal-plain, and Z/4, load."""
+    W = z3_instance
+    operad = builtin_operad("end-2")
+    with pytest.raises(WeakcatError) as info:
+        WeakPCategoryData(W.base, monoid, W.generators, W.deltas, operad,
+                          default_assignment(monoid, operad))
+    assert str(info.value) == END2_REFUSAL
+    terminal = builtin_operad("terminal-plain")
+    for instance in (z3_instance, z4_instance):
+        assert WeakPCategoryData(
+            instance.base, monoid, instance.generators, instance.deltas,
+            terminal, default_assignment(monoid, terminal)).interpretation
+    assert load_weakcat((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                        .read_text(encoding="utf-8")).interpretation
+
+
 def test_delta_validation_errors(monoid):
     base = FiniteCategory.indiscrete(("0", "1"))
     mult = lambda a, b: str((int(a) + int(b)) % 2)

@@ -7,9 +7,11 @@ import pytest
 
 from conftest import (comm_monoid_fp_context, is_linear, is_run,
                       replay_chain)
-from operad_workbench.operads import (Interpretation, TerminalPlainOperad,
+from operad_workbench.operads import (EndOperad, FiniteOp, Interpretation,
+                                      OperadError, TerminalPlainOperad,
                                       TerminalSymmetricOperad,
-                                      builtin_operad, default_assignment)
+                                      builtin_operad, default_assignment,
+                                      eval_tree)
 from operad_workbench.terms import (Presentation, closure_saturate,
                                     format_term, parse_term, var_seq)
 from operad_workbench.trees import (PermutedTree, graft, parse_permuted_tree,
@@ -315,3 +317,79 @@ def test_same_arity_queries_at_cap_9_answer_yes_and_replay(name, request):
             assert decision.yes, (a, b, decision.reason)
             replay_chain(pres.equations, decision.trace,
                          ctx.object_term(a), ctx.object_term(b))
+
+
+def per_object_classes(ctx, arity, size):
+    """The partition enumerate_classes gives, by one eval_object per
+    object and no shared memo."""
+    buckets: dict = {}
+    for obj in ctx.enumerate_objects(arity, size):
+        buckets.setdefault(ctx.eval_object(obj), []).append(obj)
+    return [(value, tuple(members)) for value, members in buckets.items()]
+
+
+def random_element(rng, operad, arity):
+    if isinstance(operad, EndOperad):
+        return FiniteOp(2, arity, tuple(rng.randint(1, 2)
+                                        for _ in range(2 ** arity)))
+    return tuple(rng.randint(0, 2) for _ in range(arity))
+
+
+@pytest.mark.parametrize("name, target, size", [
+    ("monoid", "end-2", 7), ("unbiased_monoid", "end-2", 6),
+    ("comm_monoid", "comm-monoid-fp", 6)])
+def test_memoized_classes_match_per_object_evaluation(name, target, size,
+                                                      request):
+    """Under the stock assignment and two seeded ones, some of which
+    break the theory and so split the objects into many classes."""
+    presentation = request.getfixturevalue(name)
+    operad = builtin_operad(target)
+    rng = random.Random(31)
+    assignments = [default_assignment(presentation, operad)] + [
+        {op: random_element(rng, operad, k)
+         for op, k in presentation.signature.ops} for _ in range(2)]
+    split = 0
+    for assignment in assignments:
+        ctx = WeakeningContext(presentation, Interpretation(
+            presentation, operad, assignment))
+        for arity in range(4):
+            classes = ctx.enumerate_classes(arity, size)
+            assert all(c.arity == arity for c in classes)
+            assert [(c.element, c.members) for c in classes] \
+                == per_object_classes(ctx, arity, size)
+            split = max(split, len(classes))
+    assert split > 1
+
+
+def test_memoized_evaluation_refuses_an_unassigned_operation(monoid):
+    operad = EndOperad(2)
+    ctx = WeakeningContext(monoid, Interpretation(
+        monoid, operad, default_assignment(monoid, operad)))
+    del ctx.interpretation.assignment["e"]
+    assert len(ctx.enumerate_classes(2, 3)) == 1
+    with pytest.raises(OperadError, match="^no assignment for operation 'e'$"):
+        ctx.enumerate_classes(1, 3)
+    with pytest.raises(OperadError, match="^no assignment for operation 'e'$"):
+        eval_tree(parse_tree("m(|,m(e,|))", monoid.signature),
+                  ctx.interpretation.assignment, operad, {})
+
+
+def test_classes_compose_each_distinct_subtree_once(monoid, monkeypatch):
+    """At monoid arity 3, size 11: the 1,002 objects have 7,644
+    operation nodes but 1,211 distinct subtrees rooted at one, and each
+    later call starts from an empty memo."""
+    calls = []
+    compose = EndOperad.compose
+    monkeypatch.setattr(EndOperad, "compose", lambda self, p, qs:
+                        calls.append(p) or compose(self, p, qs))
+    operad = EndOperad(2)
+    ctx = WeakeningContext(monoid, Interpretation(monoid, operad, {
+        "m": FiniteOp(2, 2, (1, 2, 2, 1)), "e": FiniteOp(2, 0, (1,))}))
+    want = per_object_classes(ctx, 3, 11)
+    assert sum(len(members) for _, members in want) == 1002
+    assert len(calls) == 7644
+    for _ in range(2):
+        calls.clear()
+        classes = ctx.enumerate_classes(3, 11)
+        assert len(calls) == 1211
+        assert [(c.element, c.members) for c in classes] == want
