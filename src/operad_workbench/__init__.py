@@ -9,7 +9,7 @@ from .terms import (App, Equation, GENERAL, LINEAR, Presentation,
                     PresentationError, STRONGLY_REGULAR, Signature, Term,
                     TermError, Var, classify_equation, classify_presentation,
                     classify_term, closure_saturate, enumerate_terms,
-                    format_presentation, format_term, graft_term, label_fn,
+                    format_presentation, format_term, label_fn,
                     parse_presentation, parse_term, substitute, support,
                     term_size, var_seq)
 from .trees import (FPTree, Leaf, Node, PermutedTree, Tree, TreeError,

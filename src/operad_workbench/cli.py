@@ -148,7 +148,7 @@ def _context(args, presentation) -> WeakeningContext:
         report = validate_interpretation(interpretation)
         if not report.ok:
             raise OperadError(f"target {args.target} breaks the theory: "
-                              f"{report.lines()[0]}")
+                              f"{report.failures[0]}")
     return ctx
 
 
@@ -178,13 +178,7 @@ def cmd_term_info(args) -> int:
         "class": classify_term(term, args.arity),
         "split": format_fp_tree(pair),
     }
-    lines = [f"term: {payload['term']}",
-             f"arity: {args.arity}",
-             f"size: {payload['size']}",
-             f"variables: {payload['variables']}",
-             f"class: {payload['class']}",
-             f"split: {payload['split']}"]
-    _emit(args, payload, lines)
+    _emit(args, payload, [f"{key}: {value}" for key, value in payload.items()])
     return 0
 
 

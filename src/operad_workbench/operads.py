@@ -26,8 +26,8 @@ from .finmaps import (FinFunction, block_compose, block_permutation,
                       comb_compose, compose, direct_sum, fn as make_fn,
                       format_fn, identity, inverse, parse_perm, perm,
                       select)
-from .terms import (FLAVOR_RANK, Equation, Presentation, Signature, Term,
-                    _compositions, format_term)
+from .terms import (FLAVOR_RANK, Presentation, Signature, Term, _compositions,
+                    format_term)
 from .trees import (FPTree, LEAF, Leaf, Node, PermutedTree, act_fn_tree,
                     compose_fp, enumerate_fp_trees, enumerate_permuted_trees,
                     enumerate_trees, format_fp_tree, format_tree, graft,
@@ -770,34 +770,18 @@ class Interpretation:
         return eval_tree(tree, self.assignment, self.operad, memo)
 
 
-@dataclass
-class InterpretationReport:
-    equation_failures: list[tuple[Equation, str, str]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.equation_failures
-
-    def lines(self) -> list[str]:
-        out = []
-        if self.ok:
-            out.append("all equations hold")
-        for eq, lhs, rhs in self.equation_failures:
-            out.append(f"fails {format_term(eq.lhs)} = {format_term(eq.rhs)} "
-                       f"@{eq.arity}: {lhs} != {rhs}")
-        return out
-
-
-def validate_interpretation(interp: Interpretation) -> InterpretationReport:
+def validate_interpretation(interp: Interpretation) -> CheckReport:
     """Check every equation of the presentation under the assignment."""
-    failures = []
+    report = CheckReport()
     for eq in interp.presentation.equations:
+        report.note("equation")
         lhs = interp.eval_term(eq.lhs, eq.arity)
         rhs = interp.eval_term(eq.rhs, eq.arity)
         if lhs != rhs:
-            failures.append((eq, interp.operad.format_element(lhs),
-                             interp.operad.format_element(rhs)))
-    return InterpretationReport(failures)
+            report.fail(f"fails {format_term(eq.lhs)} = {format_term(eq.rhs)} "
+                        f"@{eq.arity}: {interp.operad.format_element(lhs)} != "
+                        f"{interp.operad.format_element(rhs)}")
+    return report
 
 
 @dataclass

@@ -147,15 +147,6 @@ def classify_term(t: Term, n: int) -> str:
     return GENERAL
 
 
-def graft_term(t: Term, subs: Sequence[Term]) -> Term:
-    """Substitute subs[i-1] for every occurrence of x_i; needs support <= len(subs)."""
-    if isinstance(t, Var):
-        if t.index > len(subs):
-            raise TermError(f"graft needs at least {t.index} arguments")
-        return subs[t.index - 1]
-    return App(t.op, tuple(graft_term(a, subs) for a in t.args))
-
-
 def substitute(t: Term, binding: Mapping[int, Term]) -> Term:
     if isinstance(t, Var):
         try:
@@ -163,22 +154,6 @@ def substitute(t: Term, binding: Mapping[int, Term]) -> Term:
         except KeyError:
             raise TermError(f"no binding for x{t.index}") from None
     return App(t.op, tuple(substitute(a, binding) for a in t.args))
-
-
-def rename_vars(t: Term, f: FinFunction) -> Term:
-    """Relabel variables along f: x_i |-> x_{f(i)}."""
-    if isinstance(t, Var):
-        return Var(f(t.index))
-    return App(t.op, tuple(rename_vars(a, f) for a in t.args))
-
-
-def positions(t: Term) -> list[tuple[int, ...]]:
-    """All subterm positions, root first, as child-index paths."""
-    out: list[tuple[int, ...]] = [()]
-    if isinstance(t, App):
-        for i, a in enumerate(t.args):
-            out.extend((i,) + p for p in positions(a))
-    return out
 
 
 def subterm_at(t: Term, pos: Sequence[int]) -> Term:
@@ -339,6 +314,19 @@ class _Scanner:
         self.depth -= 1
         return tuple(parsed)
 
+    def check_op(self, name: str, count: int, noun: str):
+        """Under a signature, refuse an operation it does not declare, or
+        one given count arguments or children (the noun) where it
+        declares another number."""
+        if self.signature is None:
+            return
+        if name not in self.signature:
+            raise self.error(f"unknown operation {name!r}")
+        declared = self.signature.arity(name)
+        if count != declared:
+            raise self.error(
+                f"operation {name!r} expects {declared} {noun}, got {count}")
+
 
 class _TermParser(_Scanner):
     error_class = TermError
@@ -356,15 +344,8 @@ class _TermParser(_Scanner):
         if _VAR_RE.match(name):
             return Var(int(name[1:]))
         args = self.arguments(self.term)
-        t = App(name, args)
-        if self.signature is not None:
-            if name not in self.signature:
-                raise self.error(f"unknown operation {name!r}")
-            declared = self.signature.arity(name)
-            if len(args) != declared:
-                raise self.error(
-                    f"operation {name!r} expects {declared} arguments, got {len(args)}")
-        return t
+        self.check_op(name, len(args), "arguments")
+        return App(name, args)
 
 
 def parse_term(text: str, signature: Signature | None = None) -> Term:
@@ -844,8 +825,9 @@ def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
         occurring = sorted(support(eq.lhs) | support(eq.rhs))
         base_l = term_size(eq.lhs)
         base_r = term_size(eq.rhs)
-        occ_l = {v: _occurrences(eq.lhs, v) for v in occurring}
-        occ_r = {v: _occurrences(eq.rhs, v) for v in occurring}
+        seq_l, seq_r = var_seq(eq.lhs), var_seq(eq.rhs)
+        occ_l = {v: seq_l.count(v) for v in occurring}
+        occ_r = {v: seq_r.count(v) for v in occurring}
 
         def assign(i: int, size_l: int, size_r: int, used: int,
                    binding: dict[int, int], budget: int) -> int:
@@ -881,12 +863,6 @@ def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
         if budget <= 0:
             return budget
     return budget
-
-
-def _occurrences(t: Term, v: int) -> int:
-    if isinstance(t, Var):
-        return 1 if t.index == v else 0
-    return sum(_occurrences(a, v) for a in t.args)
 
 
 def _congruence_fixpoint(sat: SaturationResult, budget: int) -> int:

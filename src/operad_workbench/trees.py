@@ -226,16 +226,8 @@ class _TreeParser(_Scanner):
         name = m.group(0)
         self.pos = m.end()
         children = self.arguments(self.tree)
-        node = Node(name, children)
-        if self.signature is not None:
-            if name not in self.signature:
-                raise self.error(f"unknown operation {name!r}")
-            declared = self.signature.arity(name)
-            if len(children) != declared:
-                raise self.error(
-                    f"operation {name!r} expects {declared} children, "
-                    f"got {len(children)}")
-        return node
+        self.check_op(name, len(children), "children")
+        return Node(name, children)
 
 
 def parse_tree(text: str, signature: Signature | None = None) -> Tree:

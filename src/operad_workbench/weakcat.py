@@ -288,7 +288,7 @@ class WeakPCategoryData:
             report = validate_interpretation(self.interpretation)
             if not report.ok:
                 raise WeakcatError(f"target {target.name} breaks the theory: "
-                                   f"{report.lines()[0]}")
+                                   f"{report.failures[0]}")
         self._delta_memo: dict = {}
         # strictify's views of this instance, one per pair of bounds
         self._strict_views: dict = {}
@@ -384,12 +384,14 @@ class WeakPCategoryData:
                      operands: Sequence[str]) -> str | None:
         """The base arrow h(t1)(operands) -> h(t2)(operands) compiled
         along the shortest rewrite path, or None when no path fits the
-        budgets. The context saturates only its flavor's universe, the
-        runs of a plain theory or the linear terms of a symmetric one,
-        so a term outside it gets None too: one that repeats a variable,
-        or under a plain theory one whose variables are out of order,
-        such as m(x2,x1). Raises when the trees are provably
-        unrelated."""
+        term size bound. The context saturates only its flavor's
+        universe, the runs of a plain theory or the linear terms of a
+        symmetric one, so a term outside it gets None too: one that
+        repeats a variable, or under a plain theory one whose variables
+        are out of order, such as m(x2,x1). Raises when the trees are
+        provably unrelated, and when the step budget ran out before the
+        closure merged them, since a check that skipped the pair would
+        pass on fewer instances than it claims."""
         term1, term2 = self._as_term(t1), self._as_term(t2)
         operands = tuple(operands)
         key = (term1, term2, operands)
@@ -411,6 +413,11 @@ class WeakPCategoryData:
                 raise WeakcatError(
                     f"no 2-cell between {format_term(term1)} and "
                     f"{format_term(term2)}")
+            if sat.exhausted:
+                raise WeakcatError(
+                    f"the saturation budget of {self.context.max_steps} "
+                    f"steps ran out at arity {arity} before "
+                    f"{format_term(term1)} and {format_term(term2)} merged")
             return None
         steps = sat.explain(term1, term2)
         return self.compile_path(steps, operands,
@@ -725,9 +732,12 @@ def load_weakcat(text: str) -> WeakPCategoryData:
         assignment = {op: target.parse_element(text_)
                       for op, text_ in interp.items()}
     bounds = _object(data.get("bounds", {}), "field 'bounds'")
-    for name in bounds:
-        if type(bounds[name]) is not int:
-            raise WeakcatError(f"bound {name!r} must be an integer")
+    for name, value in bounds.items():
+        if name not in ("max_term_size", "max_steps"):
+            raise WeakcatError(f"unknown bound {name!r}; expected "
+                               "'max_term_size' or 'max_steps'")
+        if type(value) is not int or value < 1:
+            raise WeakcatError(f"bound {name!r} must be a positive integer")
     return WeakPCategoryData(
         base, presentation, generators, deltas, target, assignment,
         max_term_size=bounds.get("max_term_size", MAX_TERM_SIZE),

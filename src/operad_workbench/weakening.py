@@ -16,10 +16,10 @@ nothing genuinely weak survives. Use plain or symmetric flavor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .operads import Interpretation
+from .operads import CheckReport, Interpretation
 from .terms import (MAX_STEPS, MAX_TERM_SIZE, Presentation, RewriteStep,
                     SaturationResult, Term, closure_saturate, format_term)
 from .trees import (FPTree, PermutedTree, Tree, enumerate_permuted_trees,
@@ -213,21 +213,11 @@ class WeakeningContext:
 
 
 @dataclass
-class AgreementReport:
-    arities: dict[int, tuple[list[str], list[str]]]
-    failures: list[str]
+class AgreementReport(CheckReport):
+    """The realized elements of each side, sorted, per arity."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def lines(self) -> list[str]:
-        out = []
-        for arity in sorted(self.arities):
-            left, right = self.arities[arity]
-            out.append(f"arity {arity}: {len(left)} vs {len(right)} classes")
-        out.extend(f"FAIL {msg}" for msg in self.failures)
-        return out
+    arities: dict[int, tuple[list[str], list[str]]] = field(
+        default_factory=dict)
 
 
 def biased_unbiased_agreement(ctx_a: WeakeningContext, ctx_b: WeakeningContext,
@@ -248,17 +238,17 @@ def biased_unbiased_agreement(ctx_a: WeakeningContext, ctx_b: WeakeningContext,
     if op_a.name != op_b.name or op_a.flavor != op_b.flavor:
         raise WeakeningError(
             f"contexts target different operads: {op_a.name} vs {op_b.name}")
-    per_arity: dict[int, tuple[list[str], list[str]]] = {}
-    failures: list[str] = []
+    report = AgreementReport()
     for arity in arities:
         classes_a = ctx_a.enumerate_classes(arity, max_size)
         classes_b = ctx_b.enumerate_classes(arity, max_size)
         keys_a = sorted(op_a.format_element(c.element) for c in classes_a)
         keys_b = sorted(op_b.format_element(c.element) for c in classes_b)
-        per_arity[arity] = (keys_a, keys_b)
+        report.arities[arity] = (keys_a, keys_b)
+        report.note("arity")
         if keys_a != keys_b:
-            failures.append(
+            report.fail(
                 f"arity {arity}: realized elements {keys_a} vs {keys_b}")
         if len(set(keys_a)) != len(keys_a) or len(set(keys_b)) != len(keys_b):
-            failures.append(f"arity {arity}: an element heads two classes")
-    return AgreementReport(per_arity, failures)
+            report.fail(f"arity {arity}: an element heads two classes")
+    return report

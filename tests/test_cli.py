@@ -299,6 +299,26 @@ def test_strictify_refuses_a_target_that_breaks_the_theory(capsys,
                "x1") == (3, "", f"error: {message}\n")
 
 
+def test_strictify_refuses_an_exhausted_saturation_budget(capsys,
+                                                         tmp_path):
+    """A closure cut short by max_steps leaves pairs unmerged that the
+    strict checks would skip as out of bounds; strictify refuses it
+    instead of passing on fewer instances. A budget that suffices
+    prints what the bundled instance prints."""
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    path = tmp_path / "budget.json"
+    data["bounds"]["max_steps"] = 1
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "strictify", str(path)) == (
+        3, "", "error: the saturation budget of 1 steps ran out at arity 0 "
+        "before e and m(e,e) merged\n")
+    data["bounds"]["max_steps"] = 50
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "strictify", str(path)) \
+        == run(capsys, "strictify", WEAKCAT)
+
+
 def test_perm_block_compose(capsys):
     code, out, _ = run(capsys, "perm", "block-compose",
                        "[2,1]", "[1,3,2]", "[2,1]")
@@ -510,12 +530,20 @@ def _other_than(value, pool):
 @st.composite
 def broken_instances(draw):
     """The bundled instance with one entry of compose, identities or
-    arrows dropped, re-keyed or replaced. Its base category is
-    indiscrete, so every such change leaves the category invalid."""
+    arrows dropped, re-keyed or replaced, or with a bound that is not a
+    positive integer or has no such name. Its base category is
+    indiscrete, so every such change leaves the instance invalid."""
     data = json.loads(BUNDLED)
     ids = [a["id"] for a in data["arrows"]]
-    field = draw(st.sampled_from(["compose", "identities", "arrows"]))
-    if field == "arrows":
+    field = draw(st.sampled_from(["compose", "identities", "arrows",
+                                  "bounds"]))
+    if field == "bounds":
+        name = draw(st.sampled_from(["max_term_size", "max_steps", "bogus"]))
+        values = st.one_of(JUNK, st.integers(-3, 0))
+        if name != "bogus":
+            values = values.filter(lambda v: type(v) is not int or v < 1)
+        data["bounds"][name] = draw(values)
+    elif field == "arrows":
         entries = data["arrows"]
         i = draw(st.integers(0, len(entries) - 1))
         how = draw(st.sampled_from(["drop", "replace", "edit"]))

@@ -435,14 +435,16 @@ def test_interpretation_evaluates_terms(comm_monoid):
 
 def test_validate_interpretation_detects_broken_assignment(comm_monoid):
     good = comm_monoid_fp_context(comm_monoid).interpretation
-    assert validate_interpretation(good).ok
-    assert validate_interpretation(good).lines() == ["all equations hold"]
+    report = validate_interpretation(good)
+    assert isinstance(report, CheckReport) and report.ok
+    assert report.checked == {"equation": 4}
+    assert report.lines() == ["ok equation: 4 instances"]
     operad = CommMonoidFPOperad()
     bad = Interpretation(comm_monoid, operad, {"m": (1, 2), "e": ()})
     report = validate_interpretation(bad)
     assert not report.ok
-    assert report.equation_failures
-    assert report.lines() == [
+    assert report.checked == {"equation": 4}
+    assert report.failures == [
         "fails m(m(x1,x2),x3) = m(x1,m(x2,x3)) @3: [1,2,2] != [1,2,4]",
         "fails m(e,x1) = x1 @1: [2] != [1]",
         "fails m(x1,x2) = m(x2,x1) @2: [1,2] != [2,1]"]

@@ -3,6 +3,7 @@ comparison back to the input, and the induced-map universal property."""
 
 import importlib
 import itertools
+import json
 
 import pytest
 from conftest import (EXAMPLES, collapse_functor, doubling_functor,
@@ -10,6 +11,7 @@ from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       terminal_weakcat, zmod)
 from oracles import reference_close_pins, reference_seed_pins
 
+from operad_workbench.cli import main
 from operad_workbench.operads import CheckReport, TerminalPlainOperad
 from operad_workbench.terms import (Equation, Presentation, Signature,
                                     parse_term)
@@ -186,6 +188,37 @@ def test_strictness_counts_are_pinned(z3_instance, z4_instance):
         report = check_equivalence(S, W)
         assert report.checked == EQUIVALENCE_COUNTS[len(W.base.objects)]
         assert report.ok, report.lines()
+
+
+def test_symmetric_strict_view_is_pinned(capsys, tmp_path):
+    """The bundled instance over comm_monoid.th, under terminal-symmetric,
+    with the commutativity cells added (Z/3 commutes, so each is an
+    identity): the symmetric view enumerates, acts strictly and is
+    coherent, and strictify refuses only the plain-only comparison."""
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    data["theory"] = (EXAMPLES / "comm_monoid.th").read_text(encoding="utf-8")
+    data["target"] = "terminal-symmetric"
+    data["deltas"]["m(|,|)=[2,1] m(|,|)@2"] = {
+        f"{a},{b}": f"{(a + b) % 3}>{(a + b) % 3}"
+        for a in range(3) for b in range(3)}
+    text = json.dumps(data)
+    W = load_weakcat(text)
+    S = strictify(W)
+    assert len(S.objects) == 40
+    report = check_strictness(S)
+    assert report.checked == STRICTNESS_COUNTS
+    assert report.ok, report.lines()
+    report = coherence_check(W)
+    assert report.checked == {"edge coherence": 592}
+    assert report.ok, report.lines()
+    path = tmp_path / "symmetric.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["strictify", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: the comparison check is implemented for plain presentations "
+        "only; operand order under permuted representatives is not "
+        "handled\n")
 
 
 def test_skewed_instance_failure_lines(monoid):

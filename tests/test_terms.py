@@ -17,9 +17,8 @@ from operad_workbench.terms import (App, Equation, GENERAL, LINEAR,
                                     Var, classify_equation,
                                     classify_presentation, classify_term,
                                     closure_saturate, enumerate_terms,
-                                    format_equation, format_term, graft_term,
-                                    label_fn, max_var, parse_presentation,
-                                    parse_term, positions, rename_vars,
+                                    format_equation, format_term, label_fn,
+                                    max_var, parse_presentation, parse_term,
                                     replace_at, subterm_at, substitute,
                                     support, term_size, var_seq)
 from oracles import enumerate_terms_brute, naive_equality_closure
@@ -41,6 +40,18 @@ def test_parse_errors():
     for bad in ("", "m(x1", "m(x1,)", "x0", "m(x1,x2) junk", "f(x1)"):
         with pytest.raises(TermError):
             t(bad)
+    # the operation check the tree parser shares, column included
+    for bad, message in (
+            ("f(x1)", "unknown operation 'f' at column 6"),
+            ("m(x1)", "operation 'm' expects 2 arguments, got 1 at column 6"),
+            ("m", "operation 'm' expects 2 arguments, got 0 at column 2"),
+            (" m(x1, m(e) )",
+             "operation 'm' expects 2 arguments, got 1 at column 12"),
+            ("m(x1,e(e))",
+             "operation 'e' expects 0 arguments, got 1 at column 10")):
+        with pytest.raises(TermError) as info:
+            t(bad)
+        assert str(info.value) == f"{message} in {bad!r}"
     # without a signature, arities are free but names still matter
     assert parse_term("f(x1,x2,x3)") == App("f", (Var(1), Var(2), Var(3)))
 
@@ -155,21 +166,17 @@ def test_enumerate_terms_matches_brute_oracle():
 
 def test_positions_and_replacement():
     term = t("m(m(x1,e),x2)")
-    pos = positions(term)
-    assert () in pos and (0, 1) in pos
     assert subterm_at(term, (0, 1)) == t("e")
     assert replace_at(term, (0, 1), t("m(e,e)")) == t("m(m(x1,m(e,e)),x2)")
-    for p in pos:
+    for p in ((), (0,), (0, 0), (0, 1), (1,)):
         assert replace_at(term, p, subterm_at(term, p)) == term
 
 
 def test_graft_substitute_rename():
     term = t("m(x1,m(x2,x1))")
-    assert graft_term(term, [t("e"), t("m(x1,x2)")]) == t("m(e,m(m(x1,x2),e))")
     assert substitute(term, {1: t("e"), 2: t("x2")}) == t("m(e,m(x2,e))")
     with pytest.raises(TermError):
         substitute(term, {1: t("e")})
-    assert rename_vars(term, fn((3, 1), cod=3)) == t("m(x3,m(x1,x3))")
 
 
 def monoid_saturation(monoid, arity, size=7):

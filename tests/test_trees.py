@@ -12,8 +12,7 @@ from operad_workbench.finmaps import (FinFunction, compose, fn, format_fn,
                                       identity, perm, select)
 from operad_workbench.operads import FreeOperad, OperadError
 from operad_workbench.terms import (Signature, enumerate_terms, format_term,
-                                    max_var, parse_term, rename_vars,
-                                    term_size)
+                                    max_var, parse_term, term_size)
 from operad_workbench.trees import (FPTree, LEAF, Leaf, Node, PermutedTree,
                                     TreeError, act_fn_tree, compose_fp,
                                     enumerate_fp_trees,
@@ -57,8 +56,22 @@ def test_parse_format_roundtrip():
         == PermutedTree(perm((1, 2)), tr("m(|,|)"))
     assert parse_fp_tree("m(e,|)", SIG) == FPTree(fn((1,), cod=1),
                                                  tr("m(e,|)"))
-    with pytest.raises(TreeError):
-        parse_tree("m(|)", SIG)
+    # the operation check the term parser shares, column included
+    for parse, bad, message in (
+            (parse_tree, "f(|)", "unknown operation 'f' at column 5 in 'f(|)'"),
+            (parse_tree, "m(|)",
+             "operation 'm' expects 2 children, got 1 at column 5 in 'm(|)'"),
+            (parse_tree, " m(|, m(e) )",
+             "operation 'm' expects 2 children, got 1 at column 11 in "
+             "' m(|, m(e) )'"),
+            (parse_fp_tree, "[1,2] g(|,|)",
+             "unknown operation 'g' at column 7 in 'g(|,|)'"),
+            (parse_permuted_tree, "[2,1] e(|,|)",
+             "operation 'e' expects 0 children, got 2 at column 7 in "
+             "'e(|,|)'")):
+        with pytest.raises(TreeError) as info:
+            parse(bad, SIG)
+        assert str(info.value) == message
     with pytest.raises(TreeError, match="^nesting deeper than 200 at column"):
         parse_tree("m(|," * 201 + "|" + ")" * 201, SIG)
     for parse in (parse_permuted_tree, parse_fp_tree):

@@ -394,3 +394,20 @@ def test_load_rejects_malformed_input(z3_instance):
     data["deltas"] = {"nope@9": {}}
     with pytest.raises(WeakcatError):
         load_weakcat(json.dumps(data))
+    data = json.loads(save_weakcat(z3_instance))
+    for bounds, message in (
+            ({"max_steps": 0}, "bound 'max_steps' must be a positive integer"),
+            ({"max_steps": -1},
+             "bound 'max_steps' must be a positive integer"),
+            ({"max_term_size": 0},
+             "bound 'max_term_size' must be a positive integer"),
+            ({"max_term_size": -3},
+             "bound 'max_term_size' must be a positive integer"),
+            ({"max_steps": 2.5},
+             "bound 'max_steps' must be a positive integer"),
+            ({"bogus": 2}, "unknown bound 'bogus'; expected "
+                           "'max_term_size' or 'max_steps'")):
+        data["bounds"] = bounds
+        with pytest.raises(WeakcatError) as info:
+            load_weakcat(json.dumps(data))
+        assert str(info.value) == message

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import (comm_monoid_fp_context, is_linear, is_run,
                       replay_chain)
-from operad_workbench.operads import (EndOperad, FiniteOp, Interpretation,
+from operad_workbench.operads import (CheckReport, EndOperad, FiniteOp,
+                                      Interpretation,
                                       OperadError, TerminalPlainOperad,
                                       TerminalSymmetricOperad,
                                       builtin_operad, default_assignment,
@@ -179,8 +180,22 @@ def test_biased_unbiased_agreement(monoid, unbiased_monoid):
     ctx_b = plain_terminal_context(unbiased_monoid)
     report = biased_unbiased_agreement(ctx_a, ctx_b, range(4), max_size=6)
     assert report.ok, report.lines()
-    for arity, (left, right) in report.arities.items():
-        assert len(left) == len(right) == 1
+    assert isinstance(report, CheckReport)
+    assert report.checked == {"arity": 4} and report.failures == []
+    assert report.arities == {n: ([str(n)], [str(n)]) for n in range(4)}
+
+
+def test_agreement_names_the_arity_whose_elements_differ(comm_monoid):
+    ctx_a = comm_monoid_fp_context(comm_monoid)
+    ctx_b = WeakeningContext(comm_monoid, Interpretation(
+        comm_monoid, builtin_operad("comm-monoid-fp"),
+        {"m": (2, 2), "e": ()}))
+    report = biased_unbiased_agreement(ctx_a, ctx_b, (0, 1), 4)
+    assert report.arities == {0: (["[]"], ["[]"]),
+                              1: (["[1]"], ["[1]", "[2]"])}
+    assert report.checked == {"arity": 2}
+    assert report.failures == [
+        "arity 1: realized elements ['[1]'] vs ['[1]', '[2]']"]
 
 
 def test_agreement_needs_matching_targets(monoid, comm_monoid):
