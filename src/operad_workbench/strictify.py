@@ -17,7 +17,11 @@ check_equivalence the comparison back to the base (full, faithful,
 essentially surjective, and a weak map via the construction's deltas),
 and universal_property_check builds the strict map induced by a weak
 map into a strict target and certifies its uniqueness by forcing every
-arrow image from the restriction data.
+arrow image from the restriction data. Whether a probed object tuple
+stays in the view's bounds depends only on its objects' elements, so
+the comparison and universal-property probes decide it once per
+element tuple (_Landing) and skip an out-of-bounds tuple before any
+object key is built.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ class StrictifyError(ValueError):
 # the comparison and universal-property checks probe at most this many
 # object tuples per operation or equation, in lexicographic order
 _OBJECT_TUPLES = 4096
+
+# a landing of a term whose proper subterm leaves the enumerated elements
+_OUT = object()
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,9 @@ class StrictPCategory:
             self._scan_representatives(arity)
             pool = self.operad.enumerate_elements(arity, element_bound)
             self.elements[arity] = [p for p in pool if p in self._reprs]
+        # an element's arity is a function of it, so one set serves all
+        self._enumerated = {p for pool in self.elements.values()
+                            for p in pool}
         self.objects: list[StObject] = []
         self._index: dict[tuple, StObject] = {}
         for arity in range(arity_bound + 1):
@@ -104,6 +114,7 @@ class StrictPCategory:
         self._arr_memo: dict[tuple, object] = {}
         self._delta_memo: dict[tuple, object] = {}
         self._cell_memo: dict[tuple, object] = {}
+        self._landings: dict[Term, _Landing] = {}
 
     def _scan_representatives(self, arity: int):
         # objects come in (size, text) order, so the first tree to reach
@@ -233,10 +244,12 @@ class StrictPCategory:
         """A deterministic mix of strided arrows across object pairs
         (rotating the hom choice) interleaved with identities; arrows
         between distinct objects exercise the conjugating cells."""
-        pairs = [(x, y) for x in self.objects for y in self.objects]
-        stride = max(1, len(pairs) // max(1, 2 * cap))
+        # every stride-th pair of objects x objects, by its index
+        n = len(self.objects)
+        stride = max(1, n * n // max(1, 2 * cap))
         spread = []
-        for k, (x, y) in enumerate(pairs[::stride][:2 * cap]):
+        for k, at in enumerate(range(0, n * n, stride)[:2 * cap]):
+            x, y = self.objects[at // n], self.objects[at % n]
             hom = self.W.base.hom(x.h_value, y.h_value)
             if hom:
                 spread.append(StArrow(x, y, hom[k % len(hom)]))
@@ -248,6 +261,51 @@ class StrictPCategory:
             if i < len(idents):
                 out.append(idents[i])
         return out
+
+
+class _Landing(dict):
+    """Where acting by a term on objects lands, by their elements: an
+    operand element tuple maps to the element the term evaluates to
+    there, or to _OUT when a proper App subterm evaluates outside the
+    enumerated elements, where the act_obj of that subterm is refused.
+    Each tuple is evaluated on its first lookup."""
+
+    def __init__(self, S: StrictPCategory, term: Term):
+        super().__init__()
+        self.S, self.term = S, term
+
+    def __missing__(self, elements: tuple):
+        value = self[elements] = self._evaluate(self.term, elements)
+        return value
+
+    def _evaluate(self, term: Term, elements: tuple):
+        if isinstance(term, Var):
+            return elements[term.index - 1]
+        args = []
+        for arg in term.args:
+            value = self._evaluate(arg, elements)
+            if value is _OUT or (isinstance(arg, App)
+                                 and value not in self.S._enumerated):
+                return _OUT
+            args.append(value)
+        return self.S.operad.compose(
+            self.S.W.interpretation.assignment[term.op], args)
+
+
+def _landing(S: StrictPCategory, term: Term) -> _Landing:
+    """term's landing table on S, shared by every check run on S."""
+    table = S._landings.get(term)
+    if table is None:
+        table = S._landings[term] = _Landing(S, term)
+    return table
+
+
+def _probes(S: StrictPCategory, arity: int):
+    """The first _OBJECT_TUPLES object tuples of the arity, in
+    lexicographic order, each paired with its objects' elements."""
+    elements = [x.element for x in S.objects]
+    return zip(islice(product(S.objects, repeat=arity), _OBJECT_TUPLES),
+               product(elements, repeat=arity))
 
 
 def strictify(W: WeakPCategoryData, arity_bound: int = 3,
@@ -404,28 +462,10 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData) -> CheckReport:
         if not base.is_identity(ident):
             report.fail(f"comparison cell at the identity element over "
                         f"{a!r} is not the identity")
-    checked = 0
     pool = S.sample_arrows(16)[:4]
     for op, arity in W.presentation.signature.ops:
         op_elem = W.interpretation.assignment[op]
-        for xs in islice(product(S.objects, repeat=arity),
-                         _OBJECT_TUPLES):
-            if checked >= 2000:
-                break
-            try:
-                cell = _comparison_cell(S, op, xs)
-                src = S.act_obj(op_elem, xs)
-            except StrictifyError:
-                continue
-            checked += 1
-            want_dst = W.h_obj(_op_term(op, arity),
-                               tuple(x.h_value for x in xs))
-            a = base.arrows[cell]
-            report.note("comparison cell endpoints")
-            if (a.src, a.dst) != (src.h_value, want_dst):
-                report.fail(f"comparison cell at {op!r} has wrong endpoints")
-            if not base.is_iso(cell):
-                report.fail(f"comparison cell at {op!r} is not invertible")
+        _check_cells(S, op, arity, report)
         for fs in islice(product(pool, repeat=arity), 64):
             try:
                 image = S.act_arr(op_elem, fs)
@@ -440,15 +480,64 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData) -> CheckReport:
             if left != right:
                 report.fail(f"comparison cell at {op!r} is not natural "
                             f"at {[f.base for f in fs]}")
+    _check_pasting(S, report)
+    return report
+
+
+def _check_cells(S: StrictPCategory, op: str, arity: int,
+                 report: CheckReport):
+    """Endpoints and invertibility of the comparison cells at op, on at
+    most 2000 in-bound object tuples. A tuple whose composite element
+    has no representative would be refused before any cell is derived,
+    so it is skipped by its elements' landing."""
+    W, base = S.W, S.W.base
+    op_elem = W.interpretation.assignment[op]
+    landing = _landing(S, _op_term(op, arity))
+    checked = 0
+    for xs, elements in _probes(S, arity):
+        if checked >= 2000:
+            break
+        if landing[elements] not in S._reprs:
+            continue
+        try:
+            cell = _comparison_cell(S, op, xs)
+            src = S.act_obj(op_elem, xs)
+        except StrictifyError:
+            continue
+        checked += 1
+        want_dst = W.h_obj(_op_term(op, arity),
+                           tuple(x.h_value for x in xs))
+        a = base.arrows[cell]
+        report.note("comparison cell endpoints")
+        if (a.src, a.dst) != (src.h_value, want_dst):
+            report.fail(f"comparison cell at {op!r} has wrong endpoints")
+        if not base.is_iso(cell):
+            report.fail(f"comparison cell at {op!r} is not invertible")
+
+
+def _check_pasting(S: StrictPCategory, report: CheckReport):
+    """The comparison cells pasted along each equation's sides agree with
+    its compiled cell, on the in-bound object tuples among the first
+    _OBJECT_TUPLES. Pasting a side is refused before any cell is derived
+    when its landing has no representative, so the tuple is skipped
+    there. The right side is pasted first, even when the left side is
+    then skipped, so that cells are derived in the order that pasting
+    every tuple derives them, and a saturation budget that runs out is
+    refused at the same pair."""
+    W, base = S.W, S.W.base
     for index, eq in enumerate(W.presentation.equations):
-        for xs in islice(product(S.objects, repeat=eq.arity),
-                         _OBJECT_TUPLES):
-            values = tuple(x.h_value for x in xs)
+        right, left_side = _landing(S, eq.rhs), _landing(S, eq.lhs)
+        for xs, elements in _probes(S, eq.arity):
+            if right[elements] not in S._reprs:
+                continue
             try:
                 left = _comparison_psi(S, eq.rhs, xs)
+                if left_side[elements] not in S._reprs:
+                    continue
                 start = _comparison_psi(S, eq.lhs, xs)
             except StrictifyError:
                 continue
+            values = tuple(x.h_value for x in xs)
             d_w = W.derive_delta(eq.lhs, eq.rhs, values)
             if d_w is None:
                 report.fail(f"no compiled cell for equation {index}")
@@ -458,7 +547,6 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData) -> CheckReport:
                 report.fail(
                     f"comparison pasting fails for {format_term(eq.lhs)} = "
                     f"{format_term(eq.rhs)} at {values}")
-    return report
 
 
 def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
@@ -492,18 +580,7 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
     pool = S.sample_arrows(24)[:6]
     for op, arity in W.presentation.signature.ops:
         op_elem = W.interpretation.assignment[op]
-        for xs in islice(product(S.objects, repeat=arity),
-                         _OBJECT_TUPLES):
-            try:
-                image = S.act_obj(op_elem, xs)
-            except StrictifyError:
-                continue
-            lhs = h_obj[image.key()]
-            rhs = B.h_obj(_op_term(op, arity),
-                          tuple(h_obj[x.key()] for x in xs))
-            report.note("strict action on objects")
-            if lhs != rhs:
-                report.fail(f"induced map is not strict on objects at {op!r}")
+        _check_action_on_objects(S, B, h_obj, op, arity, report)
         for fs in islice(product(pool, repeat=arity), 64):
             try:
                 image = S.act_arr(op_elem, fs)
@@ -536,6 +613,26 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
 
     _uniqueness(S, W, B, G, H, report)
     return report
+
+
+def _check_action_on_objects(S: StrictPCategory, B: WeakPCategoryData,
+                             h_obj: dict, op: str, arity: int,
+                             report: CheckReport):
+    """The induced map's object table h_obj is strict at op, on the
+    in-bound object tuples among the first _OBJECT_TUPLES: those whose
+    composite element is enumerated, the others being skipped by their
+    elements' landing."""
+    op_elem = S.W.interpretation.assignment[op]
+    landing = _landing(S, _op_term(op, arity))
+    for xs, elements in _probes(S, arity):
+        if landing[elements] not in S._enumerated:
+            continue
+        lhs = h_obj[S.act_obj(op_elem, xs).key()]
+        rhs = B.h_obj(_op_term(op, arity),
+                      tuple(h_obj[x.key()] for x in xs))
+        report.note("strict action on objects")
+        if lhs != rhs:
+            report.fail(f"induced map is not strict on objects at {op!r}")
 
 
 def _induced_map(S: StrictPCategory, B: WeakPCategoryData,

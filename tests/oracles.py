@@ -579,3 +579,75 @@ def coherence_probe_oracle(W):
                             for steps in chains}) > 1:
                         failing.append((term_a, term_b, operands))
     return checked, failing
+
+
+# The strict view's out-of-bounds probes as they were before the view
+# decided them by element tuple: every object tuple goes through the
+# strict action, and a tuple is skipped when it is refused. Each probe
+# notes and fails on a report (note(label), fail(message)) exactly as the
+# library's check does; refused is the exception class of a refusal,
+# comparison_cell(S, op, xs) and comparison_psi(S, term, xs) the
+# library's comparison cells, op_term(op, arity) a generator's term, and
+# format_term prints a term.
+
+def reference_comparison_cells(S, op, arity, comparison_cell, op_term,
+                               refused, report, tuples=4096, cap=2000):
+    W, base = S.W, S.W.base
+    op_elem = W.interpretation.assignment[op]
+    checked = 0
+    for xs in itertools.islice(itertools.product(S.objects, repeat=arity),
+                               tuples):
+        if checked >= cap:
+            break
+        try:
+            cell = comparison_cell(S, op, xs)
+            src = S.act_obj(op_elem, xs)
+        except refused:
+            continue
+        checked += 1
+        want_dst = W.h_obj(op_term(op, arity), tuple(x.h_value for x in xs))
+        a = base.arrows[cell]
+        report.note("comparison cell endpoints")
+        if (a.src, a.dst) != (src.h_value, want_dst):
+            report.fail(f"comparison cell at {op!r} has wrong endpoints")
+        if not base.is_iso(cell):
+            report.fail(f"comparison cell at {op!r} is not invertible")
+
+
+def reference_comparison_pasting(S, comparison_psi, format_term, refused,
+                                 report, tuples=4096):
+    W, base = S.W, S.W.base
+    for index, eq in enumerate(W.presentation.equations):
+        for xs in itertools.islice(
+                itertools.product(S.objects, repeat=eq.arity), tuples):
+            values = tuple(x.h_value for x in xs)
+            try:
+                left = comparison_psi(S, eq.rhs, xs)
+                start = comparison_psi(S, eq.lhs, xs)
+            except refused:
+                continue
+            d_w = W.derive_delta(eq.lhs, eq.rhs, values)
+            if d_w is None:
+                report.fail(f"no compiled cell for equation {index}")
+                continue
+            report.note("comparison pasting")
+            if left != base.compose(d_w, start):
+                report.fail(
+                    f"comparison pasting fails for {format_term(eq.lhs)} = "
+                    f"{format_term(eq.rhs)} at {values}")
+
+
+def reference_action_on_objects(S, B, h_obj, op, arity, op_term, refused,
+                                report, tuples=4096):
+    op_elem = S.W.interpretation.assignment[op]
+    for xs in itertools.islice(itertools.product(S.objects, repeat=arity),
+                               tuples):
+        try:
+            image = S.act_obj(op_elem, xs)
+        except refused:
+            continue
+        lhs = h_obj[image.key()]
+        rhs = B.h_obj(op_term(op, arity), tuple(h_obj[x.key()] for x in xs))
+        report.note("strict action on objects")
+        if lhs != rhs:
+            report.fail(f"induced map is not strict on objects at {op!r}")

@@ -4,24 +4,33 @@ comparison back to the input, and the induced-map universal property."""
 import importlib
 import itertools
 import json
+from functools import partial
 
 import pytest
 from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       identity_weak_functor, skewed_group_instance,
                       terminal_weakcat, zmod)
-from oracles import reference_close_pins, reference_seed_pins
+from oracles import (reference_action_on_objects, reference_close_pins,
+                     reference_comparison_cells, reference_comparison_pasting,
+                     reference_seed_pins)
 
 from operad_workbench.cli import main
-from operad_workbench.operads import CheckReport, TerminalPlainOperad
+from operad_workbench.operads import (CheckReport, EndOperad,
+                                      TerminalPlainOperad)
 from operad_workbench.terms import (Equation, Presentation, Signature,
-                                    parse_term)
+                                    format_term, parse_term)
 from operad_workbench.trees import tree_arity
 from operad_workbench.weakcat import (FiniteCategory, Functor,
-                                      WeakPCategoryData, WeakPFunctorData,
-                                      check_weak_functor, coherence_check,
+                                      WeakcatError, WeakPCategoryData,
+                                      WeakPFunctorData, check_weak_functor,
+                                      coherence_check,
                                       indiscrete_monoid_instance, key_of,
                                       load_weakcat)
-from operad_workbench.strictify import (StrictifyError, StrictPCategory,
+from operad_workbench.strictify import (_OBJECT_TUPLES, StArrow,
+                                        StrictifyError, StrictPCategory,
+                                        _check_action_on_objects,
+                                        _check_cells, _check_pasting,
+                                        _comparison_cell, _comparison_psi,
                                         _element_tuples, _embedding_cell,
                                         _induced_map, _op_term, _uniqueness,
                                         check_equivalence, check_strictness,
@@ -92,6 +101,32 @@ def test_sample_arrows_cross_objects(z3_strict):
     assert any(f.src == f.dst for f in arrows)
 
 
+def _sample_arrows_from_pair_list(S, cap):
+    """sample_arrows as it was written over the full list of object
+    pairs, sliced by the stride."""
+    pairs = [(x, y) for x in S.objects for y in S.objects]
+    stride = max(1, len(pairs) // max(1, 2 * cap))
+    spread = []
+    for k, (x, y) in enumerate(pairs[::stride][:2 * cap]):
+        hom = S.W.base.hom(x.h_value, y.h_value)
+        if hom:
+            spread.append(StArrow(x, y, hom[k % len(hom)]))
+    idents = [S.identity(x) for x in S.objects[:cap]]
+    out = []
+    for i in range(max(len(spread), len(idents))):
+        out += spread[i:i + 1] + idents[i:i + 1]
+    return out
+
+
+def test_sample_arrows_match_the_pair_list(z3_instance, z4_instance,
+                                           monoid):
+    for W in (z3_instance, z4_instance, skewed_group_instance(monoid)):
+        S = strictify(W)
+        for cap in (0, 1, 3, 6, 16, 24, 100, 5000):
+            assert S.sample_arrows(cap) \
+                == _sample_arrows_from_pair_list(S, cap), cap
+
+
 def test_strictness_and_equivalence_on_z3(z3_strict, z3_instance):
     strict = check_strictness(z3_strict)
     assert strict.ok, strict.lines()
@@ -118,19 +153,34 @@ def _outcome(S, method, *args):
 @pytest.mark.parametrize("instance", ["z3", "z4", "skewed"])
 def test_memoized_action_matches_cold_computation(instance, z3_instance,
                                                   z4_instance, monoid):
-    """Every act_obj, act_arr and delta_in answered by a category whose
-    memo tables check_strictness has filled equals the answer of a fresh
-    category, refusals included. The skewed instance has several arrows
-    per hom set, so an arrow is not determined by its endpoints."""
+    """Every obj, act_obj, act_arr and delta_in answered by a category
+    whose memo tables the strictness, comparison and universal-property
+    checks have filled equals the answer of a fresh category, on the
+    first call and on a repeat, refusals included: the checks skip
+    out-of-bounds tuples by their elements, and a public lookup past the
+    bounds is still refused with its message. The skewed instance has
+    several arrows per hom set, so an arrow is not determined by its
+    endpoints."""
     W = {"z3": z3_instance, "z4": z4_instance}.get(instance) \
         or skewed_group_instance(monoid)
     warm = strictify(W)
     check_strictness(warm)
+    check_equivalence(warm, W)
+    G = collapse_functor(W, terminal_weakcat(monoid))
+    assert universal_property_check(W, G.target, G).ok
     arrows = warm.sample_arrows(24)
     unit = warm.operad.identity()
     queries = [("act_arr", unit, (f,)) for f in arrows]
     queries += [(method, unit, (f.src,)) for f in arrows
                 for method in ("act_obj", "delta_in")]
+    # past the arity bound: a binary element on two binary objects
+    two = warm.elements[2][0]
+    x = warm.obj(two, (W.base.objects[0],) * 2)
+    past = warm.operad.compose(two, [two, two])
+    out_of_bounds = [("obj", past, (W.base.objects[0],) * 4),
+                     ("act_obj", two, (x, x)), ("delta_in", two, (x, x)),
+                     ("act_arr", two, (warm.identity(x),) * 2)]
+    queries += out_of_bounds
     for k in range(warm.arity_bound + 1):
         for q in warm.elements[k]:
             for taus in _element_tuples(warm, k, warm.arity_bound):
@@ -159,8 +209,11 @@ def test_memoized_action_matches_cold_computation(instance, z3_instance,
     assert len(queries) > 200
     for method, q, args in queries:
         cold = StrictPCategory(W)
-        assert _outcome(warm, method, q, args) \
-            == _outcome(cold, method, q, args), (method, q, args)
+        want = _outcome(cold, method, q, args)
+        for _ in range(2):
+            assert _outcome(warm, method, q, args) == want, (method, q, args)
+    for query in out_of_bounds:
+        assert _outcome(warm, *query)[0] == "refused"
 
 
 STRICTNESS_COUNTS = {"unit law": 72, "associativity": 930,
@@ -188,6 +241,113 @@ def test_strictness_counts_are_pinned(z3_instance, z4_instance):
         report = check_equivalence(S, W)
         assert report.checked == EQUIVALENCE_COUNTS[len(W.base.objects)]
         assert report.ok, report.lines()
+
+
+def _bundled(**bounds):
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    data["bounds"].update(bounds)
+    return load_weakcat(json.dumps(data))
+
+
+def _or_instance(monoid, **bounds):
+    """The Z/3 indiscrete instance interpreted in end-2, with m as OR and
+    e as false. The ternary OR has a representative but is not among the
+    20 enumerated ternary tables, so the view has no ternary objects and
+    a composite can have a representative without being an element of
+    the view."""
+    W = indiscrete_monoid_instance(monoid, *zmod(3))
+    end = EndOperad(2)
+    return WeakPCategoryData(
+        W.base, monoid, W.generators, W.deltas, target=end,
+        assignment={"m": end.parse_element("2:[1,2,2,2]"),
+                    "e": end.parse_element("0:[1]")}, **bounds)
+
+
+def _comparison_probes(W, reference, laws=("cells", "pasting")):
+    """The comparison-cell probes at every generator, then the pasting
+    probes, on a fresh strict view of W, by the library or by the
+    refusal-probing oracle: the report's checked counts and failures, or
+    the refusal of W's saturation budget; with the cells W derived, in
+    the order it first derived them."""
+    S = StrictPCategory(W)
+    report = CheckReport()
+    try:
+        if "cells" in laws:
+            for op, arity in W.presentation.signature.ops:
+                if reference:
+                    reference_comparison_cells(
+                        S, op, arity, _comparison_cell, _op_term,
+                        StrictifyError, report, _OBJECT_TUPLES)
+                else:
+                    _check_cells(S, op, arity, report)
+        if "pasting" in laws:
+            if reference:
+                reference_comparison_pasting(S, _comparison_psi, format_term,
+                                             StrictifyError, report,
+                                             _OBJECT_TUPLES)
+            else:
+                _check_pasting(S, report)
+        outcome = report.checked, report.failures
+    except WeakcatError as exc:
+        outcome = "refused", str(exc)
+    return outcome, list(W._delta_memo)
+
+
+@pytest.mark.parametrize("instance", ["z3", "z4", "bundled", "skewed", "or"])
+@pytest.mark.parametrize("laws", [("cells", "pasting"), ("pasting",)])
+def test_comparison_probes_match_the_refusal_oracle(instance, laws, monoid):
+    """Skipping out-of-bounds tuples by their elements checks the same
+    comparison cells and pastings, with the same failure lines, and
+    derives the same cells in the same order, as probing every tuple and
+    skipping the refused ones. The skewed instance fails its pasting."""
+    make = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
+            "z4": lambda: indiscrete_monoid_instance(monoid, *zmod(4)),
+            "bundled": _bundled,
+            "skewed": lambda: skewed_group_instance(monoid),
+            "or": lambda: _or_instance(monoid)}[instance]
+    got = _comparison_probes(make(), False, laws)
+    assert got == _comparison_probes(make(), True, laws)
+    (checked, failures), derived = got
+    assert checked["comparison pasting"] > 0 and derived
+    assert bool(failures) == (instance == "skewed")
+    if instance in ("z3", "z4", "bundled"):
+        assert checked.items() <= EQUIVALENCE_COUNTS[
+            3 if instance == "bundled" else int(instance[1])].items()
+
+
+@pytest.mark.parametrize("instance", ["bundled", "or"])
+def test_comparison_probes_refuse_the_budget_at_the_oracle_pair(instance,
+                                                                monoid):
+    """Under every saturation budget that runs out, the comparison cells
+    and the pasting alone refuse at the same pair as the refusal-probing
+    oracle, which pastes the right side first; the pasting alone meets
+    at least three different pairs."""
+    make = _bundled if instance == "bundled" else partial(_or_instance,
+                                                          monoid)
+    refusals = set()
+    for max_steps in range(1, 30):
+        for laws in (("cells", "pasting"), ("pasting",)):
+            got = _comparison_probes(make(max_steps=max_steps), False, laws)
+            assert got == _comparison_probes(make(max_steps=max_steps), True,
+                                             laws), (max_steps, laws)
+            if laws == ("pasting",) and got[0][0] == "refused":
+                refusals.add(got[0][1].split(" ran out ")[1])
+    assert len(refusals) >= 3
+
+
+def test_comparison_skips_out_of_bounds_tuples_unraised(z4_instance,
+                                                        monkeypatch):
+    """One Z/4 check_equivalence on a fresh view constructs 585
+    StrictifyErrors, each for a cell derived and refused or an arrow
+    acted on. Refusing each out-of-bounds object tuple by a raise, and
+    again from the memo, constructed 15,860."""
+    made = []
+    monkeypatch.setattr(StrictifyError, "__init__", lambda self, *args: (
+        made.append(args[0]) or ValueError.__init__(self, *args)))
+    report = check_equivalence(StrictPCategory(z4_instance), z4_instance)
+    assert report.checked == EQUIVALENCE_COUNTS[4]
+    assert len(made) == 585
 
 
 def test_symmetric_strict_view_is_pinned(capsys, tmp_path):
@@ -354,6 +514,43 @@ def test_universal_property_counts_are_pinned(label, z3_instance, monoid):
     report = universal_property_check(z3_instance, G.target, G)
     assert report.checked == UNIVERSAL_COUNTS
     assert report.failures == []
+
+
+@pytest.mark.parametrize("label", [
+    "identity", "collapse", "doubling", "z4 identity", "skewed onto Z/3",
+    "or collapse"])
+def test_action_on_objects_matches_the_refusal_oracle(label, z3_instance,
+                                                      z4_instance, monoid):
+    """The strict action on objects, skipped by element tuple, checks the
+    same tuples with the same failures as the oracle that acts on every
+    tuple and skips the refused ones, for the induced map and, where the
+    target has two objects, for it with the last object's image moved.
+    On the OR instance a composite with a representative can still lie
+    outside the view."""
+    if label == "or collapse":
+        W = _or_instance(monoid)
+        G = collapse_functor(W, terminal_weakcat(monoid))
+    else:
+        W, G, _ = _uniqueness_inputs(z3_instance, z4_instance,
+                                     monoid)[label]
+    B = G.target
+    S = StrictPCategory(W)
+    h_obj, _ = _induced_map(S, B, G, CheckReport())
+    last = S.objects[-1].key()
+    tables = [h_obj] + [{**h_obj, last: b} for b in B.base.objects
+                        if b != h_obj[last]][:1]
+    for table in tables:
+        got, want = CheckReport(), CheckReport()
+        for op, arity in W.presentation.signature.ops:
+            _check_action_on_objects(S, B, table, op, arity, got)
+            reference_action_on_objects(StrictPCategory(W), B, table, op,
+                                        arity, _op_term, StrictifyError,
+                                        want, _OBJECT_TUPLES)
+        assert (got.checked, got.failures) == (want.checked, want.failures)
+        assert bool(got.failures) == (table is not h_obj)
+    if W is z3_instance:
+        assert got.checked["strict action on objects"] \
+            == UNIVERSAL_COUNTS["strict action on objects"]
 
 
 def test_strictify_returns_one_view_per_bounds(monoid):
