@@ -472,23 +472,28 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
     """Every cycle of the merge graph compiles to an identity, at every
     operand tuple, for the object classes of arities 0-3.
 
-    Per class and operand tuple, a potential p maps the first member to
-    its identity and each member reached along a spanning tree of the
-    class's edges (class_edges, breadth first) to the tree path's
-    compiled arrow. Every other edge u -> v is one instance of "edge
-    coherence": its compiled steps after p(u) must equal p(v). The
-    fundamental cycles of a spanning tree generate every cycle, so this
-    certifies path independence over the whole recorded graph; a class
-    whose edges form a tree has no cycle and is skipped."""
+    The classes are the closure's own, among the terms within
+    max_term_size: in the flavor's universe (runs or linear terms) the
+    terms whose support is exactly x1..xn are the objects of arity n.
+    Per class and operand tuple, a potential p maps the first member,
+    the least in (size, text) order, to its identity and each member
+    reached along a spanning tree of the class's edges (class_edges,
+    breadth first) to the tree path's compiled arrow. Every other edge
+    u -> v is one instance of "edge coherence": its compiled steps after
+    p(u) must equal p(v). The fundamental cycles of a spanning tree
+    generate every cycle, so this certifies path independence over the
+    whole recorded graph; a class whose edges form a tree has no cycle
+    and is skipped."""
     report = CheckReport()
     for arity in range(0, _COHERENCE_ARITY + 1):
         sat = W.context.saturation(arity)
-        for cls in W.context.enumerate_classes(arity, W.max_term_size):
-            if len(cls.members) < 2:
+        every_variable = frozenset(range(1, arity + 1))
+        for members in sat.classes():
+            first = members[0]
+            if len(members) < 2 or support(first) != every_variable:
                 continue
-            first = W._as_term(cls.members[0])
             edges = sat.class_edges(first)
-            if len(edges) < len({first, *(v for _, v, _ in edges)}):
+            if len(edges) < len(members):
                 continue
             for operands in product(W.base.objects, repeat=arity):
                 p = {first: W.base.identity(W.h_obj(first, operands))}

@@ -14,7 +14,7 @@ from operad_workbench.operads import (Interpretation, IntPolyFPOperad,
 from operad_workbench.terms import (App, Term, Var, parse_presentation,
                                     parse_term, replace_at, substitute,
                                     subterm_at)
-from operad_workbench.weakcat import (FiniteCategory, Functor,
+from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
                                       WeakPCategoryData, WeakPFunctorData,
                                       indiscrete_monoid_instance, key_of,
                                       unkey)
@@ -148,6 +148,48 @@ def skewed_group_instance(presentation):
     deltas = {0: {("o", "o", "o"): "1"},
               1: {("o",): "0"},
               2: {("o",): "0"}}
+    return WeakPCategoryData(base, presentation, generators, deltas,
+                             target=TerminalPlainOperad(),
+                             assignment={"m": 2, "e": 0})
+
+
+def pentagon_gap_instance(presentation):
+    """Two objects u and v, each with the automorphism group Z/3 and no
+    other arrows: m is Z/2 on objects with unit u and adds the Z/3
+    labels on arrows, e is u, the unit cells are identities, and the
+    associator is the generator at (v, v, v) and the identity elsewhere.
+    It validates (the group is abelian, so alpha is natural), yet its
+    pentagon at (v, v, v, v) gives u0 along one side and u2 along the
+    other: it is not a weak P-category."""
+    objects = ("u", "v")
+
+    def times(a, b):
+        return "u" if a == b else "v"
+
+    def arrow(obj, label):
+        return f"{obj}{label % 3}"
+
+    labels = range(3)
+    base = FiniteCategory(
+        objects, [Arrow(arrow(o, k), o, o) for o in objects for k in labels],
+        {o: arrow(o, 0) for o in objects},
+        {(arrow(o, g), arrow(o, f)): arrow(o, g + f)
+         for o in objects for g in labels for f in labels})
+    arr_map = {key_of((arrow(a, f), arrow(b, g))): arrow(times(a, b), f + g)
+               for a in objects for b in objects for f in labels
+               for g in labels}
+    generators = {
+        "m": Functor(base, base, 2,
+                     {key_of((a, b)): times(a, b)
+                      for a in objects for b in objects}, arr_map, name="m"),
+        "e": Functor(base, base, 0, {"": "u"}, {"": "u0"}, name="e"),
+    }
+    triples = itertools.product(objects, repeat=3)
+    deltas = {0: {(a, b, c): arrow(times(times(a, b), c),
+                                   int((a, b, c) == ("v", "v", "v")))
+                  for a, b, c in triples},
+              1: {(a,): arrow(a, 0) for a in objects},
+              2: {(a,): arrow(a, 0) for a in objects}}
     return WeakPCategoryData(base, presentation, generators, deltas,
                              target=TerminalPlainOperad(),
                              assignment={"m": 2, "e": 0})

@@ -651,3 +651,139 @@ def reference_action_on_objects(S, B, h_obj, op, arity, op_term, refused,
         report.note("strict action on objects")
         if lhs != rhs:
             report.fail(f"induced map is not strict on objects at {op!r}")
+
+
+# Unbounded oracles for monoid.th and comm_monoid.th: a normal form
+# decides equality in the free (commutative) monoid with no size bound,
+# and the critical-pair diagrams of monoid.th's orientation generate
+# every diagram of its structure cells (Mac Lane 1963; Squier, Otto &
+# Kobayashi 1994).
+
+def monoid_normal_form(t):
+    """The variable sequence of t, with every e dropped: its word in
+    the free monoid on the variables."""
+    if t[0] == "var":
+        return (t[1],)
+    return tuple(i for child in t[2] for i in monoid_normal_form(child))
+
+
+def comm_monoid_normal_form(t):
+    """The sorted variables of t: its element of the free commutative
+    monoid on the variables."""
+    return tuple(sorted(monoid_normal_form(t)))
+
+
+_X1, _X2, _X3, _X4 = (("var", i) for i in range(1, 5))
+_E = ("app", "e", ())
+
+
+def _m(a, b):
+    return ("app", "m", (a, b))
+
+
+# monoid.th's equations in the order of the file, oriented left to
+# right: alpha, lambda, rho
+MONOID_CELLS = ((_m(_m(_X1, _X2), _X3), _m(_X1, _m(_X2, _X3))),
+                (_m(_E, _X1), _X1),
+                (_m(_X1, _E), _X1))
+
+# monoid.th's five critical pairs, the pentagon, three unit triangles
+# and m(e,e): a name, the overlap term, its variable count, and two
+# rewrite sequences out of it that close it, each step an (equation,
+# position) pair
+MONOID_CRITICAL_PAIRS = (
+    ("m(m(m(x1,x2),x3),x4)", _m(_m(_m(_X1, _X2), _X3), _X4), 4,
+     ((0, ()), (0, ())),
+     ((0, (0,)), (0, ()), (0, (1,)))),
+    ("m(m(e,x1),x2)", _m(_m(_E, _X1), _X2), 2,
+     ((1, (0,)),),
+     ((0, ()), (1, ()))),
+    ("m(m(x1,e),x2)", _m(_m(_X1, _E), _X2), 2,
+     ((2, (0,)),),
+     ((0, ()), (1, (1,)))),
+    ("m(m(x1,x2),e)", _m(_m(_X1, _X2), _E), 2,
+     ((2, ()),),
+     ((0, ()), (2, (1,)))),
+    ("m(e,e)", _m(_E, _E), 0,
+     ((1, ()),),
+     ((2, ()),)),
+)
+
+
+def _h_obj(W, t, operands):
+    if t[0] == "var":
+        return operands[t[1] - 1]
+    return W.generators[t[1]].obj([_h_obj(W, c, operands) for c in t[2]])
+
+
+def _subterm(t, position):
+    for i in position:
+        t = t[2][i]
+    return t
+
+
+def _replace(t, position, s):
+    if not position:
+        return s
+    i = position[0]
+    kids = list(t[2])
+    kids[i] = _replace(kids[i], position[1:], s)
+    return ("app", t[1], tuple(kids))
+
+
+def _whisker(W, t, position, arrow, operands):
+    """arrow placed at position of t, with identities beside it, through
+    the generator functors above it."""
+    if not position:
+        return arrow
+    i = position[0]
+    images = [_whisker(W, c, position[1:], arrow, operands) if j == i
+              else W.base.identity(_h_obj(W, c, operands))
+              for j, c in enumerate(t[2])]
+    return W.generators[t[1]].arr(images)
+
+
+def _compile_side(W, start, steps, operands):
+    """The base arrow of one side of a diagram, step by step from the
+    delta components; returns it with the term the side ends at."""
+    t = start
+    arrow = W.base.identity(_h_obj(W, t, operands))
+    for cell, position in steps:
+        lhs, rhs = MONOID_CELLS[cell]
+        binding = match_pattern(lhs, _subterm(t, position), {})
+        assert binding is not None, (cell, position, t)
+        cell_operands = tuple(_h_obj(W, binding[v], operands)
+                              for v in sorted(binding))
+        component = W.deltas[cell][cell_operands]
+        arrow = W.base.compose(_whisker(W, t, position, component, operands),
+                               arrow)
+        t = _replace(t, position, substitute(rhs, binding))
+    return arrow, t
+
+
+def critical_pair_coherence_oracle(W):
+    """Both sides of each of monoid.th's critical-pair diagrams compiled
+    at every operand tuple of W's base, from W.deltas and the generator
+    functors alone. Returns the diagrams compiled and the failing
+    (diagram name, operands); W is coherent exactly when none fails."""
+    checked, failing = 0, []
+    for name, start, arity, side_a, side_b in MONOID_CRITICAL_PAIRS:
+        for operands in itertools.product(W.base.objects, repeat=arity):
+            arrow_a, end_a = _compile_side(W, start, side_a, operands)
+            arrow_b, end_b = _compile_side(W, start, side_b, operands)
+            assert end_a == end_b, name
+            checked += 1
+            if arrow_a != arrow_b:
+                failing.append((name, operands))
+    return checked, failing
+
+
+def reference_representatives(W, arity_bound):
+    """The strict view's representatives as it once scanned them: every
+    object of arities 0..arity_bound within W's size bound, in (size,
+    text) order, and the first to reach an element represents it."""
+    reprs = {}
+    for arity in range(arity_bound + 1):
+        for tree in W.context.enumerate_objects(arity, W.max_term_size):
+            reprs.setdefault(W.interpretation.eval_tree(tree), tree)
+    return reprs

@@ -12,7 +12,7 @@ from conftest import (EXAMPLES, collapse_functor, doubling_functor,
                       terminal_weakcat, zmod)
 from oracles import (reference_action_on_objects, reference_close_pins,
                      reference_comparison_cells, reference_comparison_pasting,
-                     reference_seed_pins)
+                     reference_representatives, reference_seed_pins)
 
 from operad_workbench.cli import main
 from operad_workbench.operads import (CheckReport, EndOperad,
@@ -338,23 +338,23 @@ def test_comparison_probes_refuse_the_budget_at_the_oracle_pair(instance,
 
 def test_comparison_skips_out_of_bounds_tuples_unraised(z4_instance,
                                                         monkeypatch):
-    """One Z/4 check_equivalence on a fresh view constructs 585
+    """One Z/4 check_equivalence on a fresh view constructs 582
     StrictifyErrors, each for a cell derived and refused or an arrow
     acted on. Refusing each out-of-bounds object tuple by a raise, and
-    again from the memo, constructed 15,860."""
+    again from the memo, constructed 15,860; re-raising act_obj's
+    refusals from a memo of their own, 585."""
     made = []
     monkeypatch.setattr(StrictifyError, "__init__", lambda self, *args: (
         made.append(args[0]) or ValueError.__init__(self, *args)))
     report = check_equivalence(StrictPCategory(z4_instance), z4_instance)
     assert report.checked == EQUIVALENCE_COUNTS[4]
-    assert len(made) == 585
+    assert len(made) == 582
 
 
-def test_symmetric_strict_view_is_pinned(capsys, tmp_path):
+def _symmetric_text() -> str:
     """The bundled instance over comm_monoid.th, under terminal-symmetric,
     with the commutativity cells added (Z/3 commutes, so each is an
-    identity): the symmetric view enumerates, acts strictly and is
-    coherent, and strictify refuses only the plain-only comparison."""
+    identity), as JSON."""
     data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
                       .read_text(encoding="utf-8"))
     data["theory"] = (EXAMPLES / "comm_monoid.th").read_text(encoding="utf-8")
@@ -362,7 +362,14 @@ def test_symmetric_strict_view_is_pinned(capsys, tmp_path):
     data["deltas"]["m(|,|)=[2,1] m(|,|)@2"] = {
         f"{a},{b}": f"{(a + b) % 3}>{(a + b) % 3}"
         for a in range(3) for b in range(3)}
-    text = json.dumps(data)
+    return json.dumps(data)
+
+
+def test_symmetric_strict_view_is_pinned(capsys, tmp_path):
+    """The symmetric instance (_symmetric_text): the view enumerates,
+    acts strictly and is coherent, and strictify refuses only the
+    plain-only comparison."""
+    text = _symmetric_text()
     W = load_weakcat(text)
     S = strictify(W)
     assert len(S.objects) == 40
@@ -379,6 +386,22 @@ def test_symmetric_strict_view_is_pinned(capsys, tmp_path):
         "error: the comparison check is implemented for plain presentations "
         "only; operand order under permuted representatives is not "
         "handled\n")
+
+
+@pytest.mark.parametrize("instance",
+                         ["z3", "z4", "bundled", "skewed", "or", "symmetric"])
+def test_representatives_are_the_evaluator_class_heads(instance, monoid):
+    """The view's representatives, read off the evaluator's classes, are
+    the ones its own scan of every object found, in the same order."""
+    W = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
+         "z4": lambda: indiscrete_monoid_instance(monoid, *zmod(4)),
+         "bundled": _bundled,
+         "skewed": lambda: skewed_group_instance(monoid),
+         "or": lambda: _or_instance(monoid),
+         "symmetric": lambda: load_weakcat(_symmetric_text())}[instance]()
+    S = StrictPCategory(W)
+    want = reference_representatives(W, S.arity_bound)
+    assert list(S._reprs.items()) == list(want.items())
 
 
 def test_skewed_instance_failure_lines(monoid):

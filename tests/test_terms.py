@@ -21,7 +21,8 @@ from operad_workbench.terms import (App, Equation, GENERAL, LINEAR,
                                     max_var, parse_presentation, parse_term,
                                     replace_at, subterm_at, substitute,
                                     support, term_size, var_seq)
-from oracles import enumerate_terms_brute, naive_equality_closure
+from oracles import (comm_monoid_normal_form, enumerate_terms_brute,
+                     monoid_normal_form, naive_equality_closure)
 
 SIG = Signature.of({"m": 2, "e": 0})
 
@@ -338,3 +339,26 @@ def test_saturation_is_an_equivalence_relation(monoid, data):
     assert sat.same(a, b) == sat.same(b, a)
     if sat.same(a, b) and sat.same(b, c):
         assert sat.same(a, c)
+
+
+@pytest.mark.parametrize("name, normal_form, arities, cap", [
+    ("monoid.th", monoid_normal_form, (0, 1, 2, 3), 11),
+    ("monoid.th", monoid_normal_form, (3,), 13),
+    ("comm_monoid.th", comm_monoid_normal_form, (0, 1, 2, 3), 9),
+    ("comm_monoid.th", comm_monoid_normal_form, (2, 3), 11),
+], ids=["monoid-0to3-cap11", "monoid-3-cap13", "comm_monoid-0to3-cap9",
+        "comm_monoid-2to3-cap11"])
+def test_closure_classes_are_the_normal_form_classes(name, normal_form,
+                                                     arities, cap):
+    """The closure's classes are the flavor's universe grouped by the
+    free (commutative) monoid's normal form, which no size bound limits;
+    both list classes and members in id order."""
+    pres = parse_presentation((EXAMPLES / name).read_text())
+    for arity in arities:
+        sat = closure_saturate(pres.signature, pres.equations, arity, cap,
+                               flavor=pres.flavor)
+        assert not sat.exhausted
+        grouped: dict = {}
+        for term in sat.terms:
+            grouped.setdefault(normal_form(to_oracle(term)), []).append(term)
+        assert sat.classes() == list(grouped.values()), (name, arity)

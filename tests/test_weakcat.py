@@ -6,18 +6,19 @@ import itertools
 
 import pytest
 from conftest import (EXAMPLES, ROOT, identity_weak_functor,
-                      skewed_group_instance, zmod)
+                      pentagon_gap_instance, skewed_group_instance, zmod)
 
 from operad_workbench.operads import builtin_operad, default_assignment
 from operad_workbench.terms import format_term, parse_term
 from operad_workbench.trees import parse_tree
+from operad_workbench.weakening import WeakeningContext
 from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
                                       WeakPCategoryData, WeakcatError,
                                       cell_key, check_weak_functor,
                                       coherence_check,
                                       indiscrete_monoid_instance, key_of,
                                       load_weakcat, save_weakcat, unkey)
-from oracles import coherence_probe_oracle
+from oracles import coherence_probe_oracle, critical_pair_coherence_oracle
 
 
 def test_finite_category_validation():
@@ -342,6 +343,47 @@ def test_coherence_agrees_with_the_sampled_probe(monoid, z3_instance,
         for first, _, _ in failing:
             assert any(f" in the class of {format_term(first)} at " in line
                        for line in report.failures), first
+
+
+@pytest.mark.parametrize("instance", [
+    "z3", "z4", "bundled", "skewed",
+    pytest.param("pentagon gap", marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: coherence_check covers arities 0-3, and the "
+        "pentagon needs four operands")))])
+def test_coherence_agrees_with_the_critical_pairs(instance, monoid):
+    """The pentagon, the three unit triangles and m(e,e), compiled at
+    every operand tuple from the delta components and the generator
+    functors, with no closure: they commute exactly where
+    coherence_check passes."""
+    W = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
+         "z4": lambda: indiscrete_monoid_instance(monoid, *zmod(4)),
+         "bundled": bundled_instance,
+         "skewed": lambda: skewed_group_instance(monoid),
+         "pentagon gap": lambda: pentagon_gap_instance(monoid)}[instance]()
+    checked, failing = critical_pair_coherence_oracle(W)
+    objects = len(W.base.objects)
+    assert checked == objects ** 4 + 3 * objects ** 2 + 1
+    assert bool(failing) == (instance in ("skewed", "pentagon gap"))
+    assert coherence_check(W).ok == (not failing)
+
+
+def test_the_critical_pairs_fail_the_pentagon_gap(monoid):
+    """The two-object instance validates, and its one failing diagram is
+    the pentagon at (v, v, v, v)."""
+    _, failing = critical_pair_coherence_oracle(pentagon_gap_instance(monoid))
+    assert failing == [("m(m(m(x1,x2),x3),x4)", ("v", "v", "v", "v"))]
+
+
+def test_coherence_reads_the_closure_classes(z3_instance, monkeypatch):
+    """coherence_check takes its classes from the closure, so it builds
+    no object tree and never enumerates classes."""
+    def refuse(*args):
+        raise AssertionError("coherence_check enumerated classes")
+
+    monkeypatch.setattr(WeakeningContext, "enumerate_classes", refuse)
+    report = coherence_check(z3_instance)
+    assert report.checked == {"edge coherence": 52}
+    assert report.ok, report.lines()
 
 
 def test_identity_weak_functor_checks(z3_instance):
