@@ -559,15 +559,18 @@ _CONG = "cong"
 class SaturationResult:
     """Bounded equality closure of one arity: union-find with a merge
     graph over the bounded term universe, hash-consed on term ids, plus
-    merge explanations: explain chains one member to another, and
-    class_edges lists a whole class's edges as rewrite chains. A term's
-    id is its position in the universe; nodes[i] is (op, child ids) for
-    an App and (index, ()) for a Var, node_index inverts nodes, and
-    sizes[i] is the term's size. parent[i] is i's union-find parent and
-    edges[i] lists (neighbour id, reason, stamp) for every union that
-    touched i, where the stamp counts the unions before it; no pair is
-    joined twice for the same reason. exhausted says the step budget ran
-    out."""
+    merge explanations: path links two ids, class_edges lists a whole
+    class's links, and explain expands a path into rewrite steps. A
+    term's id is its position in the universe; nodes[i] is (op, child
+    ids) for an App and (index, ()) for a Var, node_index inverts nodes,
+    and sizes[i] is the term's size. parent[i] is i's union-find parent
+    and edges[i] lists (neighbour id, reason, stamp) for every union
+    that touched i, where the stamp counts the unions before it; no pair
+    is joined twice for the same reason. A reason is ("axiom", eq_index,
+    binding, lhs id, rhs id), the binding sorted (variable, id) pairs,
+    or ("cong",) for terms whose children older links merged. A link
+    (a, b, reason, stamp) walks one edge from a to b. exhausted says
+    the step budget ran out."""
 
     def __init__(self, universe: list[Term]):
         self.terms = universe
@@ -606,7 +609,8 @@ class SaturationResult:
             kids.append(kid)
         return self.node_index.get((pattern.op, tuple(kids)))
 
-    def _ids(self, *terms: Term) -> list[int]:
+    def ids(self, *terms: Term) -> list[int]:
+        """The ids of terms; raises when one lies outside the universe."""
         ids = [self._instance_id(t, self.var_ids) for t in terms]
         if None in ids:
             raise TermError("term outside the saturated universe")
@@ -636,13 +640,13 @@ class SaturationResult:
         return self._instance_id(t, self.var_ids) is not None
 
     def same(self, t1: Term, t2: Term) -> bool:
-        i1, i2 = self._ids(t1, t2)
+        i1, i2 = self.ids(t1, t2)
         return self._find(i1) == self._find(i2)
 
     def anchor(self, t: Term) -> Term:
         """A class representative usable as a grouping key; stable within
         this result object, arbitrary beyond that."""
-        (i,) = self._ids(t)
+        (i,) = self.ids(t)
         return self.terms[self._find(i)]
 
     def classes(self) -> list[list[Term]]:
@@ -656,7 +660,7 @@ class SaturationResult:
     def explain(self, t1: Term, t2: Term) -> list[RewriteStep] | None:
         """A chain of elementary rewrites from t1 to t2 that visits no
         term twice, or None if unmerged."""
-        i1, i2 = self._ids(t1, t2)
+        i1, i2 = self.ids(t1, t2)
         if self._find(i1) != self._find(i2):
             return None
         # a congruence link expands its children's paths one after the
@@ -674,11 +678,11 @@ class SaturationResult:
             del chain[back:]
         return chain
 
-    def class_edges(self, t: Term) -> list[tuple[Term, Term, list[RewriteStep]]]:
-        """Every merge edge of t's class once, as (u, v, steps) in
-        breadth-first order from t: u is t or the v of an earlier edge,
-        and the steps rewrite u into v."""
-        (start,) = self._ids(t)
+    def class_edges(self, t: Term) -> list[tuple[int, int, tuple, int]]:
+        """Every merge edge of t's class once, as a link (a, b, reason,
+        stamp) in breadth-first order from t's id: a is t's id or the b
+        of an earlier link."""
+        (start,) = self.ids(t)
         order = [start]
         reached = {start}
         listed: set[int] = set()
@@ -688,8 +692,7 @@ class SaturationResult:
                 if stamp in listed:
                     continue
                 listed.add(stamp)
-                out.append((self.terms[u], self.terms[v],
-                            self._expand(u, v, reason, stamp)))
+                out.append((u, v, reason, stamp))
                 if v not in reached:
                     reached.add(v)
                     order.append(v)
@@ -697,13 +700,14 @@ class SaturationResult:
 
     def _elementary_path(self, i1: int, i2: int, before: int
                          ) -> list[RewriteStep]:
-        return [step for link in self._bfs(i1, i2, before)
+        return [step for link in self.path(i1, i2, before)
                 for step in self._expand(*link)]
 
-    def _bfs(self, i1: int, i2: int, before: int
+    def path(self, i1: int, i2: int, before: int
              ) -> list[tuple[int, int, tuple, int]]:
-        """A shortest path from i1 to i2 over the merge edges stamped
-        before `before`."""
+        """A shortest path from id i1 to id i2 over the merge edges
+        stamped before `before`, as links (a, b, reason, stamp) from i1
+        on."""
         if i1 == i2:
             return []
         seen = {i1}
@@ -790,9 +794,10 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
     its members' children lie in the same classes. Seeding and
     congruence walk the ids in (size, text) order, so the unions within
     the universe come in the same relative order: same, explain and
-    class_edges give the full closure's answers there, from a much
-    smaller universe. Only the step budget differs, since the full
-    closure spends it on terms and bindings the smaller one never builds.
+    class_edges give the full closure's answers there, up to the ids and
+    stamps, from a much smaller universe. Only the step budget differs,
+    since the full closure spends it on terms and bindings the smaller
+    one never builds.
     """
     fits = _FITS[flavor]
     for eq in equations:

@@ -5,10 +5,11 @@ A weak structure is a finite base category, one functor base^k -> base
 per k-ary generator, and for each equation an invertible natural family
 delta indexed by operand tuples. Instead of storing an action of every
 tree, the action h is derived by structural recursion and the image of
-an arbitrary 2-cell is compiled as a composite of basic delta
-components along a rewrite path supplied by the saturation engine.
-Path independence of that compilation over every cycle of the merge
-graph is what coherence_check certifies.
+an arbitrary 2-cell is compiled along a path of the saturation
+engine's merge links: an equation link gives its delta component, and
+a congruence link the generator functor applied to its children's
+compiled paths. Path independence of that compilation over every cycle
+of the merge graph is what coherence_check certifies.
 
 Everything is validated exhaustively at construction: composition
 tables, functoriality, delta endpoints, invertibility, naturality.
@@ -25,8 +26,8 @@ from typing import Mapping, Sequence
 from .operads import (CheckReport, Interpretation, Operad, builtin_operad,
                       validate_interpretation)
 from .terms import (MAX_STEPS, MAX_TERM_SIZE, App, Equation, Presentation,
-                    RewriteStep, Term, Var, format_term, parse_presentation,
-                    format_presentation, support)
+                    SaturationResult, Term, Var, format_term,
+                    parse_presentation, format_presentation, support)
 from .trees import format_object, to_object
 from .weakening import WeakeningContext, WeakObject
 
@@ -129,14 +130,6 @@ class FiniteCategory:
             return self._compose[(g, f)]
         except KeyError:
             raise WeakcatError(f"arrows {g!r} and {f!r} are not composable")
-
-    def compose_chain(self, chain: Sequence[str], at_object: str) -> str:
-        """Compose a chain listed first-to-last; empty chain gives the
-        identity at the given object."""
-        out = self.identity(at_object)
-        for a in chain:
-            out = self.compose(a, out)
-        return out
 
     def hom(self, src: str, dst: str) -> list[str]:
         return list(self._hom.get((src, dst), ()))
@@ -383,15 +376,15 @@ class WeakPCategoryData:
     def derive_delta(self, t1: Term | WeakObject, t2: Term | WeakObject,
                      operands: Sequence[str]) -> str | None:
         """The base arrow h(t1)(operands) -> h(t2)(operands) compiled
-        along the shortest rewrite path, or None when no path fits the
-        term size bound. The context saturates only its flavor's
-        universe, the runs of a plain theory or the linear terms of a
-        symmetric one, so a term outside it gets None too: one that
-        repeats a variable, or under a plain theory one whose variables
-        are out of order, such as m(x2,x1). Raises when the trees are
-        provably unrelated, and when the step budget ran out before the
-        closure merged them, since a check that skipped the pair would
-        pass on fewer instances than it claims."""
+        along the shortest path of merge links (path_arrow), or None
+        when no path fits the term size bound. The context saturates
+        only its flavor's universe, the runs of a plain theory or the
+        linear terms of a symmetric one, so a term outside it gets None
+        too: one that repeats a variable, or under a plain theory one
+        whose variables are out of order, such as m(x2,x1). Raises when
+        the trees are provably unrelated, and when the step budget ran
+        out before the closure merged them, since a check that skipped
+        the pair would pass on fewer instances than it claims."""
         term1, term2 = self._as_term(t1), self._as_term(t2)
         operands = tuple(operands)
         key = (term1, term2, operands)
@@ -419,9 +412,8 @@ class WeakPCategoryData:
                     f"steps ran out at arity {arity} before "
                     f"{format_term(term1)} and {format_term(term2)} merged")
             return None
-        steps = sat.explain(term1, term2)
-        return self.compile_path(steps, operands,
-                                 at_object=self.h_obj(term1, operands))
+        i1, i2 = sat.ids(term1, term2)
+        return self.path_arrow(sat, i1, i2, sat.unions, operands)
 
     def _refute(self, term1: Term, term2: Term, arity: int) -> str:
         if self.interpretation is None:
@@ -430,39 +422,38 @@ class WeakPCategoryData:
         e2 = self.interpretation.eval_term(term2, arity)
         return "unknown" if e1 == e2 else "no"
 
-    def compile_path(self, steps: Sequence[RewriteStep],
-                     operands: tuple[str, ...], at_object: str) -> str:
-        return self.base.compose_chain(
-            [self._compile_at(s.source, s, s.position, operands)
-             for s in steps], at_object)
+    def path_arrow(self, sat: SaturationResult, i1: int, i2: int,
+                   before: int, operands: tuple[str, ...]) -> str:
+        """The base arrow from h at term id i1 to h at id i2 of the
+        closure sat, at operands: link_arrow composed along
+        sat.path(i1, i2, before)."""
+        arrow = None
+        for link in sat.path(i1, i2, before):
+            step = self.link_arrow(sat, *link, operands)
+            arrow = step if arrow is None else self.base.compose(step, arrow)
+        if arrow is None:
+            return self.base.identity(self.h_obj(sat.terms[i1], operands))
+        return arrow
 
-    def _compile_at(self, term: Term, step: RewriteStep,
-                    position: tuple[int, ...], operands: tuple[str, ...]) -> str:
-        if not position:
-            return self._basic_component(step, operands)
-        i = position[0]
-        assert isinstance(term, App)
-        gen = self.generators[term.op]
-        images = []
-        for j, child in enumerate(term.args):
-            if j == i:
-                images.append(self._compile_at(child, step, position[1:], operands))
-            else:
-                images.append(self.base.identity(self.h_obj(child, operands)))
-        return gen.arr(images)
-
-    def _basic_component(self, step: RewriteStep,
-                         operands: tuple[str, ...]) -> str:
-        eq = self.presentation.equations[step.eq_index]
-        bound = dict(step.binding)
-        cell_operands = tuple(
-            self.h_obj(bound[v], operands) for v in range(1, eq.arity + 1))
-        component = self.deltas[step.eq_index][cell_operands]
-        if step.forward:
-            return component
-        inverse = self.base.inverse(component)
-        assert inverse is not None
-        return inverse
+    def link_arrow(self, sat: SaturationResult, a: int, b: int,
+                   reason: tuple, stamp: int,
+                   operands: tuple[str, ...]) -> str:
+        """The base arrow of one merge link a -> b of the closure sat, at
+        operands: an equation link's delta component at its binding,
+        inverted when a is not the equation's left side, or for a
+        congruence link the generator functor applied to the arrows of
+        the child paths, which run over links older than it."""
+        if reason[0] == "axiom":
+            # every declared variable occurs, so the binding is x1..xn
+            _, eq_index, binding, lhs_id, _ = reason
+            component = self.deltas[eq_index][tuple(
+                self.h_obj(sat.terms[k], operands) for _, k in binding)]
+            # validation refuses a component without an inverse
+            return component if a == lhs_id else self.base.inverse(component)
+        (op, kids_a), (_, kids_b) = sat.nodes[a], sat.nodes[b]
+        return self.generators[op].arr(
+            [self.path_arrow(sat, x, y, stamp, operands)
+             for x, y in zip(kids_a, kids_b)])
 
 
 _COHERENCE_ARITY = 3
@@ -479,7 +470,7 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
     the least in (size, text) order, to its identity and each member
     reached along a spanning tree of the class's edges (class_edges,
     breadth first) to the tree path's compiled arrow. Every other edge
-    u -> v is one instance of "edge coherence": its compiled steps after
+    u -> v is one instance of "edge coherence": its link_arrow after
     p(u) must equal p(v). The fundamental cycles of a spanning tree
     generate every cycle, so this certifies path independence over the
     whole recorded graph; a class whose edges form a tree has no cycle
@@ -496,17 +487,17 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
             if len(edges) < len(members):
                 continue
             for operands in product(W.base.objects, repeat=arity):
-                p = {first: W.base.identity(W.h_obj(first, operands))}
-                for u, v, steps in edges:
-                    at = W.base.arrows[p[u]].dst
+                p = {edges[0][0]: W.base.identity(W.h_obj(first, operands))}
+                for u, v, reason, stamp in edges:
                     arrow = W.base.compose(
-                        W.compile_path(steps, operands, at), p[u])
+                        W.link_arrow(sat, u, v, reason, stamp, operands), p[u])
                     if v not in p:
                         p[v] = arrow
                         continue
                     report.check(
                         "edge coherence", arrow == p[v],
-                        lambda: (f"{format_term(u)} -> {format_term(v)} in the "
+                        lambda: (f"{format_term(sat.terms[u])} -> "
+                                 f"{format_term(sat.terms[v])} in the "
                                  f"class of {format_term(first)} at {operands}"
                                  f" gives {arrow}, the tree path {p[v]}"))
     return report

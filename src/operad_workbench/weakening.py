@@ -227,9 +227,11 @@ def biased_unbiased_agreement(ctx_a: WeakeningContext, ctx_b: WeakeningContext,
     the elements of their shared target.
 
     For each arity, both contexts partition their own trees by target
-    element; agreement means the same element sets are realized and each
-    element heads exactly one class on both sides. Trees themselves are
-    not compared across contexts since the signatures differ.
+    element; agreement means the same element sets are realized. Each
+    element heads exactly one class on each side by construction, since
+    evaluable enumerate_classes buckets the trees by their element.
+    Trees themselves are not compared across contexts since the
+    signatures differ.
     """
     if not (ctx_a.evaluable and ctx_b.evaluable):
         raise WeakeningError("agreement needs evaluable contexts on both sides")
@@ -249,6 +251,4 @@ def biased_unbiased_agreement(ctx_a: WeakeningContext, ctx_b: WeakeningContext,
         if keys_a != keys_b:
             report.fail(
                 f"arity {arity}: realized elements {keys_a} vs {keys_b}")
-        if len(set(keys_a)) != len(keys_a) or len(set(keys_b)) != len(keys_b):
-            report.fail(f"arity {arity}: an element heads two classes")
     return report

@@ -505,12 +505,12 @@ def _probe_chains(sat, t1, t2):
     graph of the closure sat, shortest first, ties broken by the text
     of their links: the expansions of the simple paths at most four
     links longer than the shortest, from a walk that stops at 28."""
-    i1, i2 = sat._ids(t1, t2)
+    i1, i2 = sat.ids(t1, t2)
     if sat._find(i1) != sat._find(i2):
         return []
     if i1 == i2:
         return [[]]
-    cap = len(sat._bfs(i1, i2, sat.unions)) + 4
+    cap = len(sat.path(i1, i2, sat.unions)) + 4
     found, path, on_path = [], [], {i1}
 
     def walk(u):
@@ -549,6 +549,35 @@ def _probe_chains(sat, t1, t2):
     return out
 
 
+def compile_steps(W, steps, operands, at):
+    """The base arrow of a chain of rewrite steps at operands, compiled
+    one step at a time as the library once compiled every 2-cell: a step
+    at position p is its delta component (inverted for a backward step)
+    with the generator functors applied down p and identities on the
+    other children. An empty chain gives the identity at the object
+    at."""
+    arrow = W.base.identity(at)
+    for step in steps:
+        arrow = W.base.compose(
+            _compile_at(W, step.source, step, step.position, operands), arrow)
+    return arrow
+
+
+def _compile_at(W, term, step, position, operands):
+    if not position:
+        eq = W.presentation.equations[step.eq_index]
+        bound = dict(step.binding)
+        component = W.deltas[step.eq_index][tuple(
+            W.h_obj(bound[v], operands) for v in range(1, eq.arity + 1))]
+        return component if step.forward else W.base.inverse(component)
+    images = [
+        _compile_at(W, child, step, position[1:], operands)
+        if j == position[0]
+        else W.base.identity(W.h_obj(child, operands))
+        for j, child in enumerate(term.args)]
+    return W.generators[term.op].arr(images)
+
+
 def coherence_probe_oracle(W):
     """The sampled coherence probe that once certified a weak instance W,
     kept as an oracle: per arity 0-3, the first member of each class
@@ -575,7 +604,7 @@ def coherence_probe_oracle(W):
                 for operands in pool:
                     at = W.h_obj(term_a, operands)
                     checked += 1
-                    if len({W.compile_path(steps, operands, at)
+                    if len({compile_steps(W, steps, operands, at)
                             for steps in chains}) > 1:
                         failing.append((term_a, term_b, operands))
     return checked, failing

@@ -1,16 +1,19 @@
 """Command-line interface: exit codes, text output, and JSON payloads."""
 
 import contextlib
+import importlib
 import io
 import json
 import re
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from conftest import EXAMPLES, ROOT, load_theory, perfbench_module
+from conftest import EXAMPLES, ROOT, load_theory, perfbench_module, to_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import comm_monoid_normal_form, monoid_normal_form
 
 from operad_workbench import cli
 from operad_workbench.cli import main
@@ -214,6 +217,34 @@ def test_decide_explains_long_merges(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["answer"] == "yes"
     replay_json_trace(load_theory("monoid.th"), payload["trace"], a, b)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_decide_stream_answers_match_the_normal_forms(seed, capsys,
+                                                      monkeypatch):
+    """The monoid.th and comm_monoid.th queries of the decide-stream
+    benchmark at this seed, drawn by its own setup (read, not run): a yes
+    joins two terms of equal normal form, and a no two of different
+    ones, with no size bound on the normal forms."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    queries = importlib.import_module("workloads").decide_setup(
+        None, seed, ROOT)["queries"]
+    normal_forms = {"monoid.th": monoid_normal_form,
+                    "comm_monoid.th": comm_monoid_normal_form}
+    answers = Counter()
+    for name, left, right, cap in queries:
+        if name not in normal_forms:
+            continue
+        _, out, _ = run(capsys, "decide", str(EXAMPLES / name), left,
+                        right, "--max-size", str(cap), "--json")
+        answer = json.loads(out)["answer"]
+        answers[answer] += 1
+        if answer != "unknown":
+            left_nf, right_nf = (normal_forms[name](to_oracle(parse_term(u)))
+                                 for u in (left, right))
+            assert (left_nf == right_nf) == (answer == "yes"), (left, right)
+    assert answers["yes"] > 0 and answers["no"] > 0
 
 
 def test_classes_text(capsys):

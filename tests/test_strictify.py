@@ -8,10 +8,11 @@ from functools import partial
 
 import pytest
 from conftest import (EXAMPLES, collapse_functor, doubling_functor,
-                      identity_weak_functor, skewed_group_instance,
-                      terminal_weakcat, zmod)
-from oracles import (reference_action_on_objects, reference_close_pins,
-                     reference_comparison_cells, reference_comparison_pasting,
+                      identity_weak_functor, pentagon_gap_instance,
+                      skewed_group_instance, terminal_weakcat, zmod)
+from oracles import (compile_steps, reference_action_on_objects,
+                     reference_close_pins, reference_comparison_cells,
+                     reference_comparison_pasting,
                      reference_representatives, reference_seed_pins)
 
 from operad_workbench.cli import main
@@ -402,6 +403,35 @@ def test_representatives_are_the_evaluator_class_heads(instance, monoid):
     S = StrictPCategory(W)
     want = reference_representatives(W, S.arity_bound)
     assert list(S._reprs.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("instance, cells", [
+    ("z3", 113), ("z4", 216), ("bundled", 113), ("skewed", 18),
+    ("pentagon gap", 55), ("or", 126), ("symmetric", 76)])
+def test_derived_cells_match_the_step_compiler(instance, cells, monoid):
+    """Every cell the strictness, comparison and coherence checks derive,
+    folded over the closure's merge links, is the arrow that compiling
+    explain's rewrite chain one step at a time gives (compile_steps)."""
+    W = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
+         "z4": lambda: indiscrete_monoid_instance(monoid, *zmod(4)),
+         "bundled": _bundled,
+         "skewed": lambda: skewed_group_instance(monoid),
+         "pentagon gap": lambda: pentagon_gap_instance(monoid),
+         "or": lambda: _or_instance(monoid),
+         "symmetric": lambda: load_weakcat(_symmetric_text())}[instance]()
+    S = strictify(W)
+    check_strictness(S)
+    if W.presentation.flavor == "plain":
+        check_equivalence(S, W)
+    coherence_check(W)
+    derived = {key: arrow for key, arrow in W._delta_memo.items()
+               if arrow is not None}
+    assert len(derived) == cells
+    for (t1, t2, operands), arrow in derived.items():
+        steps = [] if t1 == t2 else \
+            W.context.saturation(len(operands)).explain(t1, t2)
+        assert arrow == compile_steps(W, steps, operands,
+                                      W.h_obj(t1, operands)), (t1, t2)
 
 
 def test_skewed_instance_failure_lines(monoid):

@@ -221,13 +221,15 @@ def test_class_edges_span_the_class_once(monoid, comm_monoid):
             stamps = {stamp for u in batch
                       for _, _, stamp in sat.edges[ids[u]]}
             assert len(edges) == len(stamps)
-            reached = [start]
-            for u, v, steps in edges:
+            reached = [ids[start]]
+            for link in edges:
+                u, v = link[:2]
                 assert u in reached
-                replay_chain(pres.equations, steps, u, v)
+                replay_chain(pres.equations, sat._expand(*link),
+                             sat.terms[u], sat.terms[v])
                 if v not in reached:
                     reached.append(v)
-            assert sorted(reached, key=ids.get) == batch
+            assert [sat.terms[i] for i in sorted(reached)] == batch
 
 
 def test_no_merge_edge_is_recorded_twice():

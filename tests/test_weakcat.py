@@ -49,8 +49,6 @@ def test_finite_category_operations():
     assert cat.is_iso("a>b")
     assert cat.is_identity("a>a") and not cat.is_identity("a>b")
     assert cat.hom("a", "b") == ["a>b"]
-    assert cat.compose_chain([], "a") == "a>a"
-    assert cat.compose_chain(["a>b", "b>c"], "a") == "a>c"
     assert FiniteCategory.terminal().objects == ("o",)
 
 

@@ -213,13 +213,14 @@ def test_two_cell_and_classes_on_pointed(pointed):
 
 
 # per theory, the size bound at arities 0-3: 9 up to arity 2 and 7
-# above. unbiased_monoid keeps 7 and 6, since its unary and ternary
-# operations put 24,722 terms in its full arity-1 universe at size 9,
-# where class_edges on the largest class (8,348 terms, 25,905 edges)
-# took 110 s in a process that peaked at 700 MB, and 21 s on the
-# class's 5,434 linear terms
+# above. unbiased_monoid keeps 7 and 6 at arities 2 and 3: its unary
+# and ternary operations grow the full universe about five-fold per
+# size, to 30,957 terms at arity 2 and size 8, which take 1.1 s to
+# saturate before any comparison on a 2-CPU x86 machine (class_edges
+# takes 0.01 s there on the largest class at arity 1 and size 9, 8,348
+# terms and 25,905 edges)
 DIFFERENTIAL = {"monoid": (9, 9, 9, 7), "comm_monoid": (9, 9, 9, 7),
-                "unbiased_monoid": (7, 7, 7, 6), "pointed": (9, 9, 9, 7),
+                "unbiased_monoid": (9, 9, 7, 6), "pointed": (9, 9, 9, 7),
                 "pointed_abcd": (9, 9, 9, 7), "trivial": (9, 9, 9, 7)}
 
 
@@ -228,8 +229,9 @@ def _assert_restriction(small, big, keep, rng):
     accepts: the same partition in the same order, so same agrees on
     every pair; the same explain on every merged pair, or on 100 seeded
     ones past 3,000; and the same class_edges from the first term of
-    every 20th of those, once per class (the stamps differ, the terms
-    and steps not)."""
+    every 20th of those, once per class, compared by the terms each link
+    joins and its reason's kind and equation (the ids and stamps
+    differ)."""
     assert not big.exhausted and not small.exhausted
     assert small.terms == [u for u in big.terms if keep(var_seq(u))]
     kept = set(small.terms)
@@ -247,7 +249,12 @@ def _assert_restriction(small, big, keep, rng):
     for a, _ in pairs[::20]:
         starts.setdefault(small.anchor(a), a)
     for a in starts.values():
-        assert small.class_edges(a) == big.class_edges(a), a
+        assert _link_terms(small, a) == _link_terms(big, a), a
+
+
+def _link_terms(sat, t):
+    return [(sat.terms[u], sat.terms[v], reason[:2])
+            for u, v, reason, _ in sat.class_edges(t)]
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
