@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .finmaps import FinFunction
@@ -459,8 +460,21 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+class TermTable(list):
+    """The terms enumerate_terms returns, with the node table it built
+    them from. A term's id is its position in the list; nodes[i] is (op,
+    child ids) for an App and (index, ()) for a Var, sizes[i] is the
+    term's size, and bit v of masks[i] says whether x_v occurs in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.nodes: list[tuple] = []
+        self.sizes: list[int] = []
+        self.masks: list[int] = []
+
+
 def enumerate_terms(signature: Signature, arity: int, max_size: int,
-                    flavor: str = "fp") -> list[Term]:
+                    flavor: str = "fp") -> TermTable:
     """All terms with support inside 1..arity and at most max_size nodes,
     or the share of them a flavor's closure needs (see closure_saturate):
     under "symmetric" the linear terms, in which each variable occurs at
@@ -471,22 +485,23 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
     the same relative order as in the full list. Every compound term is
     built from the list's own smaller terms, as shared objects, which
     misses nothing, since the linear terms and the runs are both closed
-    under subterms. Each term's variables are kept as a bitmask, and a
-    tuple of children that the flavor's test refuses is skipped before
-    its term is built.
+    under subterms. Each term's node, size and variable mask go into the
+    table as the term is built, and a tuple of children that the
+    flavor's test refuses is skipped before its term is built.
     """
     fits = _FITS[flavor]
-    out: list[Term] = []
+    out = TermTable()
+    masks = out.masks
     texts: list[str] = []
-    # bit v of masks[i] says whether x_v occurs in out[i]
-    masks: list[int] = []
     # the terms of size s are out[bounds[s - 1]:bounds[s]]
     bounds = [0]
     for s in range(1, max_size + 1):
-        found: list[tuple[str, Term, int]] = []
+        found: list[tuple[str, Term, tuple, int]] = []
         if s == 1:
-            found.extend((f"x{i}", Var(i), 1 << i) for i in range(1, arity + 1))
-            found.extend((op, App(op, ()), 0) for op, k in signature.ops if k == 0)
+            found.extend((f"x{i}", Var(i), (i, ()), 1 << i)
+                         for i in range(1, arity + 1))
+            found.extend((op, App(op, ()), (op, ()), 0)
+                         for op, k in signature.ops if k == 0)
         else:
             for op, k in signature.ops:
                 if k == 0 or k > s - 1:
@@ -494,12 +509,16 @@ def enumerate_terms(signature: Signature, arity: int, max_size: int,
                 for split in _compositions(s - 1, k):
                     pools = [range(bounds[part - 1], bounds[part]) for part in split]
                     for kids, mask in _fitting_tuples(pools, masks, fits):
-                        found.append((f"{op}({','.join(texts[c] for c in kids)})",
-                                      App(op, tuple(out[c] for c in kids)), mask))
+                        found.append((
+                            f"{op}({','.join(map(texts.__getitem__, kids))})",
+                            App(op, tuple(map(out.__getitem__, kids))),
+                            (op, kids), mask))
         found.sort(key=lambda entry: entry[0])
-        texts.extend(text for text, _, _ in found)
-        out.extend(term for _, term, _ in found)
-        masks.extend(mask for _, _, mask in found)
+        texts.extend(text for text, _, _, _ in found)
+        out.extend(term for _, term, _, _ in found)
+        out.nodes.extend(node for _, _, node, _ in found)
+        masks.extend(mask for _, _, _, mask in found)
+        out.sizes.extend([s] * len(found))
         bounds.append(len(out))
     return out
 
@@ -560,58 +579,44 @@ class SaturationResult:
     """Bounded equality closure of one arity: union-find with a merge
     graph over the bounded term universe, hash-consed on term ids, plus
     merge explanations: path links two ids, class_edges lists a whole
-    class's links, and explain expands a path into rewrite steps. A
-    term's id is its position in the universe; nodes[i] is (op, child
-    ids) for an App and (index, ()) for a Var, node_index inverts nodes,
-    and sizes[i] is the term's size. parent[i] is i's union-find parent
-    and edges[i] lists (neighbour id, reason, stamp) for every union
-    that touched i, where the stamp counts the unions before it; no pair
-    is joined twice for the same reason. A reason is ("axiom", eq_index,
-    binding, lhs id, rhs id), the binding sorted (variable, id) pairs,
-    or ("cong",) for terms whose children older links merged. A link
-    (a, b, reason, stamp) walks one edge from a to b. exhausted says
-    the step budget ran out."""
+    class's links, and explain expands a path into rewrite steps. The
+    universe is enumerate_terms' table, whose nodes, sizes and masks it
+    keeps (see TermTable); node_index inverts nodes. parent[i] is i's
+    union-find parent and edges[i] lists (neighbour id, reason, stamp)
+    for every union that touched i, where the stamp counts the unions
+    before it; no pair is joined twice for the same reason. A reason is
+    ("axiom", eq_index, binding, lhs id, rhs id), the binding sorted
+    (variable, id) pairs, or ("cong",) for terms whose children older
+    links merged. A link (a, b, reason, stamp) walks one edge from a to
+    b. exhausted says the step budget ran out."""
 
-    def __init__(self, universe: list[Term]):
+    def __init__(self, universe: TermTable):
         self.terms = universe
-        # enumerate_terms builds each term from the universe's own
-        # smaller terms, so object identity finds a child's id
-        position = {id(t): i for i, t in enumerate(universe)}
-        self.nodes: list[tuple] = []
-        self.sizes: list[int] = []
-        self.var_ids: dict[int, int] = {}
-        for i, t in enumerate(universe):
-            if isinstance(t, Var):
-                self.var_ids[t.index] = i
-                self.nodes.append((t.index, ()))
-                self.sizes.append(1)
-            else:
-                kids = tuple(position[id(a)] for a in t.args)
-                self.nodes.append((t.op, kids))
-                self.sizes.append(1 + sum(self.sizes[k] for k in kids))
+        self.nodes = universe.nodes
+        self.sizes = universe.sizes
+        self.masks = universe.masks
         self.node_index = {node: i for i, node in enumerate(self.nodes)}
         self.parent = list(range(len(universe)))
         self.edges: list[list[tuple[int, tuple, int]]] = [[] for _ in universe]
         self.unions = 0
         self.exhausted = False
 
-    def _instance_id(self, pattern: Term, binding: Mapping[int, int]) -> int | None:
-        """The id of pattern with x_v bound to the term of id binding[v],
-        or None when that instance lies outside the universe (every
+    def _id_of(self, t: Term) -> int | None:
+        """t's id, or None when t lies outside the universe (every
         subterm of a universe term lies inside it)."""
-        if isinstance(pattern, Var):
-            return binding.get(pattern.index)
+        if isinstance(t, Var):
+            return self.node_index.get((t.index, ()))
         kids = []
-        for a in pattern.args:
-            kid = self._instance_id(a, binding)
+        for a in t.args:
+            kid = self._id_of(a)
             if kid is None:
                 return None
             kids.append(kid)
-        return self.node_index.get((pattern.op, tuple(kids)))
+        return self.node_index.get((t.op, tuple(kids)))
 
     def ids(self, *terms: Term) -> list[int]:
         """The ids of terms; raises when one lies outside the universe."""
-        ids = [self._instance_id(t, self.var_ids) for t in terms]
+        ids = [self._id_of(t) for t in terms]
         if None in ids:
             raise TermError("term outside the saturated universe")
         return ids
@@ -637,7 +642,7 @@ class SaturationResult:
         return True
 
     def in_universe(self, t: Term) -> bool:
-        return self._instance_id(t, self.var_ids) is not None
+        return self._id_of(t) is not None
 
     def same(self, t1: Term, t2: Term) -> bool:
         i1, i2 = self.ids(t1, t2)
@@ -776,7 +781,9 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
     under "symmetric", the runs under "plain" (see enumerate_terms).
 
     Seeds every equation instance whose two sides fit inside the size
-    bound, then closes under one-level congruence and transitivity to a
+    bound, binding the variables in order and looking each subterm of a
+    side up in the universe as soon as its variables are bound, then
+    closes under one-level congruence and transitivity to a
     fixpoint (or until max_steps unions have been attempted). Each
     congruence pair is united once, even when already merged, so the
     merge graph holds each recorded rewrite exactly once. Sound with
@@ -815,17 +822,7 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
 def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
                     max_term_size: int, budget: int,
                     fits: Callable[[int, int], bool]) -> int:
-    sizes = sat.sizes
-    # bit v of masks[i] says whether x_v occurs in term i; x1, x2, ...
-    # are bound in order, and a binding term that does not fit after the
-    # ones before it leaves no instance in the universe, so it is
-    # skipped before it is built or charged to the budget
-    masks: list[int] = []
-    for head, kids in sat.nodes:
-        mask = 1 << head if isinstance(head, int) else 0
-        for k in kids:
-            mask |= masks[k]
-        masks.append(mask)
+    sizes, masks, node_index = sat.sizes, sat.masks, sat.node_index
     for eq_index, eq in enumerate(equations):
         occurring = sorted(support(eq.lhs) | support(eq.rhs))
         base_l = term_size(eq.lhs)
@@ -833,41 +830,87 @@ def _seed_instances(sat: SaturationResult, equations: tuple[Equation, ...],
         seq_l, seq_r = var_seq(eq.lhs), var_seq(eq.rhs)
         occ_l = {v: seq_l.count(v) for v in occurring}
         occ_r = {v: seq_r.count(v) for v in occurring}
-
+        steps, reg, lhs_reg, rhs_reg = _compile_sides(eq, occurring,
+                                                      node_index)
+        # x1, x2, ... are bound in order, and a binding term that does
+        # not fit after the ones before it leaves no instance in the
+        # universe, so it is skipped before it is built or charged to the
+        # budget; reg[i] holds the id bound to occurring[i]
         def assign(i: int, size_l: int, size_r: int, used: int,
-                   binding: dict[int, int], budget: int) -> int:
+                   budget: int) -> int:
             if budget <= 0:
                 return budget
             if i == len(occurring):
-                lhs_inst = sat._instance_id(eq.lhs, binding)
-                rhs_inst = sat._instance_id(eq.rhs, binding)
+                lhs_inst, rhs_inst = reg[lhs_reg], reg[rhs_reg]
                 if lhs_inst is not None and rhs_inst is not None:
-                    frozen = tuple(sorted(binding.items()))
                     sat._union(lhs_inst, rhs_inst,
-                               (_AXIOM, eq_index, frozen, lhs_inst, rhs_inst))
+                               (_AXIOM, eq_index, tuple(zip(occurring, reg)),
+                                lhs_inst, rhs_inst))
                 return budget - 1
             v = occurring[i]
+            grow_l, grow_r = occ_l[v], occ_r[v]
+            bound_here = steps[i]
             for t, size in enumerate(sizes):
                 extra = size - 1
-                new_l = size_l + occ_l[v] * extra
-                new_r = size_r + occ_r[v] * extra
+                new_l = size_l + grow_l * extra
+                new_r = size_r + grow_r * extra
                 # ids are size-sorted, so the first overflow persists
                 if new_l > max_term_size or new_r > max_term_size:
                     break
                 if not fits(used, masks[t]):
                     continue
-                binding[v] = t
-                budget = assign(i + 1, new_l, new_r, used | masks[t], binding,
-                                budget)
-                del binding[v]
+                reg[i] = t
+                for dest, op, gather in bound_here:
+                    reg[dest] = node_index.get((op, gather(reg)))
+                budget = assign(i + 1, new_l, new_r, used | masks[t], budget)
                 if budget <= 0:
                     return budget
             return budget
 
-        budget = assign(0, base_l, base_r, 0, {}, budget)
+        budget = assign(0, base_l, base_r, 0, budget)
         if budget <= 0:
             return budget
     return budget
+
+
+def _compile_sides(eq: Equation, occurring: list[int],
+                   node_index: Mapping[tuple, int]
+                   ) -> tuple[list[list[tuple]], list[int | None], int, int]:
+    """Compile eq's two sides into lookups in node_index over a register
+    list: reg[i] holds the id bound to occurring[i], and each compound
+    subterm gets a register of its own. steps[i] looks up the subterms
+    whose last variable in binding order is occurring[i], each as
+    (register, op, gather), children first, where gather(reg) is the
+    tuple of the children's registers; so a subterm is looked up once
+    per binding of its own variables, and one without variables once,
+    here. A lookup outside the universe leaves None, and every lookup
+    above it finds nothing. Returns steps, reg and the sides'
+    registers."""
+    slot = {v: i for i, v in enumerate(occurring)}
+    steps: list[list[tuple]] = [[] for _ in occurring]
+    reg: list[int | None] = [None] * len(occurring)
+
+    def place(t: Term) -> tuple[int, int]:
+        """t's register and the index in occurring of its last variable,
+        or -1 when it has none."""
+        if isinstance(t, Var):
+            return slot[t.index], slot[t.index]
+        kids = [place(a) for a in t.args]
+        last = max((k for _, k in kids), default=-1)
+        args = tuple(r for r, _ in kids)
+        # itemgetter gives a tuple only for two or more items
+        gather = (itemgetter(*args) if len(args) > 1
+                  else lambda reg: tuple([reg[a] for a in args]))
+        reg.append(None)
+        if last < 0:
+            reg[-1] = node_index.get((t.op, gather(reg)))
+        else:
+            steps[last].append((len(reg) - 1, t.op, gather))
+        return len(reg) - 1, last
+
+    lhs_reg, _ = place(eq.lhs)
+    rhs_reg, _ = place(eq.rhs)
+    return steps, reg, lhs_reg, rhs_reg
 
 
 def _congruence_fixpoint(sat: SaturationResult, budget: int) -> int:

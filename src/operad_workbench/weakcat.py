@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .operads import (CheckReport, Interpretation, Operad, builtin_operad,
                       validate_interpretation)
@@ -423,26 +424,29 @@ class WeakPCategoryData:
         return "unknown" if e1 == e2 else "no"
 
     def path_arrow(self, sat: SaturationResult, i1: int, i2: int,
-                   before: int, operands: tuple[str, ...]) -> str:
+                   before: int, operands: tuple[str, ...],
+                   path: Callable | None = None) -> str:
         """The base arrow from h at term id i1 to h at id i2 of the
         closure sat, at operands: link_arrow composed along
-        sat.path(i1, i2, before)."""
+        path(i1, i2, before), where path is sat.path or a memo of it."""
+        path = path or sat.path
         arrow = None
-        for link in sat.path(i1, i2, before):
-            step = self.link_arrow(sat, *link, operands)
+        for link in path(i1, i2, before):
+            step = self.link_arrow(sat, *link, operands, path)
             arrow = step if arrow is None else self.base.compose(step, arrow)
         if arrow is None:
             return self.base.identity(self.h_obj(sat.terms[i1], operands))
         return arrow
 
     def link_arrow(self, sat: SaturationResult, a: int, b: int,
-                   reason: tuple, stamp: int,
-                   operands: tuple[str, ...]) -> str:
+                   reason: tuple, stamp: int, operands: tuple[str, ...],
+                   path: Callable | None = None) -> str:
         """The base arrow of one merge link a -> b of the closure sat, at
         operands: an equation link's delta component at its binding,
         inverted when a is not the equation's left side, or for a
         congruence link the generator functor applied to the arrows of
-        the child paths, which run over links older than it."""
+        the child paths, which run over links older than it and are
+        found by path (as in path_arrow)."""
         if reason[0] == "axiom":
             # every declared variable occurs, so the binding is x1..xn
             _, eq_index, binding, lhs_id, _ = reason
@@ -452,7 +456,7 @@ class WeakPCategoryData:
             return component if a == lhs_id else self.base.inverse(component)
         (op, kids_a), (_, kids_b) = sat.nodes[a], sat.nodes[b]
         return self.generators[op].arr(
-            [self.path_arrow(sat, x, y, stamp, operands)
+            [self.path_arrow(sat, x, y, stamp, operands, path)
              for x, y in zip(kids_a, kids_b)])
 
 
@@ -478,6 +482,9 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
     report = CheckReport()
     for arity in range(0, _COHERENCE_ARITY + 1):
         sat = W.context.saturation(arity)
+        # a link's child paths do not depend on the operands, so each
+        # distinct search runs once and is folded at every operand tuple
+        path = cache(sat.path)
         every_variable = frozenset(range(1, arity + 1))
         for members in sat.classes():
             first = members[0]
@@ -490,7 +497,8 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
                 p = {edges[0][0]: W.base.identity(W.h_obj(first, operands))}
                 for u, v, reason, stamp in edges:
                     arrow = W.base.compose(
-                        W.link_arrow(sat, u, v, reason, stamp, operands), p[u])
+                        W.link_arrow(sat, u, v, reason, stamp, operands,
+                                     path), p[u])
                     if v not in p:
                         p[v] = arrow
                         continue

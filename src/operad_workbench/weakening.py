@@ -21,7 +21,8 @@ from typing import Sequence
 
 from .operads import CheckReport, Interpretation
 from .terms import (MAX_STEPS, MAX_TERM_SIZE, Presentation, RewriteStep,
-                    SaturationResult, Term, closure_saturate, format_term)
+                    SaturationResult, Term, closure_saturate, format_term,
+                    term_size)
 from .trees import (FPTree, PermutedTree, Tree, enumerate_permuted_trees,
                     enumerate_trees, format_object, to_term,
                     to_term_alpha, tree_arity)
@@ -160,13 +161,16 @@ class WeakeningContext:
                           arity: int) -> Decision:
         term1 = self.object_term(t1)
         term2 = self.object_term(t2)
-        sat = self.saturation(arity)
+        # an object term is a run (plain) or a linear term (symmetric), so
+        # it lies in its flavor's universe exactly when it fits the size
+        # bound, and an over-bound side is answered before saturating
         for term in (term1, term2):
-            if not sat.in_universe(term):
+            if term_size(term) > self.max_term_size:
                 return Decision(
                     "unknown",
                     f"{format_term(term)} exceeds the saturation size bound "
                     f"{self.max_term_size}")
+        sat = self.saturation(arity)
         if sat.same(term1, term2):
             steps = sat.explain(term1, term2)
             return Decision("yes", f"merged in {len(steps)} rewrite steps",

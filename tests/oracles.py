@@ -549,6 +549,83 @@ def _probe_chains(sat, t1, t2):
     return out
 
 
+def _lib_var_seq(t):
+    args = getattr(t, "args", None)
+    if args is None:
+        return [t.index]
+    return [v for a in args for v in _lib_var_seq(a)]
+
+
+def _lib_size(t):
+    return 1 + sum(_lib_size(a) for a in getattr(t, "args", ()))
+
+
+def _instance_id(sat, pattern, binding):
+    """The id in the closure sat of the library term pattern with x_v
+    bound to the term of id binding[v], or None when that instance lies
+    outside sat's universe."""
+    args = getattr(pattern, "args", None)
+    if args is None:
+        return binding.get(pattern.index)
+    kids = []
+    for a in args:
+        kid = _instance_id(sat, a, binding)
+        if kid is None:
+            return None
+        kids.append(kid)
+    return sat.node_index.get((pattern.op, tuple(kids)))
+
+
+def recursive_seed_instances(sat, equations, max_term_size, budget, fits):
+    """The closure's seeder as it once was, on the closure sat: bind
+    x1, x2, ... in order to ids of size-sorted terms, skip a binding term
+    that does not fit after the ones before it, and at each full binding
+    charge one step and build both sides recursively from the binding
+    dict, uniting them when both lie in the universe. The variable masks
+    are derived from sat.nodes. Returns the budget left."""
+    masks = []
+    for head, kids in sat.nodes:
+        mask = 1 << head if isinstance(head, int) else 0
+        for k in kids:
+            mask |= masks[k]
+        masks.append(mask)
+    for eq_index, eq in enumerate(equations):
+        seq_l, seq_r = _lib_var_seq(eq.lhs), _lib_var_seq(eq.rhs)
+        occurring = sorted(set(seq_l) | set(seq_r))
+
+        def assign(i, size_l, size_r, used, binding, budget):
+            if budget <= 0:
+                return budget
+            if i == len(occurring):
+                lhs_inst = _instance_id(sat, eq.lhs, binding)
+                rhs_inst = _instance_id(sat, eq.rhs, binding)
+                if lhs_inst is not None and rhs_inst is not None:
+                    frozen = tuple(sorted(binding.items()))
+                    sat._union(lhs_inst, rhs_inst,
+                               ("axiom", eq_index, frozen, lhs_inst, rhs_inst))
+                return budget - 1
+            v = occurring[i]
+            for t, size in enumerate(sat.sizes):
+                new_l = size_l + seq_l.count(v) * (size - 1)
+                new_r = size_r + seq_r.count(v) * (size - 1)
+                if new_l > max_term_size or new_r > max_term_size:
+                    break
+                if not fits(used, masks[t]):
+                    continue
+                binding[v] = t
+                budget = assign(i + 1, new_l, new_r, used | masks[t], binding,
+                                budget)
+                del binding[v]
+                if budget <= 0:
+                    return budget
+            return budget
+
+        budget = assign(0, _lib_size(eq.lhs), _lib_size(eq.rhs), 0, {}, budget)
+        if budget <= 0:
+            return budget
+    return budget
+
+
 def compile_steps(W, steps, operands, at):
     """The base arrow of a chain of rewrite steps at operands, compiled
     one step at a time as the library once compiled every 2-cell: a step

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import (EXAMPLES, from_oracle, is_linear, is_run,
                       replay_chain, to_oracle)
+from operad_workbench import terms
 from operad_workbench.finmaps import fn
 from operad_workbench.terms import (App, Equation, GENERAL, LINEAR,
-                                    Presentation, PresentationError,
-                                    STRONGLY_REGULAR, Signature, TermError,
-                                    Var, classify_equation,
+                                    MAX_STEPS, Presentation,
+                                    PresentationError, STRONGLY_REGULAR,
+                                    SaturationResult, Signature, TermError,
+                                    Var, _FITS, _congruence_fixpoint,
+                                    _seed_instances, classify_equation,
                                     classify_presentation, classify_term,
                                     closure_saturate, enumerate_terms,
                                     format_equation, format_term, label_fn,
@@ -22,7 +25,8 @@ from operad_workbench.terms import (App, Equation, GENERAL, LINEAR,
                                     replace_at, subterm_at, substitute,
                                     support, term_size, var_seq)
 from oracles import (comm_monoid_normal_form, enumerate_terms_brute,
-                     monoid_normal_form, naive_equality_closure)
+                     monoid_normal_form, naive_equality_closure,
+                     recursive_seed_instances)
 
 SIG = Signature.of({"m": 2, "e": 0})
 
@@ -165,6 +169,24 @@ def test_enumerate_terms_matches_brute_oracle():
         assert runs == [u for u in linear if is_run(var_seq(u))]
 
 
+@pytest.mark.parametrize("flavor", ["fp", "symmetric", "plain"])
+def test_enumerate_terms_records_the_node_table(flavor):
+    for ops, arity, size in (({"m": 2, "e": 0}, 3, 7),
+                             ({"f": 3, "g": 1, "e": 0}, 2, 6)):
+        table = enumerate_terms(Signature.of(ops), arity, size, flavor)
+        ids = {u: i for i, u in enumerate(table)}
+        assert len(table.nodes) == len(table.sizes) == len(table.masks) \
+            == len(table) == len(ids)
+        for i, u in enumerate(table):
+            if isinstance(u, Var):
+                assert table.nodes[i] == (u.index, ())
+            else:
+                assert table.nodes[i] == (u.op, tuple(ids[a] for a in u.args))
+            assert table.sizes[i] == term_size(u)
+            assert {v for v in range(arity + 1)
+                    if table.masks[i] >> v & 1} == support(u)
+
+
 def test_positions_and_replacement():
     term = t("m(m(x1,e),x2)")
     assert subterm_at(term, (0, 1)) == t("e")
@@ -244,6 +266,48 @@ def test_no_merge_edge_is_recorded_twice():
                      for a, edges in enumerate(sat.edges)
                      for b, reason, _ in edges}
             assert len(joins) == sat.unions, (path.name, arity)
+
+
+# (theory, arity, cap): the three bundled theories with equations of
+# two and three variables, and one larger run universe
+SEEDER_CASES = [(name, arity, cap)
+                for name in ("monoid", "comm_monoid", "unbiased_monoid")
+                for arity in range(4) for cap in (7, 9)] + [("monoid", 3, 11)]
+
+
+def _seeded_state(sat, left):
+    return [list(e) for e in sat.edges], list(sat.parent), sat.unions, left
+
+
+@pytest.mark.parametrize("budget", [1, 7, 100, MAX_STEPS])
+def test_seeder_matches_the_recursive_oracle(budget, request, monkeypatch):
+    """The seeder looks each side up through compiled per-variable
+    steps; the old seeder built both sides recursively from a binding
+    dict at every full binding. Both must leave the same merge graph,
+    union-find and budget, after seeding and after the congruence
+    fixpoint."""
+    seeded = []
+
+    def recording(sat, *args):
+        left = _seed_instances(sat, *args)
+        seeded.append((sat.terms, _seeded_state(sat, left)))
+        return left
+
+    monkeypatch.setattr(terms, "_seed_instances", recording)
+    for name, arity, cap in SEEDER_CASES:
+        pres = request.getfixturevalue(name)
+        sat = closure_saturate(pres.signature, pres.equations, arity, cap,
+                               budget, pres.flavor)
+        universe, state = seeded.pop()
+        oracle = SaturationResult(universe)
+        left = recursive_seed_instances(oracle, pres.equations, cap, budget,
+                                        _FITS[pres.flavor])
+        assert state == _seeded_state(oracle, left), (name, arity, cap)
+        if left > 0:
+            left = _congruence_fixpoint(oracle, left)
+        assert (sat.edges, sat.parent, sat.unions, sat.exhausted) == (
+            oracle.edges, oracle.parent, oracle.unions, left <= 0), (
+                name, arity, cap)
 
 
 def test_anchor_is_constant_on_every_class(monoid, comm_monoid):

@@ -9,7 +9,7 @@ from conftest import (EXAMPLES, ROOT, identity_weak_functor,
                       pentagon_gap_instance, skewed_group_instance, zmod)
 
 from operad_workbench.operads import builtin_operad, default_assignment
-from operad_workbench.terms import format_term, parse_term
+from operad_workbench.terms import SaturationResult, format_term, parse_term
 from operad_workbench.trees import parse_tree
 from operad_workbench.weakening import WeakeningContext
 from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
@@ -311,6 +311,27 @@ def test_coherence_counts_are_pinned(z3_instance, z4_instance):
         report = coherence_check(W)
         assert report.checked == {"edge coherence": count}
         assert report.ok, report.lines()
+
+
+def test_coherence_searches_each_path_once(z3_instance, z4_instance,
+                                           monkeypatch):
+    """A link's child paths do not depend on the operands, so Z/3 (27
+    operand tuples at arity 3) and Z/4 (64) run the same searches."""
+    searches = []
+    path = SaturationResult.path
+
+    def counting(sat, *key):
+        searches.append(key)
+        return path(sat, *key)
+
+    monkeypatch.setattr(SaturationResult, "path", counting)
+    counts = []
+    for W in (z3_instance, z4_instance):
+        searches.clear()
+        coherence_check(W)
+        assert len(searches) == len(set(searches))
+        counts.append(len(searches))
+    assert counts[0] == counts[1] == 24
 
 
 def test_skewed_associator_validates_but_is_incoherent(monoid):

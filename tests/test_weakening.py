@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import (comm_monoid_fp_context, is_linear, is_run,
+from conftest import (EXAMPLES, comm_monoid_fp_context, is_linear, is_run,
                       replay_chain)
 from operad_workbench.operads import (CheckReport, EndOperad, FiniteOp,
                                       Interpretation,
@@ -122,6 +122,36 @@ def test_oversized_terms_answer_unknown(monoid):
     decision = ctx.two_cell(big, parse_tree("e", monoid.signature))
     assert decision.answer == "unknown"
     assert "size bound" in decision.reason
+
+
+@pytest.mark.parametrize("name, big, small", [
+    ("monoid", "m(m(e,e),m(e,m(e,e)))", "e"),
+    ("comm_monoid", "m(m(|,e),m(e,m(e,e)))", "|")])
+def test_over_bound_sides_are_answered_before_saturating(
+        name, big, small, request, monkeypatch, capsys):
+    """An object term is a run or a linear term, so it lies in the
+    flavor's universe exactly when it fits the size bound: an over-bound
+    side gets its unknown without a closure being built."""
+    from operad_workbench import cli, terms
+
+    enumerated = []
+    monkeypatch.setattr(terms, "enumerate_terms",
+                        lambda *args: enumerated.append(args))
+    pres = request.getfixturevalue(name)
+    ctx = WeakeningContext(pres, max_term_size=5)
+    a, b = (parse_tree(text, pres.signature) for text in (big, small))
+    term = format_term(ctx.object_term(a))
+    for pair in ((a, b), (b, a)):
+        decision = ctx.two_cell(*pair)
+        assert (decision.answer, decision.reason) == (
+            "unknown", f"{term} exceeds the saturation size bound 5")
+    path = str(EXAMPLES / f"{name}.th")
+    small_term = format_term(ctx.object_term(b))
+    assert cli.main(["decide", path, "--max-size", "5", small_term,
+                     term]) == 2
+    assert capsys.readouterr().out == (
+        f"unknown: {term} exceeds the saturation size bound 5\n")
+    assert enumerated == []
 
 
 def test_each_arity_is_saturated_once(monoid, monkeypatch):
