@@ -14,8 +14,14 @@ failed check is printed.
 
 The report gives, per job, the median over every pass of every round
 for OLD and NEW and their ratio, then the median pass total. It shows
-where a change moves the time layer by layer; the end-to-end metrics
-are perfbench/run.py's.
+where a change moves the time layer by layer. Below that come each
+side's end-to-end time metrics as perfbench/run.py defines them, each
+job at its slowest pass of a round: wall (the sum of those times, as
+wall_s) and their Harrell-Davis p50 and p90 (verdict_p50_ms and
+verdict_p90_ms), medians over the rounds. They are computed by
+run.py's own slowest_jobs and harrell_davis, imported from this
+checkout's perfbench/ by path. With a few passes a round they read
+lower than a 55 s run, which takes the slowest of many more passes.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -34,6 +41,29 @@ from types import SimpleNamespace
 # every layer module, imported into the namespace the jobs call through
 LAYERS = ("finmaps", "terms", "trees", "operads", "clones", "weakening",
           "weakcat", "strictify", "cli")
+BENCH_RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def bench_run():
+    """perfbench/run.py as a module, loaded by path and left unwritten:
+    no bytecode is cached next to it."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def end_to_end_ms(runs: list[dict], bench) -> tuple[float, float, float]:
+    """wall, p50 and p90 in ms, each the median over the runs of what
+    bench (run.py) computes from a run's passes: every job at its
+    slowest pass, their sum, and their Harrell-Davis quantiles."""
+    rows = []
+    for run in runs:
+        slowest = bench.slowest_jobs([{"times": row} for row in run["times"]])
+        rows.append((sum(slowest), bench.harrell_davis(slowest, 0.5),
+                     bench.harrell_davis(slowest, 0.9)))
+    return tuple(1e3 * statistics.median(column) for column in zip(*rows))
 
 
 def child(root: Path, workload: str, seed: int, passes: int) -> dict:
@@ -88,11 +118,15 @@ def report(old: list[dict], new: list[dict]):
         return 1e3 * statistics.median(
             sum(row) for run in runs for row in run["times"])
 
-    width = max(len(name) for name in names + ["pass total"])
-    print(f"{'job':<{width}}  {'old ms':>10}  {'new ms':>10}  {'new/old':>7}")
+    bench = bench_run()
     rows = [(name, median_ms(old, i), median_ms(new, i))
             for i, name in enumerate(names)]
     rows.append(("pass total", total_ms(old), total_ms(new)))
+    rows.extend(zip(("wall, slowest passes", "verdict p50, slowest passes",
+                     "verdict p90, slowest passes"),
+                    end_to_end_ms(old, bench), end_to_end_ms(new, bench)))
+    width = max(len(name) for name, _, _ in rows)
+    print(f"{'job':<{width}}  {'old ms':>10}  {'new ms':>10}  {'new/old':>7}")
     for name, a, b in rows:
         ratio = f"{b / a:7.3f}" if a else "      -"
         print(f"{name:<{width}}  {a:10.2f}  {b:10.2f}  {ratio}")

@@ -18,17 +18,19 @@ check_equivalence the comparison back to the base (full, faithful,
 essentially surjective, and a weak map via the construction's deltas),
 and universal_property_check builds the strict map induced by a weak
 map into a strict target and certifies its uniqueness by forcing every
-arrow image from the restriction data. Whether a probed object tuple
-stays in the view's bounds depends only on its objects' elements, so
-the comparison and universal-property probes decide it once per
-element tuple (_Landing) and skip an out-of-bounds tuple before any
-object key is built.
+arrow image from the restriction data. Whether a probe stays in the
+view's bounds depends only on the elements it acts on: a composite
+leaves the enumerated elements (_Landing), or the graft of the
+representatives leaves the saturated universe, so that a cell has no
+rewrite path (_graft_cell). So the strictness, comparison and
+universal-property probes decide it once per element tuple and skip an
+out-of-bounds probe without acting on it and without a refusal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import Sequence
 
 from .operads import CheckReport, FreeOperad
@@ -111,12 +113,11 @@ class StrictPCategory:
             for p in self.elements[arity]:
                 for operands in product(W.base.objects, repeat=arity):
                     self._add_object(p, operands)
-        # the strict action and its cells are functions of element and
-        # object keys, so each distinct input is computed once (see _memo)
-        self._arr_memo: dict[tuple, object] = {}
-        self._delta_memo: dict[tuple, object] = {}
-        self._cell_memo: dict[tuple, object] = {}
-        self._landings: dict[Term, _Landing] = {}
+        # each cell is derived once, and each (op, q, elements) found
+        # without a rewrite path is remembered (see _graft_cell)
+        self._cell_memo: dict[tuple, str] = {}
+        self._pathless: set[tuple] = set()
+        self._landings: dict = {}
 
     def _add_object(self, element, operands: tuple[str, ...]):
         h_value = self.W.h_obj(self.repr_term(element), operands)
@@ -167,21 +168,6 @@ class StrictPCategory:
     def hom(self, x: StObject, y: StObject) -> list[StArrow]:
         return [StArrow(x, y, b) for b in self.W.base.hom(x.h_value, y.h_value)]
 
-    def _memo(self, table: dict, key: tuple, compute):
-        """compute() once per key. A StrictifyError is remembered too and
-        raised afresh, with the same message, on every later call."""
-        found = table.get(key)
-        if found is None:
-            try:
-                found = compute()
-            except StrictifyError as exc:
-                # drop the traceback, which would keep the frames alive
-                found = exc.with_traceback(None)
-            table[key] = found
-        if isinstance(found, StrictifyError):
-            raise StrictifyError(*found.args)
-        return found
-
     def act_obj(self, q, xs: Sequence[StObject]) -> StObject:
         if self.operad.arity_of(q) != len(xs):
             raise StrictifyError("operand count does not match the element arity")
@@ -192,35 +178,40 @@ class StrictPCategory:
     def delta_in(self, q, xs: Sequence[StObject]) -> str:
         """The compiled cell from the representative of the composite to
         the graft of the representatives, at the flattened operands."""
-        return self._memo(self._delta_memo, (q, tuple(x.key() for x in xs)),
-                          lambda: self._delta_in(q, xs))
-
-    def _delta_in(self, q, xs: Sequence[StObject]) -> str:
-        d = self._graft_cell(self.repr_tree(q), q, xs)
+        d = self._graft_cell(None, q, xs)
         if d is None:
             raise StrictifyError(
                 "no rewrite path between the composite representative and "
                 "the grafted representatives within the saturation budgets")
         return d
 
-    def _graft_cell(self, outer, q, xs: Sequence[StObject]) -> str | None:
+    def _graft_cell(self, op: str | None, q,
+                    xs: Sequence[StObject]) -> str | None:
         """The compiled cell from the representative of q's composite
-        with the elements of xs to the graft of the outer tree with their
+        with the elements of xs to the graft of an outer tree (q's
+        representative when op is None, else the generator op) with their
         representatives, at the flattened operands; None when no rewrite
-        path fits the budgets."""
-        composite = self.operad.compose(q, [x.element for x in xs])
-        # an out-of-bounds composite fails here, before any grafting
-        start = self.repr_term(composite)
-        grafted = self._free.compose(
-            outer, [self.repr_tree(x.element) for x in xs])
+        path fits the budgets, which depends on op, q and the elements
+        alone, so that other operands do not derive it again."""
+        elements = tuple(x.element for x in xs)
         operands = tuple(o for x in xs for o in x.operands)
-        return self.W.derive_delta(start, grafted, operands)
+        key = (op, q, elements, operands)
+        if key not in self._cell_memo \
+                and (op, q, elements) not in self._pathless:
+            outer = self.repr_tree(q) if op is None \
+                else self._free.generator(op)
+            # an out-of-bounds composite fails here, before any grafting
+            start = self.repr_term(self.operad.compose(q, list(elements)))
+            grafted = self._free.compose(
+                outer, [self.repr_tree(e) for e in elements])
+            cell = self.W.derive_delta(start, grafted, operands)
+            if cell is None:
+                self._pathless.add((op, q, elements))
+            else:
+                self._cell_memo[key] = cell
+        return self._cell_memo.get(key)
 
     def act_arr(self, q, fs: Sequence[StArrow]) -> StArrow:
-        key = (q, tuple(f.key() for f in fs))
-        return self._memo(self._arr_memo, key, lambda: self._act_arr(q, fs))
-
-    def _act_arr(self, q, fs: Sequence[StArrow]) -> StArrow:
         src = self.act_obj(q, [f.src for f in fs])
         dst = self.act_obj(q, [f.dst for f in fs])
         mid = self.W.h_arr(self.repr_term(q), [f.base for f in fs])
@@ -256,13 +247,14 @@ class StrictPCategory:
 
 
 class _Landing(dict):
-    """Where acting by a term on objects lands, by their elements: an
-    operand element tuple maps to the element the term evaluates to
-    there, or to _OUT when a proper App subterm evaluates outside the
-    enumerated elements, where the act_obj of that subterm is refused.
-    Each tuple is evaluated on its first lookup."""
+    """Where acting by a term, or by a target element q as the term
+    q(x1..xn), on objects lands, by their elements: an operand element
+    tuple maps to the element the term evaluates to there, or to _OUT
+    when a proper App subterm evaluates outside the enumerated elements,
+    where the act_obj of that subterm is refused. Each tuple is evaluated
+    on its first lookup."""
 
-    def __init__(self, S: StrictPCategory, term: Term):
+    def __init__(self, S: StrictPCategory, term):
         super().__init__()
         self.S, self.term = S, term
 
@@ -270,9 +262,11 @@ class _Landing(dict):
         value = self[elements] = self._evaluate(self.term, elements)
         return value
 
-    def _evaluate(self, term: Term, elements: tuple):
+    def _evaluate(self, term, elements: tuple):
         if isinstance(term, Var):
             return elements[term.index - 1]
+        if not isinstance(term, App):
+            return self.S.operad.compose(term, list(elements))
         args = []
         for arg in term.args:
             value = self._evaluate(arg, elements)
@@ -284,12 +278,37 @@ class _Landing(dict):
             self.S.W.interpretation.assignment[term.op], args)
 
 
-def _landing(S: StrictPCategory, term: Term) -> _Landing:
-    """term's landing table on S, shared by every check run on S."""
+def _landing(S: StrictPCategory, term) -> _Landing:
+    """The landing table on S of a term or a target element, shared by
+    every check run on S."""
     table = S._landings.get(term)
     if table is None:
         table = S._landings[term] = _Landing(S, term)
     return table
+
+
+def _acted(S: StrictPCategory, q, fs: Sequence[StArrow]) -> StArrow | None:
+    """S.act_arr(q, fs), or None where it would refuse: q lands outside
+    the enumerated elements on the sources' or the targets' elements, or
+    a conjugating cell has no rewrite path. Both are decided by elements,
+    in act_arr's order, so the cells derived are the ones acting derives."""
+    ends = [f.src for f in fs], [f.dst for f in fs]
+    landing = _landing(S, q)
+    if all(landing[tuple(x.element for x in xs)] in S._enumerated
+           for xs in ends) \
+            and all(S._graft_cell(None, q, xs) is not None for xs in ends):
+        return S.act_arr(q, fs)
+    return None
+
+
+def _until_none(values) -> list | None:
+    """The values, or None at the first None, before computing the rest."""
+    out = []
+    for value in values:
+        if value is None:
+            return None
+        out.append(value)
+    return out
 
 
 def _probes(S: StrictPCategory, arity: int):
@@ -333,7 +352,14 @@ def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
                      instance_cap: int = 4000) -> CheckReport:
     """The strict action laws on enumerated instances: the identity
     element acts as the identity, and acting by a composite element
-    equals acting in stages, on objects and on arrow tuples."""
+    equals acting in stages, on objects and on arrow tuples. The slotted
+    arrows carry objects of their own arities, so an instance can leave
+    the bounds; each of its actions (the taus, the composite, then q) is
+    decided once by _acted, so an out-of-bounds instance is noted without
+    acting, and cells are derived in the order acting on every instance
+    derives them. An in-bounds action that is refused all the same, by a
+    cell without an inverse, raises rather than counting as out of
+    bounds."""
     report = CheckReport()
     unit = S.operad.identity()
     arrows = S.sample_arrows(arrow_cap * 4)
@@ -342,6 +368,21 @@ def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
         report.note("unit law")
         if S.act_arr(unit, (f,)) != f:
             report.fail(f"unit action moved the arrow {f.base!r}")
+    # every arrow acted on or obtained, numbered once, and each action on
+    # numbered arrows by the number of its image, None out of bounds
+    seen = list(dict.fromkeys(pool))
+    number = {f: i for i, f in enumerate(seen)}
+    acted: dict[tuple, int | None] = {}
+
+    def act(t, ids: tuple[int, ...]) -> int | None:
+        if (t, ids) not in acted:
+            image = _acted(S, t, [seen[i] for i in ids])
+            if image is not None and image not in number:
+                number[image] = len(seen)
+                seen.append(image)
+            acted[t, ids] = number.get(image)
+        return acted[t, ids]
+
     instances = 0
     for k in range(S.arity_bound + 1):
         for q in S.elements[k]:
@@ -352,23 +393,18 @@ def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
                 composite = S.operad.compose(q, list(taus))
                 if composite not in S._reprs:
                     continue
-                for fs in islice(product(pool, repeat=sum(arities)), 512):
+                spans = [slice(end - n, end)
+                         for n, end in zip(arities, accumulate(arities))]
+                for fs in islice(product([number[f] for f in pool],
+                                         repeat=sum(arities)), 512):
                     if instances >= instance_cap:
                         break
                     instances += 1
-                    chunks = []
-                    at = 0
-                    for n in arities:
-                        chunks.append(tuple(fs[at:at + n]))
-                        at += n
-                    try:
-                        stages = [S.act_arr(t, chunk)
-                                  for t, chunk in zip(taus, chunks)]
-                        lhs = S.act_arr(composite, fs)
-                        rhs = S.act_arr(q, stages)
-                    except StrictifyError:
-                        # the slotted arrows carry objects of their own
-                        # arities, which can leave the enumeration bounds
+                    stages = _until_none(act(t, fs[span])
+                                         for t, span in zip(taus, spans))
+                    lhs = None if stages is None else act(composite, fs)
+                    rhs = None if lhs is None else act(q, tuple(stages))
+                    if rhs is None:
                         report.note("associativity instances out of bounds")
                         continue
                     report.note("associativity")
@@ -376,7 +412,8 @@ def check_strictness(S: StrictPCategory, arrow_cap: int = 6,
                         report.fail(
                             f"acting by the composite of "
                             f"{S.operad.format_element(q)} differs from "
-                            f"acting in stages at {[f.base for f in fs]}")
+                            f"acting in stages at "
+                            f"{[seen[i].base for i in fs]}")
     return report
 
 
@@ -396,32 +433,26 @@ def _act_term(S: StrictPCategory, term: Term,
 
 
 def _comparison_cell(S: StrictPCategory, op: str,
-                     xs: Sequence[StObject]) -> str:
+                     xs: Sequence[StObject]) -> str | None:
     """The comparison's coherence map at a generator: from the value of
-    the strict action to the base action on the values."""
-    return S._memo(S._cell_memo, (op, tuple(x.key() for x in xs)),
-                   lambda: _compute_comparison_cell(S, op, xs))
-
-
-def _compute_comparison_cell(S: StrictPCategory, op: str,
-                             xs: Sequence[StObject]) -> str:
-    d = S._graft_cell(S._free.generator(op),
-                     S.W.interpretation.assignment[op], xs)
-    if d is None:
-        raise StrictifyError(
-            f"no rewrite path for the comparison cell at {op!r}")
-    return d
+    the strict action to the base action on the values, or None (see
+    _graft_cell)."""
+    return S._graft_cell(op, S.W.interpretation.assignment[op], xs)
 
 
 def _comparison_psi(S: StrictPCategory, term: Term,
-                    xs: Sequence[StObject]) -> str:
+                    xs: Sequence[StObject]) -> str | None:
     """The comparison's coherence map at a composite term, pasted from
-    generator cells and generator functor images."""
+    generator cells and generator functor images; None at the first cell
+    without a rewrite path."""
     if isinstance(term, Var):
         return S.W.base.identity(xs[term.index - 1].h_value)
     children = [_act_term(S, arg, xs) for arg in term.args]
     first = _comparison_cell(S, term.op, children)
-    child_cells = [_comparison_psi(S, arg, xs) for arg in term.args]
+    child_cells = first and _until_none(
+        _comparison_psi(S, arg, xs) for arg in term.args)
+    if child_cells is None:
+        return None
     second = S.W.generators[term.op].arr(child_cells)
     return S.W.base.compose(second, first)
 
@@ -457,11 +488,11 @@ def check_equivalence(S: StrictPCategory, W: WeakPCategoryData) -> CheckReport:
         op_elem = W.interpretation.assignment[op]
         _check_cells(S, op, arity, report)
         for fs in islice(product(pool, repeat=arity), 64):
-            try:
-                image = S.act_arr(op_elem, fs)
-                cell_src = _comparison_cell(S, op, [f.src for f in fs])
-                cell_dst = _comparison_cell(S, op, [f.dst for f in fs])
-            except StrictifyError:
+            image = _acted(S, op_elem, fs)
+            cell_src = image and _comparison_cell(S, op, [f.src for f in fs])
+            cell_dst = cell_src and _comparison_cell(S, op,
+                                                     [f.dst for f in fs])
+            if cell_dst is None:
                 continue
             left = base.compose(cell_dst, image.base)
             right = base.compose(
@@ -478,8 +509,9 @@ def _check_cells(S: StrictPCategory, op: str, arity: int,
                  report: CheckReport):
     """Endpoints and invertibility of the comparison cells at op, on at
     most 2000 in-bound object tuples. A tuple whose composite element
-    has no representative would be refused before any cell is derived,
-    so it is skipped by its elements' landing."""
+    has no representative is skipped by its elements' landing before any
+    cell is derived; one whose cell has no rewrite path, or whose
+    composite is not enumerated, after the cell."""
     W, base = S.W, S.W.base
     op_elem = W.interpretation.assignment[op]
     landing = _landing(S, _op_term(op, arity))
@@ -487,13 +519,13 @@ def _check_cells(S: StrictPCategory, op: str, arity: int,
     for xs, elements in _probes(S, arity):
         if checked >= 2000:
             break
-        if landing[elements] not in S._reprs:
+        lands = landing[elements]
+        if lands not in S._reprs:
             continue
-        try:
-            cell = _comparison_cell(S, op, xs)
-            src = S.act_obj(op_elem, xs)
-        except StrictifyError:
+        cell = _comparison_cell(S, op, xs)
+        if cell is None or lands not in S._enumerated:
             continue
+        src = S.act_obj(op_elem, xs)
         checked += 1
         want_dst = W.h_obj(_op_term(op, arity),
                            tuple(x.h_value for x in xs))
@@ -508,24 +540,23 @@ def _check_cells(S: StrictPCategory, op: str, arity: int,
 def _check_pasting(S: StrictPCategory, report: CheckReport):
     """The comparison cells pasted along each equation's sides agree with
     its compiled cell, on the in-bound object tuples among the first
-    _OBJECT_TUPLES. Pasting a side is refused before any cell is derived
-    when its landing has no representative, so the tuple is skipped
-    there. The right side is pasted first, even when the left side is
-    then skipped, so that cells are derived in the order that pasting
-    every tuple derives them, and a saturation budget that runs out is
-    refused at the same pair."""
+    _OBJECT_TUPLES. A tuple is skipped where a side's landing has no
+    representative, before any cell of that side is derived, and at the
+    first cell without a rewrite path. The right side is pasted first,
+    even when the left side is then skipped, so that cells are derived
+    in the order that pasting every tuple derives them, and a saturation
+    budget that runs out is refused at the same pair."""
     W, base = S.W, S.W.base
     for index, eq in enumerate(W.presentation.equations):
         right, left_side = _landing(S, eq.rhs), _landing(S, eq.lhs)
         for xs, elements in _probes(S, eq.arity):
             if right[elements] not in S._reprs:
                 continue
-            try:
-                left = _comparison_psi(S, eq.rhs, xs)
-                if left_side[elements] not in S._reprs:
-                    continue
-                start = _comparison_psi(S, eq.lhs, xs)
-            except StrictifyError:
+            left = _comparison_psi(S, eq.rhs, xs)
+            if left is None or left_side[elements] not in S._reprs:
+                continue
+            start = _comparison_psi(S, eq.lhs, xs)
+            if start is None:
                 continue
             values = tuple(x.h_value for x in xs)
             d_w = W.derive_delta(eq.lhs, eq.rhs, values)
@@ -572,9 +603,8 @@ def universal_property_check(W: WeakPCategoryData, B: WeakPCategoryData,
         op_elem = W.interpretation.assignment[op]
         _check_action_on_objects(S, B, h_obj, op, arity, report)
         for fs in islice(product(pool, repeat=arity), 64):
-            try:
-                image = S.act_arr(op_elem, fs)
-            except StrictifyError:
+            image = _acted(S, op_elem, fs)
+            if image is None:
                 continue
             lhs = h_arr[image.key()]
             rhs = B.h_arr(_op_term(op, arity),

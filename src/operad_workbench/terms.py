@@ -11,7 +11,7 @@ depends on it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -205,12 +205,19 @@ FLAVOR_RANK = {"plain": 0, "symmetric": 1, "fp": 2}
 
 @dataclass(frozen=True)
 class Presentation:
+    """A theory whose equations are valid in its signature and carried
+    by its flavor; parse_presentation, which checks each at its line,
+    passes _checked to skip checking them again."""
+
     name: str
     flavor: str
     signature: Signature
     equations: tuple[Equation, ...]
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
+        if _checked:
+            return
         if self.flavor not in FLAVORS:
             raise PresentationError(f"unknown flavor {self.flavor!r}")
         for eq in self.equations:
@@ -448,7 +455,7 @@ def parse_presentation(text: str) -> Presentation:
             _check_flavor(flavor, equations[-1])
         except (TermError, PresentationError) as exc:
             raise PresentationError(f"line {lineno}: {exc}") from exc
-    return Presentation(name, flavor, signature, tuple(equations))
+    return Presentation(name, flavor, signature, tuple(equations), True)
 
 
 def format_presentation(p: Presentation) -> str:

@@ -11,8 +11,10 @@ a congruence link the generator functor applied to its children's
 compiled paths. Path independence of that compilation over every cycle
 of the merge graph is what coherence_check certifies.
 
-Everything is validated exhaustively at construction: composition
-tables, functoriality, delta endpoints, invertibility, naturality.
+Everything is validated at construction: composition tables and
+functoriality exhaustively, delta endpoints and invertibility at every
+operand tuple, and naturality one variable at a time, which suffices
+between functors.
 The data also round trips through a JSON form; see save_weakcat.
 """
 
@@ -259,7 +261,7 @@ def cell_key(eq: Equation) -> str:
 
 class WeakPCategoryData:
     """A finite base category with generator functors and basic delta
-    families over a presented theory; exhaustively validated."""
+    families over a presented theory; validated at construction."""
 
     def __init__(self, base: FiniteCategory, presentation: Presentation,
                  generators: Mapping[str, Functor],
@@ -336,14 +338,23 @@ class WeakPCategoryData:
                     f"{want_src!r} -> {want_dst!r}, got {a.src!r} -> {a.dst!r}")
             if not self.base.is_iso(arrow):
                 raise WeakcatError(f"delta {name!r} at {operands} is not invertible")
-        for fs in product(self.base.arrows, repeat=eq.arity):
-            srcs = tuple(self.base.arrows[f].src for f in fs)
-            dsts = tuple(self.base.arrows[f].dst for f in fs)
-            left = self.base.compose(fam[dsts], self.h_arr(eq.lhs, fs))
-            right = self.base.compose(self.h_arr(eq.rhs, fs), fam[srcs])
-            if left != right:
-                raise WeakcatError(
-                    f"delta {name!r} is not natural at arrows {fs}")
+        # h(lhs), h(rhs) compose the generator functors, validated first,
+        # so the family is natural iff it is natural in each variable with
+        # identities in the others (Mac Lane, CWM II.3): every arrow tuple
+        # composes such tuples. n.|arrows|.|objects|^(n-1) squares suffice.
+        base = self.base
+        for i in range(eq.arity):
+            for rest in product(base.objects, repeat=eq.arity - 1):
+                idents = tuple(base.identities[o] for o in rest)
+                for f in base.arrows:
+                    fs = idents[:i] + (f,) + idents[i:]
+                    srcs = rest[:i] + (base.arrows[f].src,) + rest[i:]
+                    dsts = rest[:i] + (base.arrows[f].dst,) + rest[i:]
+                    left = base.compose(fam[dsts], self.h_arr(eq.lhs, fs))
+                    right = base.compose(self.h_arr(eq.rhs, fs), fam[srcs])
+                    if left != right:
+                        raise WeakcatError(
+                            f"delta {name!r} is not natural at arrows {fs}")
 
     # the action h, by structural recursion; variables index operands 1-based
     def h_obj(self, t: Term | WeakObject, operands: Sequence[str]) -> str:

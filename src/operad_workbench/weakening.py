@@ -21,11 +21,11 @@ from typing import Sequence
 
 from .operads import CheckReport, Interpretation
 from .terms import (MAX_STEPS, MAX_TERM_SIZE, Presentation, RewriteStep,
-                    SaturationResult, Term, closure_saturate, format_term,
-                    term_size)
-from .trees import (FPTree, PermutedTree, Tree, enumerate_permuted_trees,
-                    enumerate_trees, format_object, to_term,
-                    to_term_alpha, tree_arity)
+                    SaturationResult, Term, TermError, closure_saturate,
+                    format_term, term_size)
+from .trees import (FPTree, Node, PermutedTree, Tree,
+                    enumerate_permuted_trees, enumerate_trees, format_object,
+                    to_term, to_term_alpha, tree_arity)
 
 FP_REJECTION = (
     "finite-product weakening is degenerate: the duplication action forces "
@@ -85,6 +85,7 @@ class WeakeningContext:
         self.interpretation = interpretation
         self.max_term_size = max_term_size
         self.max_steps = max_steps
+        self._arities = dict(presentation.signature.ops)
         self._saturations: dict[int, SaturationResult] = {}
 
     @property
@@ -139,11 +140,18 @@ class WeakeningContext:
         return self._saturations[arity]
 
     def two_cell(self, t1: WeakObject, t2: WeakObject) -> Decision:
-        """Decide whether the unique invertible 2-cell t1 -> t2 exists."""
+        """Decide whether the unique invertible 2-cell t1 -> t2 exists.
+        Objects of different arities are told apart by their arities;
+        otherwise an operation that the signature lacks, or takes with
+        another arity, raises TermError naming it, as validate_term does,
+        before either object is evaluated or saturated."""
         n1 = self.object_arity(t1)
         n2 = self.object_arity(t2)
         if n1 != n2:
             return Decision("no", f"different arities {n1} and {n2}")
+        for t in (t1, t2):
+            self._check_operations(
+                t.tree if isinstance(t, PermutedTree) else t)
         if self.evaluable:
             e1 = self.eval_object(t1)
             e2 = self.eval_object(t2)
@@ -156,6 +164,17 @@ class WeakeningContext:
                 + " differs from "
                 + self.interpretation.operad.format_element(e2))
         return self._closure_decision(t1, t2, n1)
+
+    def _check_operations(self, t: Tree):
+        if isinstance(t, Node):
+            declared = self._arities.get(t.op)
+            if declared is None:
+                raise TermError(f"unknown operation {t.op!r}")
+            if len(t.children) != declared:
+                raise TermError(f"operation {t.op!r} expects {declared} "
+                                f"arguments, got {len(t.children)}")
+            for c in t.children:
+                self._check_operations(c)
 
     def _closure_decision(self, t1: WeakObject, t2: WeakObject,
                           arity: int) -> Decision:

@@ -687,14 +687,92 @@ def coherence_probe_oracle(W):
     return checked, failing
 
 
+def reference_delta_refusal(W, name, eq, fam):
+    """The validation of one delta family of a weak instance as it once
+    ran, naturality at every arrow tuple: the message of its first
+    refusal (a missing or unknown component, then endpoints and
+    invertibility, then naturality), or None. W supplies the base, the
+    action h and the equation's name; fam may be any family."""
+    base = W.base
+    for operands in itertools.product(base.objects, repeat=eq.arity):
+        arrow = fam.get(operands)
+        if arrow is None:
+            return f"delta {name!r} missing component at {operands}"
+        if arrow not in base.arrows:
+            return f"delta {name!r} uses unknown arrow {arrow!r}"
+        a = base.arrows[arrow]
+        want_src = W.h_obj(eq.lhs, operands)
+        want_dst = W.h_obj(eq.rhs, operands)
+        if a.src != want_src or a.dst != want_dst:
+            return (f"delta {name!r} at {operands} should run "
+                    f"{want_src!r} -> {want_dst!r}, got {a.src!r} -> "
+                    f"{a.dst!r}")
+        if not base.is_iso(arrow):
+            return f"delta {name!r} at {operands} is not invertible"
+    for fs in itertools.product(base.arrows, repeat=eq.arity):
+        srcs = tuple(base.arrows[f].src for f in fs)
+        dsts = tuple(base.arrows[f].dst for f in fs)
+        left = base.compose(fam[dsts], W.h_arr(eq.lhs, fs))
+        right = base.compose(W.h_arr(eq.rhs, fs), fam[srcs])
+        if left != right:
+            return f"delta {name!r} is not natural at arrows {fs}"
+    return None
+
+
 # The strict view's out-of-bounds probes as they were before the view
-# decided them by element tuple: every object tuple goes through the
-# strict action, and a tuple is skipped when it is refused. Each probe
-# notes and fails on a report (note(label), fail(message)) exactly as the
-# library's check does; refused is the exception class of a refusal,
-# comparison_cell(S, op, xs) and comparison_psi(S, term, xs) the
-# library's comparison cells, op_term(op, arity) a generator's term, and
-# format_term prints a term.
+# decided them by element tuple: every object tuple, and every strictness
+# instance, goes through the strict action, and it is skipped when it is
+# refused: the action raises, or a comparison cell or pasting is None
+# (no rewrite path). Each probe notes and fails on a report (note(label),
+# fail(message)) exactly as the library's check does; refused is the
+# exception class of a refusal, comparison_cell(S, op, xs) and
+# comparison_psi(S, term, xs) the library's comparison cells,
+# op_term(op, arity) a generator's term, element_tuples(S, k, bound) the
+# library's tuples of k elements, and format_term prints a term.
+
+def reference_strictness(S, element_tuples, refused, report, arrow_cap=6,
+                         instance_cap=4000):
+    unit = S.operad.identity()
+    arrows = S.sample_arrows(arrow_cap * 4)
+    pool = arrows[:arrow_cap]
+    for f in arrows:
+        report.note("unit law")
+        if S.act_arr(unit, (f,)) != f:
+            report.fail(f"unit action moved the arrow {f.base!r}")
+    instances = 0
+    for k in range(S.arity_bound + 1):
+        for q in S.elements[k]:
+            for taus in element_tuples(S, k, S.arity_bound):
+                if instances >= instance_cap:
+                    break
+                arities = [S.operad.arity_of(t) for t in taus]
+                composite = S.operad.compose(q, list(taus))
+                if composite not in S._reprs:
+                    continue
+                for fs in itertools.islice(
+                        itertools.product(pool, repeat=sum(arities)), 512):
+                    if instances >= instance_cap:
+                        break
+                    instances += 1
+                    chunks = []
+                    at = 0
+                    for n in arities:
+                        chunks.append(tuple(fs[at:at + n]))
+                        at += n
+                    try:
+                        stages = [S.act_arr(t, chunk)
+                                  for t, chunk in zip(taus, chunks)]
+                        lhs = S.act_arr(composite, fs)
+                        rhs = S.act_arr(q, stages)
+                    except refused:
+                        report.note("associativity instances out of bounds")
+                        continue
+                    report.note("associativity")
+                    if lhs != rhs:
+                        report.fail(
+                            f"acting by the composite of "
+                            f"{S.operad.format_element(q)} differs from "
+                            f"acting in stages at {[f.base for f in fs]}")
 
 def reference_comparison_cells(S, op, arity, comparison_cell, op_term,
                                refused, report, tuples=4096, cap=2000):
@@ -707,6 +785,8 @@ def reference_comparison_cells(S, op, arity, comparison_cell, op_term,
             break
         try:
             cell = comparison_cell(S, op, xs)
+            if cell is None:
+                continue
             src = S.act_obj(op_elem, xs)
         except refused:
             continue
@@ -729,8 +809,10 @@ def reference_comparison_pasting(S, comparison_psi, format_term, refused,
             values = tuple(x.h_value for x in xs)
             try:
                 left = comparison_psi(S, eq.rhs, xs)
-                start = comparison_psi(S, eq.lhs, xs)
+                start = left and comparison_psi(S, eq.lhs, xs)
             except refused:
+                continue
+            if start is None:
                 continue
             d_w = W.derive_delta(eq.lhs, eq.rhs, values)
             if d_w is None:

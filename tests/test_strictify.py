@@ -13,7 +13,8 @@ from conftest import (EXAMPLES, collapse_functor, doubling_functor,
 from oracles import (compile_steps, reference_action_on_objects,
                      reference_close_pins, reference_comparison_cells,
                      reference_comparison_pasting,
-                     reference_representatives, reference_seed_pins)
+                     reference_representatives, reference_seed_pins,
+                     reference_strictness)
 
 from operad_workbench.cli import main
 from operad_workbench.operads import (CheckReport, EndOperad,
@@ -337,19 +338,95 @@ def test_comparison_probes_refuse_the_budget_at_the_oracle_pair(instance,
     assert len(refusals) >= 3
 
 
+def _strictness(W, reference, caps=(6, 4000)):
+    """check_strictness on a fresh strict view of W, or the oracle that
+    acts on every instance and notes the refused ones out of bounds: the
+    checked counts and failures, or the refusal of W's saturation
+    budget; with the cells W derived, in the order it first derived
+    them."""
+    S = StrictPCategory(W)
+    try:
+        if reference:
+            report = CheckReport()
+            reference_strictness(S, _element_tuples, StrictifyError, report,
+                                 *caps)
+        else:
+            report = check_strictness(S, *caps)
+        outcome = report.checked, report.failures
+    except WeakcatError as exc:
+        outcome = "refused", str(exc)
+    return outcome, list(W._delta_memo)
+
+
+@pytest.mark.parametrize("instance", ["z3", "z4", "bundled", "skewed", "or"])
+@pytest.mark.parametrize("caps", [(6, 4000), (3, 400)])
+def test_strictness_matches_the_refusal_oracle(instance, caps, monoid):
+    """Deciding each action by its elements notes the same instances out
+    of bounds, checks the same ones with the same failure lines in the
+    same order, and derives the same cells in the same order, as acting
+    on every instance and noting the refused ones. On the OR instance a
+    composite can have a representative without being enumerated."""
+    make = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
+            "z4": lambda: indiscrete_monoid_instance(monoid, *zmod(4)),
+            "bundled": _bundled,
+            "skewed": lambda: skewed_group_instance(monoid),
+            "or": lambda: _or_instance(monoid)}[instance]
+    got = _strictness(make(), False, caps)
+    assert got == _strictness(make(), True, caps)
+    (checked, failures), derived = got
+    assert checked["associativity instances out of bounds"] > 0 and derived
+    assert bool(failures) == (instance == "skewed")
+    if caps == (6, 4000) and instance in ("z3", "z4", "bundled"):
+        assert checked == STRICTNESS_COUNTS
+
+
+@pytest.mark.parametrize("instance", ["bundled", "or"])
+def test_strictness_refuses_the_budget_at_the_oracle_instance(instance,
+                                                              monoid):
+    """Under every saturation budget that runs out, check_strictness
+    refuses at the same instance as the oracle that acts on every
+    instance, meeting at least three different pairs."""
+    make = _bundled if instance == "bundled" else partial(_or_instance,
+                                                          monoid)
+    refusals = set()
+    for max_steps in range(1, 30):
+        got = _strictness(make(max_steps=max_steps), False)
+        assert got == _strictness(make(max_steps=max_steps), True), \
+            max_steps
+        if got[0][0] == "refused":
+            refusals.add(got[0][1].split(" ran out ")[1])
+    assert len(refusals) >= 3
+
+
 def test_comparison_skips_out_of_bounds_tuples_unraised(z4_instance,
                                                         monkeypatch):
-    """One Z/4 check_equivalence on a fresh view constructs 582
-    StrictifyErrors, each for a cell derived and refused or an arrow
-    acted on. Refusing each out-of-bounds object tuple by a raise, and
-    again from the memo, constructed 15,860; re-raising act_obj's
-    refusals from a memo of their own, 585."""
+    """One Z/4 check_equivalence on a fresh view constructs no
+    StrictifyError: a comparison cell without a rewrite path is None,
+    and an arrow tuple acted on out of bounds is decided by its elements.
+    Refusing each out-of-bounds object tuple by a raise, and again from
+    the memo, constructed 15,860; deciding the object tuples by their
+    landing, 582, of them 568 for comparison cells without a path."""
     made = []
     monkeypatch.setattr(StrictifyError, "__init__", lambda self, *args: (
         made.append(args[0]) or ValueError.__init__(self, *args)))
     report = check_equivalence(StrictPCategory(z4_instance), z4_instance)
     assert report.checked == EQUIVALENCE_COUNTS[4]
-    assert len(made) == 582
+    assert made == []
+
+
+def test_cold_strictness_constructs_no_refusal(z3_instance, z4_instance,
+                                               monkeypatch):
+    """A check_strictness on a fresh view of Z/3, Z/4 or the bundled
+    instance notes its 2,710 out-of-bounds instances without
+    constructing a StrictifyError. Probing them by a raise constructed
+    3,029, 3,034 and 3,029."""
+    made = []
+    monkeypatch.setattr(StrictifyError, "__init__", lambda self, *args: (
+        made.append(args[0]) or ValueError.__init__(self, *args)))
+    for W in (z3_instance, z4_instance, _bundled()):
+        report = check_strictness(StrictPCategory(W))
+        assert report.checked == STRICTNESS_COUNTS
+    assert made == []
 
 
 def _symmetric_text() -> str:

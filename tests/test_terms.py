@@ -107,6 +107,32 @@ def test_presentation_flavor_gates():
     Presentation("Ok", "fp", SIG, (dup,))
 
 
+@pytest.mark.parametrize("left, right, checks", [
+    ("m(m(x1,x2),x3)", "m(x1,m(x2,x3))", 6), ("m(x1,x2)", "e", 3)])
+def test_a_decide_checks_each_flavor_once_per_parse_and_closure(
+        left, right, checks, monkeypatch, capsys):
+    """A decide on monoid.th checks each of its three equations' flavor
+    once, at its line in parse_presentation, and once more in
+    closure_saturate when it saturates, as the same-arity query does and
+    the cross-arity one does not: the Presentation the parser builds
+    does not check them again, while a direct one still does. Before,
+    the Presentation checked each again, for 9 and 6 checks."""
+    from operad_workbench.cli import main
+    seen = []
+    check = terms._check_flavor
+    monkeypatch.setattr(terms, "_check_flavor",
+                        lambda *args: seen.append(args) or check(*args))
+    main(["decide", str(EXAMPLES / "monoid.th"), left, right])
+    assert len(seen) == checks
+    comm = Equation(2, t("m(x1,x2)"), t("m(x2,x1)"))
+    with pytest.raises(PresentationError):
+        Presentation("Bad", "plain", SIG, (comm,))
+    with pytest.raises(TermError, match="unknown operation 'q'"):
+        Presentation("Bad", "plain", SIG, (Equation(1, t("x1"),
+                                                    App("q", (Var(1),))),))
+    capsys.readouterr()
+
+
 def test_presentation_parse_errors():
     with pytest.raises(PresentationError):
         parse_presentation("flavor plain\nops:\n")

@@ -18,7 +18,8 @@ from operad_workbench.weakcat import (Arrow, FiniteCategory, Functor,
                                       coherence_check,
                                       indiscrete_monoid_instance, key_of,
                                       load_weakcat, save_weakcat, unkey)
-from oracles import coherence_probe_oracle, critical_pair_coherence_oracle
+from oracles import (coherence_probe_oracle, critical_pair_coherence_oracle,
+                     reference_delta_refusal)
 
 
 def test_finite_category_validation():
@@ -281,6 +282,81 @@ def test_delta_validation_errors(monoid):
     with pytest.raises(WeakcatError):
         WeakPCategoryData(base, monoid, W.generators,
                           {i: fam for i, fam in W.deltas.items() if i != 0})
+
+
+def thick_instance(presentation):
+    """The indiscrete Z/3 instance with every hom set doubled by a Z/2
+    label: m adds objects mod 3 and labels mod 2, e is 0, and every
+    delta component carries label 0. A component relabelled 1 keeps its
+    endpoints and invertibility but breaks naturality, which the
+    indiscrete and one-object instances cannot show."""
+    elements, unit, add = zmod(3)
+    arrow = "{}>{}/{}".format
+    labels = ("0", "1")
+    arrows = [Arrow(arrow(a, b, k), a, b)
+              for a in elements for b in elements for k in labels]
+    compose = {(arrow(b, c, j), arrow(a, b, k)):
+               arrow(a, c, (int(j) + int(k)) % 2)
+               for a in elements for b in elements for c in elements
+               for j in labels for k in labels}
+    base = FiniteCategory(elements, arrows,
+                          {a: arrow(a, a, 0) for a in elements}, compose)
+    m_arr = {key_of((f.id, g.id)): arrow(
+                 add(f.src, g.src), add(f.dst, g.dst),
+                 (int(f.id[-1]) + int(g.id[-1])) % 2)
+             for f in arrows for g in arrows}
+    generators = {
+        "m": Functor(base, base, 2, {key_of((a, b)): add(a, b)
+                                     for a in elements for b in elements},
+                     m_arr, name="m"),
+        "e": Functor(base, base, 0, {"": unit}, {"": arrow(unit, unit, 0)},
+                     name="e")}
+    W = indiscrete_monoid_instance(presentation, elements, unit, add)
+    deltas = {index: {operands: arrow(*W.base.arrows[a].id.split(">"), 0)
+                      for operands, a in fam.items()}
+              for index, fam in W.deltas.items()}
+    return WeakPCategoryData(base, presentation, generators, deltas)
+
+
+@pytest.mark.parametrize("instance", ["z3", "bundled", "skewed", "thick"])
+def test_naturality_by_variable_refuses_the_exhaustive_mutants(instance,
+                                                               monoid):
+    """Each delta component replaced by each other base arrow, one at a
+    time: validation, which checks naturality one variable at a time,
+    refuses exactly the mutants that the check at every arrow tuple
+    (reference_delta_refusal) refuses, with the same message, except
+    that a naturality refusal may name another arrow tuple."""
+    W = {"z3": lambda: indiscrete_monoid_instance(monoid, *zmod(3)),
+         "bundled": lambda: load_weakcat(
+             (EXAMPLES / "indiscrete_monoid_weakcat.json").read_text(
+                 encoding="utf-8")),
+         "skewed": lambda: skewed_group_instance(monoid),
+         "thick": lambda: thick_instance(monoid)}[instance]()
+    refusals = []
+    for index, eq in enumerate(monoid.equations):
+        for operands, arrow in W.deltas[index].items():
+            for other in W.base.arrows:
+                if other == arrow:
+                    continue
+                fam = {**W.deltas[index], operands: other}
+                want = reference_delta_refusal(W, cell_key(eq), eq, fam)
+                try:
+                    WeakPCategoryData(W.base, monoid, W.generators,
+                                      {**W.deltas, index: fam})
+                    got = None
+                except WeakcatError as exc:
+                    got = str(exc)
+                assert (got is None) == (want is None), (operands, other)
+                if got is not None:
+                    assert got.split(" at ")[0] == want.split(" at ")[0]
+                    if "natural" not in got:
+                        assert got == want
+                    refusals.append(got)
+    natural = [r for r in refusals if "is not natural" in r]
+    assert len(natural) == {"z3": 0, "bundled": 0, "skewed": 0,
+                            "thick": 33}[instance]
+    assert len(refusals) == {"z3": 264, "bundled": 264, "skewed": 0,
+                             "thick": 561}[instance]
 
 
 def test_indiscrete_monoid_instance_guards(pointed):

@@ -13,8 +13,9 @@ from operad_workbench.operads import (CheckReport, EndOperad, FiniteOp,
                                       TerminalSymmetricOperad,
                                       builtin_operad, default_assignment,
                                       eval_tree)
-from operad_workbench.terms import (Presentation, closure_saturate,
-                                    format_term, parse_term, var_seq)
+from operad_workbench.terms import (Presentation, TermError,
+                                    closure_saturate, format_term,
+                                    parse_term, var_seq)
 from operad_workbench.trees import (PermutedTree, graft, parse_permuted_tree,
                                     parse_tree, to_tree, tree_size)
 from operad_workbench.weakening import (FP_REJECTION, WeakeningContext,
@@ -122,6 +123,26 @@ def test_oversized_terms_answer_unknown(monoid):
     decision = ctx.two_cell(big, parse_tree("e", monoid.signature))
     assert decision.answer == "unknown"
     assert "size bound" in decision.reason
+
+
+@pytest.mark.parametrize("text, other, message", [
+    ("q(|,|)", "m(|,|)", "unknown operation 'q'"),
+    ("m(|,|,|)", "m(m(|,|),|)", "operation 'm' expects 2 arguments, got 3")])
+@pytest.mark.parametrize("evaluable", [False, True])
+def test_two_cell_refuses_objects_outside_the_signature(text, other, message,
+                                                        evaluable, monoid):
+    """A tree parsed without the signature can name an operation the
+    theory lacks, or give one the wrong arity. two_cell refuses it on
+    either side, under either engine, as validate_term does, before it
+    evaluates or saturates; the closure refused it without naming it."""
+    ctx = plain_terminal_context(monoid) if evaluable \
+        else WeakeningContext(monoid)
+    bad, good = parse_tree(text), parse_tree(other)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(TermError) as info:
+            ctx.two_cell(*pair)
+        assert str(info.value) == message
+    assert ctx._saturations == {}
 
 
 @pytest.mark.parametrize("name, big, small", [
