@@ -10,6 +10,9 @@ trips can be compared elementwise.
 Substituting into a nullary operation cannot infer the shared context
 size from its (empty) argument list, so ccompose takes an optional
 explicit context arity for that case.
+
+EndClone's projections and substitutions read validated tables only,
+so they build through operads._trusted_op, which scans nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 from .finmaps import FinFunction, fn as make_fn
 from .operads import (CheckReport, EndOperad, FiniteOp, Operad, OperadError,
-                      _table_entries)
+                      _table_entries, _trusted_op)
 
 
 class CloneError(ValueError):
@@ -163,7 +166,7 @@ class EndClone(Clone):
         c = self.carrier
         _table_entries(c, n)
         block = tuple(v for v in range(1, c + 1) for _ in range(c ** (n - i)))
-        return FiniteOp(c, n, block * c ** (i - 1))
+        return _trusted_op(c, n, block * c ** (i - 1))
 
     def ccompose(self, p: FiniteOp, qs: Sequence[FiniteOp],
                  context: int | None = None) -> FiniteOp:
@@ -175,7 +178,8 @@ class EndClone(Clone):
         index = [0] * _table_entries(self.carrier, m)
         for q in qs:
             index = [x * self.carrier + v - 1 for x, v in zip(index, q.table)]
-        return FiniteOp(self.carrier, m, tuple(map(p.table.__getitem__, index)))
+        return _trusted_op(self.carrier, m,
+                           tuple(map(p.table.__getitem__, index)))
 
     def arity_of(self, p: FiniteOp) -> int:
         return p.arity

@@ -4,7 +4,10 @@ Tables are 1-indexed one-line notation: f(i) = table[i-1]. Two composite
 constructions live here because everything else is built on them: block
 composition of permutations (blocks shuffled as blocks, entries shuffled
 within blocks) and combing of finite functions (the index bookkeeping
-that pushes relabelling maps out of an operadic composite).
+that pushes relabelling maps out of an operadic composite). Tables are
+validated where they enter (FinFunction, fn, perm, the parsers), and
+identity, compose, inverse, block_compose and comb_compose build from
+validated tables through _trusted, which scans nothing.
 """
 
 from __future__ import annotations
@@ -56,13 +59,16 @@ class FinFunction:
         return format_fn(self)
 
 
-def _known_permutation(table: tuple[int, ...]) -> FinFunction:
-    """Wrap a table that lists 1..n once each, built from validated
-    permutations: skips __post_init__ and records is_bijection."""
-    p = object.__new__(FinFunction)
-    p.__dict__.update(dom=len(table), cod=len(table), table=table,
-                      is_bijection=True)
-    return p
+def _trusted(table: tuple[int, ...], cod: int,
+             bijective: bool = False) -> FinFunction:
+    """Wrap a table built from validated ones, so each entry lies in
+    1..cod: skips __post_init__, and records is_bijection when the
+    caller knows the table lists 1..cod once each."""
+    f = object.__new__(FinFunction)
+    f.__dict__.update(dom=len(table), cod=cod, table=table)
+    if bijective:
+        f.__dict__["is_bijection"] = True
+    return f
 
 
 def fn(table: Sequence[int], cod: int | None = None) -> FinFunction:
@@ -81,23 +87,25 @@ def perm(table: Sequence[int]) -> FinFunction:
 
 
 def identity(n: int) -> FinFunction:
-    return FinFunction(n, n, tuple(range(1, n + 1)))
+    if n < 0:
+        raise FinMapError("negative domain or codomain")
+    return _trusted(tuple(range(1, n + 1)), n, True)
 
 
 def compose(f: FinFunction, g: FinFunction) -> FinFunction:
     """Composite f after g (apply g first)."""
     if g.cod != f.dom:
         raise FinMapError(f"cannot compose: inner cod {g.cod} != outer dom {f.dom}")
-    return FinFunction(g.dom, f.cod, tuple(f(g(i)) for i in range(1, g.dom + 1)))
+    return _trusted(tuple([f.table[v - 1] for v in g.table]), f.cod)
 
 
 def inverse(p: FinFunction) -> FinFunction:
     if not p.is_bijection:
         raise FinMapError("only bijections invert")
     table = [0] * p.dom
-    for i in range(1, p.dom + 1):
-        table[p(i) - 1] = i
-    return FinFunction(p.dom, p.dom, tuple(table))
+    for i, v in enumerate(p.table, 1):
+        table[v - 1] = i
+    return _trusted(tuple(table), p.dom, True)
 
 
 def select(f: FinFunction, items: Sequence) -> tuple:
@@ -136,9 +144,9 @@ def block_compose(sigma: FinFunction, taus: Sequence[FinFunction]) -> FinFunctio
             raise FinMapError("inner arguments must be permutations")
         size_at_rank[rank - 1] = t.dom
     start_at_rank = list(accumulate(size_at_rank, initial=0))
-    return _known_permutation(tuple([start_at_rank[rank - 1] + v
-                                     for rank, t in zip(sigma.table, taus)
-                                     for v in t.table]))
+    return _trusted(tuple([start_at_rank[rank - 1] + v
+                           for rank, t in zip(sigma.table, taus)
+                           for v in t.table]), start_at_rank[-1], True)
 
 
 def comb_compose(f: FinFunction, inner: Sequence[FinFunction]) -> FinFunction:
@@ -164,7 +172,7 @@ def comb_compose(f: FinFunction, inner: Sequence[FinFunction]) -> FinFunction:
     j_offsets = list(accumulate((g.cod for g in inner), initial=0))
     table = tuple([j_offsets[s - 1] + v
                    for s in f.table for v in inner[s - 1].table])
-    return FinFunction(len(table), j_offsets[-1], table)
+    return _trusted(table, j_offsets[-1])
 
 
 def block_permutation(sigma: FinFunction, sizes: Sequence[int]) -> FinFunction:

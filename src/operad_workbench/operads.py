@@ -13,13 +13,19 @@ initial operad (only the identity), the operad of permutations,
 multiplicity vectors (commutative-monoid operations), integer
 polynomials, endomorphism operads of a finite carrier, and free operads
 of labelled trees over a signature.
+
+End-N tables are validated where they enter (FiniteOp, op_from_callable,
+parse_element); EndOperad's identity, compose and act_fn gather from
+validated tables and build through _trusted_op, which scans nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .finmaps import (FinFunction, block_compose, block_permutation,
@@ -236,8 +242,8 @@ class CommMonoidFPOperad(Operad):
     def act_fn(self, f, p):
         self._check_act(f, p)
         out = [0] * f.cod
-        for i, x in enumerate(p, start=1):
-            out[f(i) - 1] += x
+        for j, x in zip(f.table, p):
+            out[j - 1] += x
         return tuple(out)
 
     def enumerate_elements(self, arity, bound):
@@ -508,6 +514,13 @@ class FiniteOp:
         return self.table[index]
 
 
+def _trusted_op(carrier: int, arity: int, table: tuple) -> FiniteOp:
+    """Wrap a table gathered from validated ones: skips __post_init__."""
+    op = object.__new__(FiniteOp)
+    op.__dict__.update(carrier=carrier, arity=arity, table=table)
+    return op
+
+
 # the most entries an operation table on a finite carrier may have, far
 # above the 3^9-entry composites of the certify benchmark
 _TABLE_ENTRIES = 2 ** 20
@@ -533,12 +546,28 @@ def _table_entries(carrier: int, arity: int) -> int:
 
 def _gather(table: Sequence[int], columns: Sequence[list[int]]) -> tuple:
     """table at every sum of one entry per column, the last column
-    varying fastest; the last column is added in the pass that reads."""
+    varying fastest. Trailing columns fold into the last while it is
+    shorter than the other columns' offsets and dense in its span; one
+    itemgetter pick per offset then reads it from a slice of table."""
+    *heads, last = columns or [[0]]  # no column: the one entry table[0]
+    while heads and len(last) < math.prod(map(len, heads)):
+        folded = [o + x for o in heads[-1] for x in last]
+        if max(folded) >= 2 * len(folded):
+            break
+        heads.pop()
+        last = folded
     offsets = [0]
-    for column in columns[:-1]:
+    for column in heads:
         offsets = [o + x for o in offsets for x in column]
-    return tuple([table[o + x] for o in offsets for x in columns[-1]]
-                 if columns else table[:1])
+    span = max(last) + 1
+    if len(last) < 8 or span > 2 * len(last):
+        # entry by entry is faster for a short or sparse column, and a
+        # one-entry itemgetter returns its entry, not a tuple
+        return tuple([table[o + x] for o in offsets for x in last])
+    out, pick = [], itemgetter(*last)
+    for o in offsets:
+        out += pick(table[o:o + span])
+    return tuple(out)
 
 
 def op_from_callable(carrier: int, arity: int, fn: Callable) -> FiniteOp:
@@ -563,7 +592,7 @@ class EndOperad(Operad):
         self.name = f"end-{carrier}"
 
     def identity(self):
-        return FiniteOp(self.carrier, 1, tuple(range(1, self.carrier + 1)))
+        return _trusted_op(self.carrier, 1, tuple(range(1, self.carrier + 1)))
 
     def arity_of(self, p) -> int:
         return p.arity
@@ -592,7 +621,7 @@ class EndOperad(Operad):
             columns.append([(v - 1) * stride for v in q.table])
             stride *= self.carrier
         columns.reverse()
-        return FiniteOp(self.carrier, arity, _gather(p.table, columns))
+        return _trusted_op(self.carrier, arity, _gather(p.table, columns))
 
     def act_fn(self, f, p):
         self._check_act(f, p)
@@ -602,7 +631,7 @@ class EndOperad(Operad):
         for i, j in enumerate(f.table):
             weights[j - 1] += self.carrier ** (f.dom - 1 - i)
         columns = [[v * w for v in range(self.carrier)] for w in weights]
-        return FiniteOp(self.carrier, f.cod, _gather(p.table, columns))
+        return _trusted_op(self.carrier, f.cod, _gather(p.table, columns))
 
     def enumerate_elements(self, arity, bound):
         out = []

@@ -41,6 +41,14 @@ class Node:
     op: str
     children: tuple["Tree", ...]
 
+    def __hash__(self) -> int:
+        # the dataclass hash, kept once computed outside the fields, so a
+        # memo lookup re-hashes no subtree
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.op, self.children))
+        return h
+
 
 Tree = Leaf | Node
 

@@ -86,6 +86,7 @@ class WeakeningContext:
         self.max_term_size = max_term_size
         self.max_steps = max_steps
         self._arities = dict(presentation.signature.ops)
+        self._checked: set[Tree] = set()  # trees two_cell has checked
         self._saturations: dict[int, SaturationResult] = {}
 
     @property
@@ -150,8 +151,10 @@ class WeakeningContext:
         if n1 != n2:
             return Decision("no", f"different arities {n1} and {n2}")
         for t in (t1, t2):
-            self._check_operations(
-                t.tree if isinstance(t, PermutedTree) else t)
+            tree = t.tree if isinstance(t, PermutedTree) else t
+            if tree not in self._checked:
+                self._check_operations(tree)
+                self._checked.add(tree)
         if self.evaluable:
             e1 = self.eval_object(t1)
             e2 = self.eval_object(t2)

@@ -220,6 +220,17 @@ def end_ccompose_walk(carrier_size, p_table, q_tables, context):
     return tuple(p_table[o] for o in offsets)
 
 
+def gather_by_entry(table, columns):
+    """The gather kernel as it read before its itemgetter picks: table
+    at every sum of one entry per column, the last column varying
+    fastest, one subscript per entry."""
+    offsets = [0]
+    for column in columns[:-1]:
+        offsets = [o + x for o in offsets for x in column]
+    return tuple([table[o + x] for o in offsets for x in columns[-1]]
+                 if columns else table[:1])
+
+
 def end_proj_walk(carrier_size, i, n):
     """The i-th n-ary projection, one argument tuple at a time."""
     return tuple(args[i - 1] for args in

@@ -91,8 +91,12 @@ def test_end_clone_ccompose_matches_pointwise_substitution():
             want = op_from_callable(
                 carrier, m, lambda *args: p([q(args) for q in qs]))
             assert got == want, (carrier, n, m)
-    with pytest.raises(CloneError):
+    with pytest.raises(CloneError, match="^carrier mismatch$"):
         EndClone(2).ccompose(FiniteOp(2, 1, (1, 2)), [FiniteOp(3, 1, (1, 2, 3))])
+    with pytest.raises(CloneError, match="^declared context 3 does not "
+                       "match arity 1$"):
+        EndClone(2).ccompose(FiniteOp(2, 1, (1, 2)), [FiniteOp(2, 1, (2, 1))],
+                             context=3)
 
 
 def assert_ccompose_matches_walk(clone, p, qs, context):
@@ -100,6 +104,8 @@ def assert_ccompose_matches_walk(clone, p, qs, context):
     assert got.arity == context
     assert got.table == end_ccompose_walk(clone.carrier, p.table,
                                           [q.table for q in qs], context)
+    # built without a scan, it passes the validating constructor
+    assert FiniteOp(got.carrier, got.arity, got.table) == got
 
 
 @pytest.mark.parametrize("carrier", [1, 2, 3])
@@ -144,6 +150,7 @@ def test_end_clone_projections_match_the_walk():
                 got = clone.proj(i, n)
                 assert got.arity == n
                 assert got.table == end_proj_walk(carrier, i, n)
+                assert FiniteOp(carrier, n, got.table) == got
     with pytest.raises(OperadError, match="^an operation of arity 21 on 2 "
                        "elements needs 2\\^21 table entries"):
         EndClone(2).proj(1, 21)

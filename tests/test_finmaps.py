@@ -39,6 +39,15 @@ def permutations_(draw, max_n=5):
     return perm(draw(st.permutations(range(1, n + 1))))
 
 
+def assert_valid(result):
+    """A result built from validated tables without a scan passes the
+    validating constructor and equals what it builds; an is_bijection
+    that the builder recorded is the one computed from the table."""
+    checked = FinFunction(result.dom, result.cod, result.table)
+    assert checked == result
+    assert result.is_bijection == checked.is_bijection
+
+
 def test_validation():
     with pytest.raises(FinMapError):
         FinFunction(2, 1, (1, 2))
@@ -48,6 +57,25 @@ def test_validation():
         perm((1, 1))
     with pytest.raises(FinMapError):
         fn((2, 1), cod=1)
+    with pytest.raises(FinMapError, match="^negative domain or codomain$"):
+        identity(-1)
+    with pytest.raises(FinMapError, match="^only bijections invert$"):
+        inverse(fn((1, 1), cod=2))
+
+
+def test_identity_compose_and_inverse_build_valid_tables():
+    """Every identity and inverse to degree 4, and every composable pair
+    of functions between sets of at most 3 elements."""
+    for n in range(5):
+        assert_valid(identity(n))
+        for p in all_perms(n):
+            assert_valid(inverse(p))
+    fns = {(n, m): all_fns(n, m) for n in range(4) for m in range(4)}
+    for (a, b), gs in fns.items():
+        for c in range(4):
+            for g in gs:
+                for f in fns[b, c]:
+                    assert_valid(compose(f, g))
 
 
 def test_call_and_predicates():
@@ -75,7 +103,8 @@ def test_compose_pointwise():
     h = compose(f, g)
     assert (h.dom, h.cod) == (3, 3)
     assert all(h(i) == f(g(i)) for i in range(1, 4))
-    with pytest.raises(FinMapError):
+    with pytest.raises(FinMapError,
+                       match="^cannot compose: inner cod 3 != outer dom 2$"):
         compose(f, f)
 
 
@@ -125,6 +154,7 @@ def test_block_compose_matches_oracle_exhaustively():
                     want = oracle_block_compose(
                         sigma.table, [t.table for t in taus])
                     assert got.table == want, (sigma, taus)
+                    assert_valid(got)
 
 
 def test_block_permutation_is_block_compose_of_identities():
@@ -148,6 +178,7 @@ def test_comb_compose_matches_oracle_exhaustively():
                     want_table, want_cod = oracle_comb_compose(
                         f.table, f.cod, [(g.table, g.cod) for g in gs])
                     assert (got.table, got.cod) == (want_table, want_cod)
+                    assert_valid(got)
 
 
 @given(st.data())

@@ -23,7 +23,7 @@ from operad_workbench.operads import (CheckReport, CommMonoidFPOperad,
 from operad_workbench.terms import Signature, parse_term
 from operad_workbench.trees import LEAF, Node, graft, parse_tree
 from oracles import (EndTable, end_act, end_act_walk, end_compose,
-                     end_compose_walk, finite_op_refusal,
+                     end_compose_walk, finite_op_refusal, gather_by_entry,
                      oracle_block_compose, oracle_monoid_vector_act,
                      oracle_monoid_vector_compose, poly_eval)
 
@@ -129,6 +129,9 @@ def test_comm_monoid_act_matches_oracle():
                 for p in vectors(n):
                     got = operad.act_fn(f, p)
                     assert got == oracle_monoid_vector_act(table, m, p)
+    with pytest.raises(OperadError,
+                       match="^action domain 2 does not match arity 1$"):
+        operad.act_fn(fn((1, 1), cod=1), (1,))
 
 
 def test_int_poly_substitution_homomorphism():
@@ -224,11 +227,12 @@ def test_end_operad_compose_rejects_mismatches():
     operad = EndOperad(2)
     p = FiniteOp(2, 2, (1, 2, 2, 1))
     q = FiniteOp(2, 1, (2, 1))
-    with pytest.raises(OperadError):
+    with pytest.raises(OperadError,
+                       match="^composition needs 2 arguments, got 1$"):
         operad.compose(p, [q])
-    with pytest.raises(OperadError):
+    with pytest.raises(OperadError, match="^carrier mismatch$"):
         operad.compose(p, [q, FiniteOp(3, 1, (1, 2, 3))])
-    with pytest.raises(OperadError):
+    with pytest.raises(OperadError, match="^carrier mismatch$"):
         operad.compose(FiniteOp(3, 2, (1,) * 9), [q, q])
 
 
@@ -273,17 +277,25 @@ def functions_out_of(dom, max_cod):
             for table in itertools.product(range(1, cod + 1), repeat=dom)]
 
 
+def assert_valid_op(got):
+    """An end-N result built without a scan passes the validating
+    constructor and equals what it builds."""
+    assert FiniteOp(got.carrier, got.arity, got.table) == got
+
+
 def assert_compose_matches_walk(operad, p, qs):
     got = operad.compose(p, qs)
     assert got.arity == sum(q.arity for q in qs)
     assert got.table == end_compose_walk(operad.carrier, p.table,
                                          [q.table for q in qs])
+    assert_valid_op(got)
 
 
 def assert_act_matches_walk(operad, f, p):
     got = operad.act_fn(f, p)
     assert got.arity == f.cod
     assert got.table == end_act_walk(operad.carrier, f.table, f.cod, p.table)
+    assert_valid_op(got)
 
 
 @pytest.mark.parametrize("carrier", [1, 2, 3])
@@ -294,6 +306,7 @@ def test_end_kernels_match_the_walks_on_every_small_element(carrier):
     into arities 0-3, and every such function acts on the first and last
     element."""
     operad = EndOperad(carrier)
+    assert_valid_op(operad.identity())
     elements = {n: operad.enumerate_elements(n, carrier ** carrier ** n)
                 for n in range(3)}
     inner = itertools.cycle([q for n in range(3) for q in elements[n]])
@@ -383,17 +396,41 @@ def test_end_tables_past_the_budget_are_refused_before_any_gather(
     end2 = EndOperad(2)
     p = FiniteOp(2, 2, (1, 2, 2, 1))
     q = FiniteOp(2, 3, (1, 2) * 4)
-    for refused, arity in ((lambda: end2.compose(p, [q, q]), 6),
-                           (lambda: end2.act_fn(fn((1, 2), cod=5), p), 5)):
+    for refused, message in (
+            (lambda: end2.compose(p, [q, q]), "an operation of arity 6 on "
+             "2 elements needs 2^6 table entries, over the budget of 16"),
+            (lambda: end2.act_fn(fn((1, 2), cod=5), p), "an operation of "
+             "arity 5 on 2 elements needs 2^5 table entries, over the "
+             "budget of 16"),
+            (lambda: end2.compose(p, [q, FiniteOp(3, 1, (1, 2, 3))]),
+             "carrier mismatch"),
+            (lambda: end2.act_fn(fn((1,), cod=1), p),
+             "action domain 1 does not match arity 2")):
         with pytest.raises(OperadError) as info:
             refused()
-        assert str(info.value) == (
-            f"an operation of arity {arity} on 2 elements needs 2^{arity} "
-            f"table entries, over the budget of 16")
+        assert str(info.value) == message
     assert gathered == []
     assert len(end2.compose(p, [q, end2.identity()]).table) == 16
     assert len(end2.act_fn(fn((1, 4), cod=4), p).table) == 16
     assert gathered == [2, 4]
+
+
+@pytest.mark.parametrize("lengths", [
+    (), (1,), (2,), (9,), (27,), (1, 1), (3, 9), (9, 3), (3, 1, 3),
+    (27, 27), (3, 3, 3, 3), (1, 27, 1), (8, 1, 8)])
+def test_gather_matches_the_entry_by_entry_reading(lengths):
+    """Columns of each length, dense (small entries, as a composite's)
+    and sparse (strided, as an action's), against the one-subscript-
+    per-entry oracle, on a table that reaches the largest sum."""
+    rng = random.Random(31)
+    for span in (1, 3, 40):
+        for _ in range(5):
+            columns = [[rng.randrange(span) * rng.choice((1, span))
+                        for _ in range(k)] for k in lengths]
+            size = sum(max(c) for c in columns) + 1
+            table = tuple(rng.randint(1, 3) for _ in range(size))
+            assert operads._gather(table, columns) == \
+                gather_by_entry(table, columns)
 
 
 def test_free_operad_composes_by_grafting():

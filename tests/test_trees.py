@@ -2,6 +2,7 @@
 term/tree correspondence."""
 
 import itertools
+from dataclasses import fields
 
 import pytest
 from conftest import perfbench_module
@@ -85,6 +86,23 @@ def all_trees(max_size=4, arities=(0, 1, 2)):
     for n in arities:
         out.extend(enumerate_trees(SIG, n, max_size))
     return out
+
+
+def test_equal_trees_built_apart_share_one_hash_and_dict_entry():
+    """A node keeps its hash once computed, outside the dataclass
+    fields: equal trees parsed apart hash alike, as the dataclass hash
+    of (op, children) does, and find one dict entry; equality, repr
+    and the fields are unchanged."""
+    text = "m(m(|,e),m(|,m(e,|)))"
+    a, b = tr(text), tr(text)
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.op, a.children))
+    memo = {a: 1}
+    memo[b] = 2
+    assert memo == {a: 2} and memo[tr(text)] == 2
+    assert repr(a.children[0]) == ("Node(op='m', children=(Leaf(), "
+                                   "Node(op='e', children=())))")
+    assert [f.name for f in fields(Node)] == ["op", "children"]
 
 
 def test_graft_unit_laws():

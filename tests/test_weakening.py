@@ -145,6 +145,30 @@ def test_two_cell_refuses_objects_outside_the_signature(text, other, message,
     assert ctx._saturations == {}
 
 
+def test_two_cell_checks_each_object_once_per_context(monoid,
+                                                      monkeypatch):
+    """Each distinct object's operations are checked at its first
+    same-arity question only, an equal object parsed apart included;
+    a refused object is never remembered, so it is refused again."""
+    top_level = []
+    check = WeakeningContext._check_operations
+    monkeypatch.setattr(WeakeningContext, "_check_operations",
+                        lambda self, t: top_level.append(t)
+                        or check(self, t))
+    texts = ("m(|,|)", "m(m(|,|),e)", "m(e,m(|,|))", "m(|,|)")
+    objects = [parse_tree(t, monoid.signature) for t in texts]
+    ctx = plain_terminal_context(monoid)
+    for t1 in objects:
+        for t2 in objects:
+            assert ctx.two_cell(t1, t2).yes
+    assert [t for t in top_level if any(t is o for o in objects)] \
+        == objects[:3]
+    bad = parse_tree("q(|,|)")
+    for _ in range(2):
+        with pytest.raises(TermError, match="^unknown operation 'q'$"):
+            ctx.two_cell(bad, objects[0])
+
+
 @pytest.mark.parametrize("name, big, small", [
     ("monoid", "m(m(e,e),m(e,m(e,e)))", "e"),
     ("comm_monoid", "m(m(|,e),m(e,m(e,e)))", "|")])
