@@ -97,7 +97,6 @@ class StrictPCategory:
         evaluator = WeakeningContext(W.presentation, W.interpretation,
                                      W.max_term_size)
         self._reprs: dict = {}
-        self._repr_terms: dict = {}
         self.elements: dict[int, list] = {}
         for arity in range(arity_bound + 1):
             for cls in evaluator.enumerate_classes(arity, W.max_term_size):
@@ -135,13 +134,8 @@ class StrictPCategory:
         return tree
 
     def repr_term(self, element) -> Term:
-        """The representative tree of the element as a term, converted
-        once per element."""
-        term = self._repr_terms.get(element)
-        if term is None:
-            term = self.W._as_term(self.repr_tree(element))
-            self._repr_terms[element] = term
-        return term
+        """The representative tree of the element as a term."""
+        return self.W.context.object_term(self.repr_tree(element))
 
     def obj(self, element, operands: Sequence[str]) -> StObject:
         found = self._index.get((element, tuple(operands)))
@@ -202,8 +196,8 @@ class StrictPCategory:
                 else self._free.generator(op)
             # an out-of-bounds composite fails here, before any grafting
             start = self.repr_term(self.operad.compose(q, list(elements)))
-            grafted = self._free.compose(
-                outer, [self.repr_tree(e) for e in elements])
+            grafted = self.W.context.object_term(self._free.compose(
+                outer, [self.repr_tree(e) for e in elements]))
             cell = self.W.derive_delta(start, grafted, operands)
             if cell is None:
                 self._pathless.add((op, q, elements))

@@ -21,9 +21,9 @@ from typing import Sequence
 
 from .operads import CheckReport, Interpretation
 from .terms import (MAX_STEPS, MAX_TERM_SIZE, Presentation, RewriteStep,
-                    SaturationResult, Term, TermError, closure_saturate,
-                    format_term, term_size)
-from .trees import (FPTree, Node, PermutedTree, Tree,
+                    SaturationResult, Term, closure_saturate, format_term,
+                    term_size, validate_term)
+from .trees import (FPTree, PermutedTree, Tree,
                     enumerate_permuted_trees, enumerate_trees, format_object,
                     to_term, to_term_alpha, tree_arity)
 
@@ -44,6 +44,12 @@ class WeakeningFlavorError(WeakeningError):
 
 
 WeakObject = Tree | PermutedTree
+
+
+def _term_of(t: WeakObject) -> Term:
+    if isinstance(t, PermutedTree):
+        return to_term(t)
+    return to_term_alpha(t, tuple(range(1, tree_arity(t) + 1)))
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,7 @@ class WeakeningContext:
         self.interpretation = interpretation
         self.max_term_size = max_term_size
         self.max_steps = max_steps
-        self._arities = dict(presentation.signature.ops)
-        self._checked: set[Tree] = set()  # trees two_cell has checked
+        self._terms: dict[WeakObject, Term] = {}  # objects read and checked
         self._saturations: dict[int, SaturationResult] = {}
 
     @property
@@ -111,9 +116,15 @@ class WeakeningContext:
         return tree_arity(t)
 
     def object_term(self, t: WeakObject) -> Term:
-        if isinstance(t, PermutedTree):
-            return to_term(t)
-        return to_term_alpha(t, tuple(range(1, tree_arity(t) + 1)))
+        """The object's term, converted and checked by validate_term at its
+        first read and then remembered; a refused object is not remembered,
+        so it is refused again with the same TermError."""
+        term = self._terms.get(t)
+        if term is None:
+            term = _term_of(t)
+            validate_term(term, self.presentation.signature)
+            self._terms[t] = term
+        return term
 
     def format_object(self, t: WeakObject) -> str:
         return format_object(t)
@@ -143,18 +154,14 @@ class WeakeningContext:
     def two_cell(self, t1: WeakObject, t2: WeakObject) -> Decision:
         """Decide whether the unique invertible 2-cell t1 -> t2 exists.
         Objects of different arities are told apart by their arities;
-        otherwise an operation that the signature lacks, or takes with
-        another arity, raises TermError naming it, as validate_term does,
+        otherwise object_term refuses an operation that the signature
+        lacks, or takes with another arity, by a TermError naming it,
         before either object is evaluated or saturated."""
         n1 = self.object_arity(t1)
         n2 = self.object_arity(t2)
         if n1 != n2:
             return Decision("no", f"different arities {n1} and {n2}")
-        for t in (t1, t2):
-            tree = t.tree if isinstance(t, PermutedTree) else t
-            if tree not in self._checked:
-                self._check_operations(tree)
-                self._checked.add(tree)
+        term1, term2 = self.object_term(t1), self.object_term(t2)
         if self.evaluable:
             e1 = self.eval_object(t1)
             e2 = self.eval_object(t2)
@@ -166,23 +173,10 @@ class WeakeningContext:
                 "no", self.interpretation.operad.format_element(e1)
                 + " differs from "
                 + self.interpretation.operad.format_element(e2))
-        return self._closure_decision(t1, t2, n1)
+        return self._closure_decision(term1, term2, n1)
 
-    def _check_operations(self, t: Tree):
-        if isinstance(t, Node):
-            declared = self._arities.get(t.op)
-            if declared is None:
-                raise TermError(f"unknown operation {t.op!r}")
-            if len(t.children) != declared:
-                raise TermError(f"operation {t.op!r} expects {declared} "
-                                f"arguments, got {len(t.children)}")
-            for c in t.children:
-                self._check_operations(c)
-
-    def _closure_decision(self, t1: WeakObject, t2: WeakObject,
+    def _closure_decision(self, term1: Term, term2: Term,
                           arity: int) -> Decision:
-        term1 = self.object_term(t1)
-        term2 = self.object_term(t2)
         # an object term is a run (plain) or a linear term (symmetric), so
         # it lies in its flavor's universe exactly when it fits the size
         # bound, and an over-bound side is answered before saturating
@@ -231,7 +225,8 @@ class WeakeningContext:
         sat = self.saturation(arity)
         roots: dict = {}
         for obj in objects:
-            term = self.object_term(obj)
+            # built from the signature, so neither checked nor remembered
+            term = _term_of(obj)
             anchor = sat.anchor(term) if sat.in_universe(term) else term
             roots.setdefault(anchor, []).append(obj)
         return [WeakClass(arity, None, tuple(members))

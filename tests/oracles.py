@@ -680,11 +680,11 @@ def coherence_probe_oracle(W):
             itertools.product(W.base.objects, repeat=arity), 27))
         pairs = 0
         for cls in W.context.enumerate_classes(arity, W.max_term_size):
-            term_a = W._as_term(cls.members[0])
+            term_a = W.context.object_term(cls.members[0])
             for other in cls.members[1:]:
                 if pairs >= 40:
                     break
-                term_b = W._as_term(other)
+                term_b = W.context.object_term(other)
                 chains = _probe_chains(sat, term_a, term_b)
                 if len(chains) < 2:
                     continue

@@ -2,9 +2,12 @@
 The package's __init__ is exempt: its imports are the public names it
 re-exports. The modules postpone annotations, so an annotation names
 what it uses unquoted and counts as a use. Rewrite steps serve decide's
-trace only: the certificates compile 2-cells from merge links."""
+trace only: the certificates compile 2-cells from merge links. Only the
+weakening turns objects into terms, and every private helper has a
+caller."""
 
 import ast
+from collections import Counter
 
 import pytest
 from conftest import ROOT
@@ -36,3 +39,33 @@ def test_certificates_use_no_rewrite_steps(name):
     text = (ROOT / "src/operad_workbench" / name).read_text(encoding="utf-8")
     assert "RewriteStep" not in _imported_names(ast.parse(text))
     assert ".explain(" not in text
+
+
+def _references(node: ast.AST) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+@pytest.mark.parametrize("name", ["weakcat.py", "strictify.py"])
+def test_only_the_weakening_turns_objects_into_terms(name):
+    tree = ast.parse((ROOT / "src/operad_workbench" / name).read_text(
+        encoding="utf-8"))
+    assert {"to_term", "to_term_alpha"}.isdisjoint(_references(tree))
+    assert "_as_term" not in {node.name for node in ast.walk(tree)
+                              if isinstance(node, ast.FunctionDef)}
+    assert "WeakObject" not in _imported_names(tree)
+
+
+def test_every_private_definition_has_a_caller():
+    """A private function, class or method is named somewhere in the
+    package outside its own definition, which recursion does not count."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src/operad_workbench").glob("*.py")]
+    everywhere = sum(map(_references, trees), Counter())
+    private = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    assert private
+    assert [node.name for node in private
+            if everywhere[node.name] == _references(node)[node.name]] == []

@@ -623,6 +623,25 @@ def test_universal_property_refuses_a_map_that_is_not_weak(z3_instance,
         "pasting square fails for 'm(e,|)=|@1' at ('0',)")
 
 
+@pytest.mark.parametrize("corrupt, failure", [
+    (lambda psi: psi.pop("m"), "missing psi family for 'm'"),
+    (lambda psi: psi["m"].pop(("1", "2")), "psi['m'] missing at ('1', '2')"),
+    (lambda psi: psi["m"].update({("1", "2"): "1>9"}),
+     "psi['m'] at ('1', '2') names an unknown arrow '1>9'")],
+    ids=["family", "component", "arrow"])
+def test_incomplete_psi_is_a_failure_line(z3_instance, corrupt, failure):
+    """Coherence data with a gap is reported once, the laws that would
+    read the gap are skipped, and the universal property refuses the map
+    by its first failure."""
+    G = identity_weak_functor(z3_instance)
+    corrupt(G.psi)
+    assert check_weak_functor(G).failures == [failure]
+    with pytest.raises(StrictifyError) as info:
+        universal_property_check(z3_instance, z3_instance, G)
+    assert str(info.value) == (
+        f"the map into the strict target is not a weak map: {failure}")
+
+
 UNIVERSAL_COUNTS = {
     "strict action on objects": 143,
     "strict action on arrows": 17, "restriction on objects": 3,

@@ -188,8 +188,8 @@ def test_h_action_uses_absolute_variable_indexing(z3_instance):
     assert W.h_obj(parse_term("x2"), ("1", "2")) == "2"
     assert W.h_obj(parse_term("m(x2,x1)"), ("1", "2")) == "0"
     assert W.h_obj(parse_term("m(x1,m(x2,x2))"), ("1", "2", "0")) == "2"
-    assert W.h_obj(parse_tree("m(|,|)", W.presentation.signature),
-                   ("2", "2")) == "1"
+    assert W.h_obj(W.context.object_term(
+        parse_tree("m(|,|)", W.presentation.signature)), ("2", "2")) == "1"
     assert W.h_arr(parse_term("m(x1,x2)"), ("0>1", "2>2")) == "2>0"
     assert W.h_obj(parse_term("e"), ()) == "0"
 
@@ -214,11 +214,10 @@ def test_derive_delta_returns_none_when_unrelated(pointed_abcd):
         op: Functor(base, base, 0, {"": "o"}, {"": "o>o"}, name=op)
         for op in pointed_abcd.signature.names()}
     W = WeakPCategoryData(base, pointed_abcd, generators, {})
-    sig = pointed_abcd.signature
-    assert W.derive_delta(parse_tree("a", sig), parse_tree("a", sig), ()) \
-        == "o>o"
-    assert W.derive_delta(parse_tree("a", sig), parse_tree("b", sig), ()) \
-        is None
+    a, b = (W.context.object_term(parse_tree(text, pointed_abcd.signature))
+            for text in "ab")
+    assert W.derive_delta(a, a, ()) == "o>o"
+    assert W.derive_delta(a, b, ()) is None
 
 
 @pytest.mark.parametrize("target, separated", [

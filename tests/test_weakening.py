@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (EXAMPLES, comm_monoid_fp_context, is_linear, is_run,
                       replay_chain)
+from operad_workbench import weakening
 from operad_workbench.operads import (CheckReport, EndOperad, FiniteOp,
                                       Interpretation,
                                       OperadError, TerminalPlainOperad,
@@ -147,26 +148,25 @@ def test_two_cell_refuses_objects_outside_the_signature(text, other, message,
 
 def test_two_cell_checks_each_object_once_per_context(monoid,
                                                       monkeypatch):
-    """Each distinct object's operations are checked at its first
-    same-arity question only, an equal object parsed apart included;
-    a refused object is never remembered, so it is refused again."""
-    top_level = []
-    check = WeakeningContext._check_operations
-    monkeypatch.setattr(WeakeningContext, "_check_operations",
-                        lambda self, t: top_level.append(t)
-                        or check(self, t))
+    """Each distinct object's term is checked at its first same-arity
+    question only, an equal object parsed apart included; a refused
+    object is never remembered, so it is refused again."""
+    checked = []
+    check = weakening.validate_term
+    monkeypatch.setattr(weakening, "validate_term",
+                        lambda t, sig: checked.append(t) or check(t, sig))
     texts = ("m(|,|)", "m(m(|,|),e)", "m(e,m(|,|))", "m(|,|)")
     objects = [parse_tree(t, monoid.signature) for t in texts]
     ctx = plain_terminal_context(monoid)
     for t1 in objects:
         for t2 in objects:
             assert ctx.two_cell(t1, t2).yes
-    assert [t for t in top_level if any(t is o for o in objects)] \
-        == objects[:3]
+    assert checked == [ctx.object_term(t) for t in objects[:3]]
     bad = parse_tree("q(|,|)")
     for _ in range(2):
         with pytest.raises(TermError, match="^unknown operation 'q'$"):
             ctx.two_cell(bad, objects[0])
+    assert len(checked) == 5
 
 
 @pytest.mark.parametrize("name, big, small", [
