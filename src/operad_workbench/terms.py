@@ -607,6 +607,7 @@ class SaturationResult:
         self.edges: list[list[tuple[int, tuple, int]]] = [[] for _ in universe]
         self.unions = 0
         self.exhausted = False
+        self._paths: dict[tuple[int, int, int], list[tuple]] = {}
 
     def _id_of(self, t: Term) -> int | None:
         """t's id, or None when t lies outside the universe (every
@@ -719,7 +720,15 @@ class SaturationResult:
              ) -> list[tuple[int, int, tuple, int]]:
         """A shortest path from id i1 to id i2 over the merge edges
         stamped before `before`, as links (a, b, reason, stamp) from i1
-        on."""
+        on. The closure is complete before any reader asks, so each
+        search runs once and is remembered."""
+        key = (i1, i2, before)
+        if key not in self._paths:
+            self._paths[key] = self._shortest_path(i1, i2, before)
+        return self._paths[key]
+
+    def _shortest_path(self, i1: int, i2: int, before: int
+                       ) -> list[tuple[int, int, tuple, int]]:
         if i1 == i2:
             return []
         seen = {i1}
@@ -779,13 +788,13 @@ MAX_TERM_SIZE = 6
 MAX_STEPS = 500_000
 
 
-def closure_saturate(signature: Signature, equations: Sequence[Equation],
-                     arity: int, max_term_size: int,
-                     max_steps: int = MAX_STEPS,
-                     flavor: str = "fp") -> SaturationResult:
-    """Bounded equality closure over the terms of one arity that the
-    flavor's universe holds: all of them under "fp", the linear ones
-    under "symmetric", the runs under "plain" (see enumerate_terms).
+def closure_saturate(presentation: Presentation, arity: int,
+                     max_term_size: int,
+                     max_steps: int = MAX_STEPS) -> SaturationResult:
+    """Bounded equality closure of the presentation's equations over the
+    terms of one arity that its flavor's universe holds: all of them
+    under "fp", the linear ones under "symmetric", the runs under
+    "plain" (see enumerate_terms).
 
     Seeds every equation instance whose two sides fit inside the size
     bound, binding the variables in order and looking each subterm of a
@@ -796,8 +805,8 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
     merge graph holds each recorded rewrite exactly once. Sound with
     respect to the unrestricted closure; complete only up to the bounds.
 
-    An equation the flavor cannot carry is refused as a theory of that
-    flavor refuses it. A linear equation has each of x1..xn once on each
+    The presentation has checked that its flavor carries every equation
+    (see Presentation). A linear equation has each of x1..xn once on each
     side, so every axiom instance and every congruence step keeps the
     multiset of variables; a strongly regular one has them in order, so
     every step keeps the whole variable sequence. Either way the
@@ -813,13 +822,11 @@ def closure_saturate(signature: Signature, equations: Sequence[Equation],
     since the full closure spends it on terms and bindings the smaller
     one never builds.
     """
-    fits = _FITS[flavor]
-    for eq in equations:
-        _check_flavor(flavor, eq)
-    sat = SaturationResult(enumerate_terms(signature, arity, max_term_size,
-                                           flavor))
-    budget = _seed_instances(sat, tuple(equations), max_term_size, max_steps,
-                             fits)
+    flavor = presentation.flavor
+    sat = SaturationResult(enumerate_terms(presentation.signature, arity,
+                                           max_term_size, flavor))
+    budget = _seed_instances(sat, presentation.equations, max_term_size,
+                             max_steps, _FITS[flavor])
     if budget > 0:
         budget = _congruence_fixpoint(sat, budget)
     sat.exhausted = budget <= 0

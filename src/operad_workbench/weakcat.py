@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .operads import (CheckReport, Interpretation, Operad, builtin_operad,
                       validate_interpretation)
@@ -95,6 +94,9 @@ class FiniteCategory:
         self._validate()
 
     def _validate(self):
+        stray = set(self.identities) - set(self.objects)
+        if stray:
+            raise WeakcatError(f"identity entry {min(stray)!r} names no object")
         for obj in self.objects:
             ident = self.identities.get(obj)
             if ident is None or ident not in self.arrows:
@@ -191,6 +193,18 @@ def unkey(key: str) -> tuple[str, ...]:
     return tuple(key.split(",")) if key else ()
 
 
+def _stray_key(table: Mapping, items: Collection[str], k: int) -> str | None:
+    """The key_of of an entry of table, keyed by k-tuples of items or
+    their key_of, whose key is no such tuple, or None. The caller has
+    found an entry at every tuple, so only a longer table has one."""
+    if len(table) > len(items) ** k:
+        for key in table:
+            ids = unkey(key) if isinstance(key, str) else key
+            if len(ids) != k or not set(ids) <= set(items):
+                return key_of(ids)
+    return None
+
+
 class Functor:
     """A functor base^arity -> cod given by explicit tables over object
     and arrow tuples, keyed by comma joined ids (empty key at arity 0).
@@ -237,6 +251,12 @@ class Functor:
             dst = obj_map[key_of([dom.arrows[a].dst for a in arrs])]
             if img.src != src or img.dst != dst:
                 raise WeakcatError(f"{label}: image of {arrs} has wrong endpoints")
+        for table, items, kind in ((obj_map, dom.objects, "object"),
+                                   (arr_map, dom.arrows, "arrow")):
+            stray = _stray_key(table, items, k)
+            if stray is not None:
+                raise WeakcatError(f"{label}: {kind} map entry {stray!r} "
+                                   f"matches no {kind} tuple")
         for objs in product(dom.objects, repeat=k):
             idents = key_of([dom.identities[o] for o in objs])
             if arr_map[idents] != cod.identities[obj_map[key_of(objs)]]:
@@ -338,6 +358,10 @@ class WeakPCategoryData:
                     f"{want_src!r} -> {want_dst!r}, got {a.src!r} -> {a.dst!r}")
             if not self.base.is_iso(arrow):
                 raise WeakcatError(f"delta {name!r} at {operands} is not invertible")
+        stray = _stray_key(fam, self.base.objects, eq.arity)
+        if stray is not None:
+            raise WeakcatError(
+                f"delta {name!r} component {stray!r} matches no operand tuple")
         # h(lhs), h(rhs) compose the generator functors, validated first,
         # so the family is natural iff it is natural in each variable with
         # identities in the others (Mac Lane, CWM II.3): every arrow tuple
@@ -427,29 +451,26 @@ class WeakPCategoryData:
         return "unknown" if e1 == e2 else "no"
 
     def path_arrow(self, sat: SaturationResult, i1: int, i2: int,
-                   before: int, operands: tuple[str, ...],
-                   path: Callable | None = None) -> str:
+                   before: int, operands: tuple[str, ...]) -> str:
         """The base arrow from h at term id i1 to h at id i2 of the
         closure sat, at operands: link_arrow composed along
-        path(i1, i2, before), where path is sat.path or a memo of it."""
-        path = path or sat.path
+        sat.path(i1, i2, before)."""
         arrow = None
-        for link in path(i1, i2, before):
-            step = self.link_arrow(sat, *link, operands, path)
+        for link in sat.path(i1, i2, before):
+            step = self.link_arrow(sat, *link, operands)
             arrow = step if arrow is None else self.base.compose(step, arrow)
         if arrow is None:
             return self.base.identity(self.h_obj(sat.terms[i1], operands))
         return arrow
 
     def link_arrow(self, sat: SaturationResult, a: int, b: int,
-                   reason: tuple, stamp: int, operands: tuple[str, ...],
-                   path: Callable | None = None) -> str:
+                   reason: tuple, stamp: int, operands: tuple[str, ...]
+                   ) -> str:
         """The base arrow of one merge link a -> b of the closure sat, at
         operands: an equation link's delta component at its binding,
         inverted when a is not the equation's left side, or for a
         congruence link the generator functor applied to the arrows of
-        the child paths, which run over links older than it and are
-        found by path (as in path_arrow)."""
+        the child paths, which run over links older than it."""
         if reason[0] == "axiom":
             # every declared variable occurs, so the binding is x1..xn
             _, eq_index, binding, lhs_id, _ = reason
@@ -459,7 +480,7 @@ class WeakPCategoryData:
             return component if a == lhs_id else self.base.inverse(component)
         (op, kids_a), (_, kids_b) = sat.nodes[a], sat.nodes[b]
         return self.generators[op].arr(
-            [self.path_arrow(sat, x, y, stamp, operands, path)
+            [self.path_arrow(sat, x, y, stamp, operands)
              for x, y in zip(kids_a, kids_b)])
 
 
@@ -485,9 +506,6 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
     report = CheckReport()
     for arity in range(0, _COHERENCE_ARITY + 1):
         sat = W.context.saturation(arity)
-        # a link's child paths do not depend on the operands, so each
-        # distinct search runs once and is folded at every operand tuple
-        path = cache(sat.path)
         every_variable = frozenset(range(1, arity + 1))
         for members in sat.classes():
             first = members[0]
@@ -500,8 +518,8 @@ def coherence_check(W: WeakPCategoryData) -> CheckReport:
                 p = {edges[0][0]: W.base.identity(W.h_obj(first, operands))}
                 for u, v, reason, stamp in edges:
                     arrow = W.base.compose(
-                        W.link_arrow(sat, u, v, reason, stamp, operands,
-                                     path), p[u])
+                        W.link_arrow(sat, u, v, reason, stamp, operands),
+                        p[u])
                     if v not in p:
                         p[v] = arrow
                         continue
@@ -697,6 +715,12 @@ def _arrow(entry) -> Arrow:
     return Arrow(entry["id"], entry["src"], entry["dst"])
 
 
+# the fields every weak-instance file has; bounds, target and interp
+# are optional
+_FIELDS = ("theory", "objects", "arrows", "identities", "compose",
+           "generators", "deltas")
+
+
 def load_weakcat(text: str) -> WeakPCategoryData:
     """Read the JSON form written by save_weakcat. Malformed input of any
     shape raises WeakcatError (or the parse error of the theory or target
@@ -706,10 +730,12 @@ def load_weakcat(text: str) -> WeakPCategoryData:
     except json.JSONDecodeError as exc:
         raise WeakcatError(f"bad JSON: {exc}") from exc
     _object(data, "the weak instance")
-    for field_name in ("theory", "objects", "arrows", "identities",
-                       "compose", "generators", "deltas"):
+    for field_name in _FIELDS:
         if field_name not in data:
             raise WeakcatError(f"missing field {field_name!r}")
+    for field_name in data:
+        if field_name not in _FIELDS + ("bounds", "target", "interp"):
+            raise WeakcatError(f"unknown field {field_name!r}")
     if not isinstance(data["theory"], str):
         raise WeakcatError("field 'theory' must be a string")
     presentation = parse_presentation(data["theory"])
@@ -753,8 +779,14 @@ def load_weakcat(text: str) -> WeakPCategoryData:
             raise WeakcatError("field 'target' must be a string")
         target = builtin_operad(data["target"], presentation)
         interp = _id_map(data.get("interp"), "field 'interp'")
+        for op in interp:
+            if op not in presentation.signature:
+                raise WeakcatError(
+                    f"interp entry {op!r} names no operation of the theory")
         assignment = {op: target.parse_element(text_)
                       for op, text_ in interp.items()}
+    elif "interp" in data:
+        raise WeakcatError("field 'interp' given without a 'target'")
     bounds = _object(data.get("bounds", {}), "field 'bounds'")
     for name, value in bounds.items():
         if name not in ("max_term_size", "max_steps"):

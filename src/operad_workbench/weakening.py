@@ -147,8 +147,7 @@ class WeakeningContext:
         runs."""
         if arity not in self._saturations:
             self._saturations[arity] = closure_saturate(
-                self.presentation.signature, self.presentation.equations,
-                arity, self.max_term_size, self.max_steps, self.flavor)
+                self.presentation, arity, self.max_term_size, self.max_steps)
         return self._saturations[arity]
 
     def two_cell(self, t1: WeakObject, t2: WeakObject) -> Decision:

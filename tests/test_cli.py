@@ -118,6 +118,22 @@ def test_decide_target_mode(capsys):
     assert "both evaluate to" in out
 
 
+def test_decide_target_mode_answers_no(capsys, tmp_path):
+    """The free operad of a magma, one binary operation and no
+    equations, tells the two bracketings of three leaves apart."""
+    magma = tmp_path / "magma.th"
+    magma.write_text("theory Magma\nflavor plain\nops:\n  m : 2\n",
+                     encoding="utf-8")
+    argv = ("decide", str(magma), "--target", "free", "m(m(x1,x2),x3)",
+            "m(x1,m(x2,x3))")
+    reason = "m(m(|,|),|) differs from m(|,m(|,|))"
+    assert run(capsys, *argv) == (1, f"no: {reason}\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"answer": "no", "reason": reason,
+                               "trace": None}
+
+
 @pytest.mark.parametrize("argv, message", [
     (("eval", MONOID, "--target", "initial", "m(x1,x2)"),
      "the initial operad has no element of arity 2"),
@@ -547,6 +563,41 @@ def test_strictify_malformed_instance_exits_3(capsys, tmp_path, field,
     assert err.startswith("error:") and repr(field) in err
 
 
+@pytest.mark.parametrize("where, key, value", [
+    (("generators", "m", "obj_map"), "9,9", "0"),
+    (("generators", "m", "arr_map"), "bogus", "0>0"),
+    (("deltas", "m(m(|,|),|)=m(|,m(|,|))@3"), "9,9,9", "0>0"),
+    (("identities",), "zz", "0>0"),
+    (("interp",), "q", "2"),
+    ((), "extra", 1)])
+def test_strictify_refuses_an_entry_nothing_reads(capsys, tmp_path, where,
+                                                  key, value):
+    """One added entry that names no object tuple, object, operation or
+    field leaves the bundled instance otherwise whole; it is refused,
+    named, with exit 3."""
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    table = data
+    for part in where:
+        table = table[part]
+    table[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "strictify", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_strictify_refuses_an_interp_without_a_target(capsys, tmp_path):
+    data = json.loads((EXAMPLES / "indiscrete_monoid_weakcat.json")
+                      .read_text(encoding="utf-8"))
+    del data["target"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, "strictify", str(path)) == (
+        3, "", "error: field 'interp' given without a 'target'\n")
+
+
 BUNDLED = (EXAMPLES / "indiscrete_monoid_weakcat.json").read_text(
     encoding="utf-8")
 JUNK = st.one_of(st.none(), st.integers(-2, 2), st.text(max_size=4),
@@ -561,9 +612,10 @@ def _other_than(value, pool):
 @st.composite
 def broken_instances(draw):
     """The bundled instance with one entry of compose, identities or
-    arrows dropped, re-keyed or replaced, or with a bound that is not a
-    positive integer or has no such name. Its base category is
-    indiscrete, so every such change leaves the instance invalid."""
+    arrows dropped, re-keyed or replaced, with an identity added for an
+    unknown object, or with a bound that is not a positive integer or
+    has no such name. Its base category is indiscrete, so every such
+    change leaves the instance invalid."""
     data = json.loads(BUNDLED)
     ids = [a["id"] for a in data["arrows"]]
     field = draw(st.sampled_from(["compose", "identities", "arrows",
@@ -586,6 +638,9 @@ def broken_instances(draw):
             part = draw(st.sampled_from(["id", "src", "dst"]))
             pool = ids if part == "id" else data["objects"]
             entries[i][part] = draw(_other_than(entries[i][part], pool))
+    elif field == "identities" and draw(st.booleans()):
+        unknown = st.text(max_size=6).filter(lambda k: k not in data["objects"])
+        data["identities"][draw(unknown)] = draw(st.sampled_from(ids))
     else:
         table = data[field]
         key = draw(st.sampled_from(sorted(table)))

@@ -4,7 +4,9 @@ re-exports. The modules postpone annotations, so an annotation names
 what it uses unquoted and counts as a use. Rewrite steps serve decide's
 trace only: the certificates compile 2-cells from merge links. Only the
 weakening turns objects into terms, and every private helper has a
-caller."""
+caller. A presentation's flavor is checked where the presentation is
+built, and the closure and its readers take what it determines from
+it."""
 
 import ast
 from collections import Counter
@@ -69,3 +71,33 @@ def test_every_private_definition_has_a_caller():
     assert private
     assert [node.name for node in private
             if everywhere[node.name] == _references(node)[node.name]] == []
+
+
+def _functions(tree: ast.Module):
+    """Every module-level function and method, with its qualified name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def test_flavors_are_checked_only_where_a_presentation_is_built():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src/operad_workbench").glob("*.py")]
+    callers = Counter({name: _references(node)["_check_flavor"]
+                       for tree in trees for name, node in _functions(tree)})
+    assert +callers == Counter({"Presentation.__post_init__": 1,
+                                "parse_presentation": 1})
+    assert sum(_references(tree)["_check_flavor"] for tree in trees) == 2
+
+
+def test_the_closure_and_its_readers_take_no_flavor_equations_or_path():
+    params = {name.rpartition(".")[2]: {arg.arg for arg in
+                                        node.args.args + node.args.kwonlyargs}
+              for path in MODULES
+              for name, node in _functions(ast.parse(path.read_text(
+                  encoding="utf-8")))}
+    for name in ("closure_saturate", "path_arrow", "link_arrow"):
+        assert params[name].isdisjoint({"flavor", "equations", "path"}), name

@@ -2,6 +2,7 @@
 two decision engines, class enumeration, and the worked examples."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -340,9 +341,9 @@ def test_linear_saturation_matches_the_full_one(name, request):
     pres = request.getfixturevalue(name)
     rng = random.Random(name)
     for arity, size in enumerate(DIFFERENTIAL[name]):
-        full = closure_saturate(pres.signature, pres.equations, arity, size)
-        linear = closure_saturate(pres.signature, pres.equations, arity,
-                                  size, flavor="symmetric")
+        full = closure_saturate(replace(pres, flavor="fp"), arity, size)
+        linear = closure_saturate(replace(pres, flavor="symmetric"), arity,
+                                  size)
         _assert_restriction(linear, full, is_linear, rng)
         ctx = WeakeningContext(pres, max_term_size=size)
         full_ctx = WeakeningContext(pres, max_term_size=size)
@@ -361,10 +362,9 @@ def test_run_saturation_matches_the_linear_one(name, request):
     assert pres.flavor == "plain"
     rng = random.Random(name)
     for arity, size in enumerate(DIFFERENTIAL[name]):
-        linear = closure_saturate(pres.signature, pres.equations, arity,
-                                  size, flavor="symmetric")
-        runs = closure_saturate(pres.signature, pres.equations, arity, size,
-                                flavor="plain")
+        linear = closure_saturate(replace(pres, flavor="symmetric"), arity,
+                                  size)
+        runs = closure_saturate(pres, arity, size)
         if not linear.terms:
             # trivial at arity 0: no constant and no variable
             assert (name, arity) == ("trivial", 0) and not runs.terms
@@ -395,7 +395,7 @@ def test_symmetric_flavor_saturates_permuted_objects(monoid):
     assert decision.answer == "unknown"
     assert decision.reason == "not merged within size 7"
     # the run universe would not even hold the permuted objects
-    runs = closure_saturate(sig, monoid.equations, 3, 7, flavor="plain")
+    runs = closure_saturate(monoid, 3, 7)
     assert not runs.in_universe(ctx.object_term(a))
 
 
